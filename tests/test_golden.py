@@ -1,0 +1,43 @@
+"""Golden reports: the validate, dstruct and roundtrip reports on the
+shipped manifest and on the two-sorted pair over Q, frozen byte for byte.
+
+The files under ``tests/golden/`` must also hash to the report digests
+the benchmark pins in ``perfbench/pins.json``, so the lock and the
+benchmark guard the same bytes.  Regenerate a golden file only from a
+commit whose reports are trusted:
+
+    PYTHONPATH=src python -m kzbar.cli SUITE MANIFEST --out tests/golden/NAME.SUITE.json
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from kzbar.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+PINS = GOLDEN.parent.parent / "perfbench" / "pins.json"
+
+# golden name -> (manifest argument, benchmark workload pinning it)
+MANIFESTS = {
+    "uass_dual_numbers": ("uass_dual_numbers", "dual-w3"),
+    "pair_q_w3": (str(GOLDEN / "pair_q_w3.kz"), "pair-q-w3"),
+}
+SUITES = ("validate", "dstruct", "roundtrip")
+
+
+@pytest.mark.parametrize("suite", SUITES)
+@pytest.mark.parametrize("name", sorted(MANIFESTS))
+def test_report_matches_golden_bytes(name, suite, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("KZ_SEED", raising=False)
+    monkeypatch.delenv("KZ_THREADS", raising=False)
+    manifest, workload = MANIFESTS[name]
+    out = tmp_path / "report.json"
+    assert main([suite, manifest, "--out", str(out)]) == 0
+    capsys.readouterr()
+    golden = (GOLDEN / f"{name}.{suite}.json").read_bytes()
+    assert out.read_bytes() == golden
+    pins = json.loads(PINS.read_text())
+    assert hashlib.sha256(golden).hexdigest() == pins[workload]["reports"][suite]
