@@ -7,19 +7,26 @@ label last: theta is evaluated on x_1 (x) ... (x) x_n (x) c, and every
 axiom's sign is the Koszul cost of reshuffling that tensor order.
 
 Free algebras quotient X^{(x)n} (x) C(n) by the diagonal symmetric group
-action.  The quotient is computed as a cokernel by exact elimination;
-when the operad action is free and monomial an orbit walk gives the same
-part cheaper, and both routes are exposed.
+action.  When Sigma_n acts freely and monomially on the labels of C(n),
+as the free-module certificate proves, the orbit route reads the
+quotient off a transversal of the label orbits: each class is one pair
+(root label, generator word), and projecting a word is a lookup plus the
+Koszul sign of the permutation that carries its label to the root.  Any
+other action goes through the elimination route, which computes the
+quotient as a cokernel by exact elimination; asking for the orbit route
+on a non-free action raises AlgebraError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import product as iproduct
+from math import factorial
+from operator import itemgetter
 
 from kzbar.complexes import ChainComplex, ChainMap
 from kzbar.fields import Scalar
-from kzbar.linalg import Vec, echelon, vec_axpy, vec_scale
+from kzbar.linalg import Vec, echelon, vec_acc, vec_axpy, vec_scale
 from kzbar.operads import CapExceeded, Operad, OperadElement, Sig
 
 
@@ -288,15 +295,20 @@ def _check_action_leibniz(alg: Algebra, c_sig: Sig, c_name, xs) -> bool:
 
 @dataclass
 class FreePart:
-    """One arity part of a free algebra: representative basis, projection
-    from the un-quotiented space, and a section back into it."""
+    """One arity part of a free algebra: representative basis, the degree
+    of every word of the un-quotiented space, and the projection from it.
+    Representatives are words of that space, so the section back into it
+    is the identity."""
 
     arity: int
     out_sort: str
     complex: ChainComplex
     big_degrees: dict
     project: object  # Vec over big names -> Vec over representatives
-    section: object  # representative name -> big name
+
+    @staticmethod
+    def section(r):
+        return r
 
 
 class FreeAlgebra:
@@ -314,33 +326,54 @@ class FreeAlgebra:
         for srt, comp in self.generators.items():
             if comp.field != self.field:
                 raise AlgebraError(f"generators of sort {srt!r} over wrong field")
+        if self._resolved_method() == "orbit":
+            for n in sorted({len(sig[0]) for sig in operad.components}):
+                self._free_orbits(n)
 
     def _resolved_method(self) -> str:
         if self.method != "auto":
             return self.method
         return "orbit" if self.operad.certificate == "free-module" else "elimination"
 
-    def _big_basis(self, n: int, out_sort: str):
-        """Basis of the pre-quotient space: (sig, generator word, c name)."""
-        out = []
-        for sig in self.operad.arity_signatures(n):
-            if sig[1] != out_sort:
-                continue
-            ins = sig[0]
-            if any(s not in self.generators for s in ins):
-                continue
-            pools = [sorted(self.generators[s].basis(), key=str) for s in ins]
-            for xw in iproduct(*pools):
-                for c_name in sorted(self.operad.components[sig].basis(), key=str):
-                    out.append((sig, xw, c_name))
-        return out
+    def _free_orbits(self, n: int):
+        """The label orbits of arity n; the orbit route needs them free."""
+        walk = self.operad.label_orbits(n)
+        if walk.fault is not None:
+            raise AlgebraError(f"orbit method needs a free monomial action: {walk.fault}")
+        want = factorial(n)
+        for (sig, name), size in walk.sizes.items():
+            if size != want:
+                raise AlgebraError(
+                    f"orbit method needs a free action: orbit of {sig}:{name!r} "
+                    f"has size {size}, want {want}; use method='elimination'"
+                )
+        return walk
 
-    def _big_degree(self, name) -> int:
-        sig, xw, c_name = name
-        d = self.operad.degree_of(sig, c_name)
-        for s, x in zip(sig[0], xw):
-            d += self.generators[s].degrees[x]
-        return d
+    def _big_basis(self, n: int, out_sort: str) -> tuple[dict, list[str]]:
+        """Words (sig, generator word, c name) of the pre-quotient space:
+        their degrees, and their str() in the same order, built from
+        cached reprs."""
+        degs: dict = {}
+        keys: list[str] = []
+        for sig in self.operad.arity_signatures(n):
+            ins = sig[0]
+            if sig[1] != out_sort or any(s not in self.generators for s in ins):
+                continue
+            comp = self.operad.components[sig]
+            labels = [(c, comp.degrees[c], f"({sig!r}, ", f", {c!r})")
+                      for c in comp.basis()]
+            pools = [[(x, g.degrees[x], repr(x)) for x in g.basis()]
+                     for g in (self.generators[s] for s in ins)]
+            for combo in iproduct(*pools):
+                xw = tuple(x for x, _, _ in combo)
+                dx = sum(d for _, d, _ in combo)
+                xr = ("(" + ", ".join(r for _, _, r in combo)
+                      + ("," if n == 1 else "") + ")")
+                for c, dc, head, tail in labels:
+                    w = (sig, xw, c)
+                    degs[w] = dx + dc
+                    keys.append(head + xr + tail)
+        return degs, keys
 
     def _diagonal_swap(self, name, k: int) -> Vec:
         """Image of a big basis element under s_k, with Koszul sign."""
@@ -359,44 +392,41 @@ class FreeAlgebra:
         hit = self._parts.get(key)
         if hit is not None:
             return hit
-        big = self._big_basis(n, out_sort)
-        method = self._resolved_method()
-        if method == "orbit":
-            part = self._part_by_orbit(n, out_sort, big)
+        big_degs, str_keys = self._big_basis(n, out_sort)
+        if self._resolved_method() == "orbit":
+            reps, project = self._coinvariants_by_orbit(n, out_sort, big_degs, str_keys)
         else:
-            part = self._part_by_elimination(n, out_sort, big)
-        self._parts[key] = part
+            reps, project = self._coinvariants_by_elimination(n, big_degs, str_keys)
+        comp = self._induced_complex(big_degs, reps, project)
+        part = self._parts[key] = FreePart(n, out_sort, comp, big_degs, project)
         return part
 
-    def _induced_complex(self, n, out_sort, big_degs, reps, project, section):
+    def _induced_complex(self, big_degs, reps, project) -> ChainComplex:
+        F = self.field
         d_cols = {}
         for r in reps:
-            sig, xw, c_name = section(r)
+            sig, xw, c_name = r
             db: Vec = {}
             # differential of the generator word, Koszul signs left to right
-            sgn = self.field.one
+            sgn = F.one
             for i, (s, x) in enumerate(zip(sig[0], xw)):
-                dx = self.generators[s].apply_d({x: self.field.one})
-                for nm, cf in dx.items():
-                    xw2 = list(xw)
-                    xw2[i] = nm
-                    db = vec_axpy(db, sgn * cf, {(sig, tuple(xw2), c_name): self.field.one})
-                if self.generators[s].degrees[x] % 2:
+                gen = self.generators[s]
+                for nm, cf in gen.d.get(x, {}).items():
+                    vec_acc(db, (sig, xw[:i] + (nm,) + xw[i + 1:], c_name), sgn * cf)
+                if gen.degrees[x] % 2:
                     sgn = -sgn
-            dc = self.operad.components[sig].apply_d({c_name: self.field.one})
-            for nm, cf in dc.items():
-                db = vec_axpy(db, sgn * cf, {(sig, xw, nm): self.field.one})
+            for nm, cf in self.operad.components[sig].d.get(c_name, {}).items():
+                vec_acc(db, (sig, xw, nm), sgn * cf)
             col = project(db)
             if col:
                 d_cols[r] = col
-        degs = {r: big_degs[section(r)] for r in reps}
-        return ChainComplex(self.field, degs, d_cols)
+        return ChainComplex(F, {r: big_degs[r] for r in reps}, d_cols)
 
-    def _part_by_elimination(self, n: int, out_sort: str, big) -> FreePart:
-        big_degs = {name: self._big_degree(name) for name in big}
+    def _coinvariants_by_elimination(self, n: int, big_degs, str_keys):
         relations = []
-        for name in big:
-            one = self.field.one
+        one = self.field.one
+        words = list(big_degs)
+        for name in words:
             for k in range(1, n):
                 img = self._diagonal_swap(name, k)
                 rel = vec_axpy({name: one}, -one, img)
@@ -404,70 +434,74 @@ class FreeAlgebra:
                     relations.append(rel)
         ech = echelon(relations, self.field)
         pivots = set(ech.pivots)
-        reps = [name for name in sorted(big, key=str) if name not in pivots]
+        order = sorted(range(len(words)), key=str_keys.__getitem__)
+        reps = [words[i] for i in order if words[i] not in pivots]
 
         def project(vec: Vec) -> Vec:
             rem, _ = ech.reduce(vec)
             return rem
 
-        def section(r):
-            return r
+        return reps, project
 
-        comp = self._induced_complex(n, out_sort, big_degs, reps, project, section)
-        return FreePart(n, out_sort, comp, big_degs, project, section)
+    def _coinvariants_by_orbit(self, n: int, out_sort: str, big_degs, str_keys):
+        """Coinvariants of a free monomial action through a label transversal.
 
-    def _part_by_orbit(self, n: int, out_sort: str, big) -> FreePart:
-        big_degs = {name: self._big_degree(name) for name in big}
+        Every diagonal orbit holds exactly one word whose label is the root
+        of its label orbit, so a class is a pair (root label, x-word) and
+        projecting a word is a lookup.  A class is named by its str-least
+        word, as a walk over the whole orbit would name it.
+        """
+        orbits = self._free_orbits(n).members
+        gen_degs = {s: g.degrees for s, g in self.generators.items()}
+        table = {}
+        for label, (root, sign, sigma) in orbits.items():
+            ins, out = label[0]
+            if out != out_sort or any(s not in gen_degs for s in ins):
+                continue
+            pairs = tuple((sigma[a], sigma[b]) for a in range(n) for b in range(a + 1, n)
+                          if sigma[a] > sigma[b])
+            table[label] = (root, sign, itemgetter(*sigma) if pairs else None, pairs)
+
+        def to_class(word):
+            """(root label, x-word) of a word, and the sign s with
+            [word] = s [root word]; None off the table."""
+            sig, xw, c_name = word
+            hit = table.get((sig, c_name))
+            if hit is None:
+                return None
+            root, sign, permute, pairs = hit
+            if permute is None:
+                return (root, xw), sign
+            # Koszul sign of the permutation on the odd letters it crosses
+            ins = sig[0]
+            for i, j in pairs:
+                if gen_degs[ins[i]].get(xw[i], 0) % 2 and gen_degs[ins[j]].get(xw[j], 0) % 2:
+                    sign = -sign
+            return (root, permute(xw)), sign
+
+        # class -> (str key, representative, s_r) with [rep] = s_r [class]
         rep_of: dict = {}
-        dead: set = set()
-        for start in sorted(big, key=str):
-            if start in rep_of or start in dead:
-                continue
-            orbit = {start: self.field.one}
-            frontier = [start]
-            torsion = False
-            while frontier:
-                cur = frontier.pop()
-                csgn = orbit[cur]
-                for k in range(1, n):
-                    img = self._diagonal_swap(cur, k)
-                    if len(img) != 1:
-                        raise AlgebraError(
-                            "orbit method needs a monomial operad action"
-                        )
-                    (nm, cf), = img.items()
-                    nsgn = csgn * cf
-                    prev = orbit.get(nm)
-                    if prev is None:
-                        orbit[nm] = nsgn
-                        frontier.append(nm)
-                    elif prev != nsgn:
-                        torsion = True
-            if torsion and self.field.characteristic != 2:
-                dead.update(orbit)
-                continue
-            rep = min(orbit, key=str)
-            base = orbit[rep]
-            # [x] = base/orbit[x] . [rep]; store orbit[x]/base, invert on use
-            for nm, sgn in orbit.items():
-                rep_of[nm] = (rep, base.inv() * sgn)
-        reps = sorted({r for r, _ in rep_of.values()}, key=str)
+        for word, key in zip(big_degs, str_keys):
+            cls, sign = to_class(word)
+            cur = rep_of.get(cls)
+            if cur is None or key < cur[0]:
+                rep_of[cls] = (key, word, sign)
+        reps = [word for _, word, _ in sorted(rep_of.values(), key=itemgetter(0))]
 
         def project(vec: Vec) -> Vec:
             out: Vec = {}
-            for nm, cf in vec.items():
-                hit = rep_of.get(nm)
+            for word, cf in vec.items():
+                hit = to_class(word)
                 if hit is None:
                     continue
-                rep, sgn = hit
-                out = vec_axpy(out, sgn.inv() * cf, {rep: self.field.one})
+                rep = rep_of.get(hit[0])
+                if rep is None:
+                    continue
+                # [word] = s [class] = s s_r [rep]
+                vec_acc(out, rep[1], cf if hit[1] == rep[2] else -cf)
             return out
 
-        def section(r):
-            return r
-
-        comp = self._induced_complex(n, out_sort, big_degs, reps, project, section)
-        return FreePart(n, out_sort, comp, big_degs, project, section)
+        return reps, project
 
 
 def free(generators, operad: Operad, method: str = "auto") -> FreeAlgebra:

@@ -127,10 +127,12 @@ def _verdict_rows(verdicts: dict) -> list[dict]:
 
 def _pmap(fn, items, threads: int):
     """Order-preserving map, fanned out when more than one worker is asked
-    for; results are identical either way."""
-    if threads <= 1:
+    for; results are identical either way.  The pool never grows past the
+    CPU count or the number of items."""
+    workers = min(threads, os.cpu_count() or 1, len(items))
+    if workers <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
+    with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, items))
 
 

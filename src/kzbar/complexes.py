@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Hashable, Iterable
 
 from kzbar.fields import FieldSpec, Scalar
-from kzbar.linalg import Vec, echelon, kernel_of_map, vec_axpy, vec_scale
+from kzbar.linalg import Vec, echelon, kernel_of_map, vec_acc, vec_axpy, vec_scale
 
 Name = Hashable
 
@@ -82,9 +82,8 @@ class ChainComplex:
     def apply_d(self, v: Vec) -> Vec:
         out: Vec = {}
         for n, s in v.items():
-            col = self.d.get(n)
-            if col:
-                out = vec_axpy(out, s, col)
+            for r, c in self.d.get(n, {}).items():
+                vec_acc(out, r, c * s)
         return out
 
     def dim(self, degree: int | None = None) -> int:

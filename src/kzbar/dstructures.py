@@ -25,8 +25,7 @@ from itertools import product as iproduct
 from kzbar.algebras import Algebra, FreeAlgebra, monad_theta
 from kzbar.bar import BarComplex, _is_bare
 from kzbar.complexes import ChainComplex, ChainMap, QuasiIsoVerdict
-from kzbar.fields import Scalar
-from kzbar.linalg import Vec
+from kzbar.linalg import Vec, vec_acc
 from kzbar.operads import Operad
 from kzbar.signs import multiply, relabel, word
 from kzbar.trees import assemble, root_blocks, subtree_at
@@ -38,15 +37,6 @@ BigVec = dict  # BigName -> Scalar
 
 class DStructureError(ValueError):
     pass
-
-
-def _acc(vec: dict, key, coeff: Scalar) -> None:
-    cur = vec.get(key)
-    coeff = coeff if cur is None else cur + coeff
-    if coeff.is_zero():
-        vec.pop(key, None)
-    else:
-        vec[key] = coeff
 
 
 class DStructure:
@@ -95,7 +85,7 @@ class DStructure:
                         raise DStructureError(
                             f"delta term {big!r} of {key!r} must drop the degree by 1"
                         )
-                    _acc(clean, big, c)
+                    vec_acc(clean, big, c)
             if clean:
                 self._delta[(srt, x)] = clean
         self.free = FreeAlgebra(self.carrier, operad)
@@ -151,7 +141,7 @@ class DStructure:
         for i, (srt, x) in enumerate(zip(ins, xw)):
             dx = self.carrier[srt].apply_d({x: F.one})
             for nm, cf in dx.items():
-                _acc(out, (sig, xw[:i] + (nm,) + xw[i + 1:], c_name), sgn * cf)
+                vec_acc(out, (sig, xw[:i] + (nm,) + xw[i + 1:], c_name), sgn * cf)
             for (msig, yw, b_name), cf in self.delta_of(srt, x).items():
                 tail = sum(degs[i + 1:])
                 ssgn = sgn * cf
@@ -164,19 +154,19 @@ class DStructure:
                 )
                 w2 = xw[:i] + yw + xw[i + 1:]
                 for nm2, cf2 in comp.vec.items():
-                    _acc(out, (comp.sig, w2, nm2), ssgn * cf2)
+                    vec_acc(out, (comp.sig, w2, nm2), ssgn * cf2)
             if degs[i] % 2:
                 sgn = -sgn
         dc = self.operad.components[sig].apply_d({c_name: F.one})
         for nm, cf in dc.items():
-            _acc(out, (sig, xw, nm), sgn * cf)
+            vec_acc(out, (sig, xw, nm), sgn * cf)
         return out
 
     def delta_vec(self, raw: BigVec) -> BigVec:
         out: BigVec = {}
         for big, c in sorted(raw.items(), key=lambda kv: str(kv[0])):
             for big2, c2 in self.delta_terms(big).items():
-                _acc(out, big2, c * c2)
+                vec_acc(out, big2, c * c2)
         return out
 
     def project(self, raw: BigVec) -> dict[str, Vec]:
@@ -194,7 +184,7 @@ class DStructure:
             col = self.free.part(n, srt).project(chunk)
             tgt = out.setdefault(srt, {})
             for rep, c in col.items():
-                _acc(tgt, (n, rep), c)
+                vec_acc(tgt, (n, rep), c)
         return {srt: v for srt, v in out.items() if v}
 
 
@@ -245,7 +235,7 @@ def build_delta_differential(ds: DStructure, n_max: int) -> DeltaWindow:
                         f"differential of {name!r} changed sort to {tgt_srt!r}"
                     )
                 for (n2, rep2), c in vec.items():
-                    _acc(col, (n2, rep2), c)
+                    vec_acc(col, (n2, rep2), c)
             if col:
                 cols[name] = col
         carrier[srt] = ChainComplex(ds.field, degs, cols)
@@ -306,9 +296,9 @@ def split_identity_failures(ds: DStructure) -> list[tuple[DName, dict, dict]]:
         rhs_raw: BigVec = {}
         for nm, c in ds.carrier[srt].apply_d({x: ds.field.one}).items():
             for big, c2 in inc[(srt, nm)].items():
-                _acc(rhs_raw, big, c * c2)
+                vec_acc(rhs_raw, big, c * c2)
         for big, c in ds.delta_of(srt, x).items():
-            _acc(rhs_raw, big, c)
+            vec_acc(rhs_raw, big, c)
         rhs = ds.project(rhs_raw)
         if lhs != rhs:
             bad.append(((srt, x), lhs, rhs))
@@ -348,7 +338,7 @@ def _inclusion_boundary(ds: DStructure, srt: str, x) -> Vec:
     raw = ds.delta_vec(inc[(srt, x)])
     for nm, c in ds.carrier[srt].apply_d({x: F.one}).items():
         for big, c2 in inc[(srt, nm)].items():
-            _acc(raw, big, -(c * c2))
+            vec_acc(raw, big, -(c * c2))
     return ds.project(raw).get(srt, {})
 
 
@@ -510,7 +500,7 @@ def free_theta(ds: DStructure, vecs: list[BigVec], c_sig, c_name) -> BigVec:
         )
         xw_all = tuple(x for (_, xw_i, _), _ in combo for x in xw_i)
         for nm, cf in comp.vec.items():
-            _acc(out, (comp.sig, xw_all, nm), coeff * sgn * cf)
+            vec_acc(out, (comp.sig, xw_all, nm), coeff * sgn * cf)
     return out
 
 
@@ -520,7 +510,7 @@ def extend_morphism(m: DMorphism, raw: BigVec) -> BigVec:
     for (sig, xw, c_name), c in sorted(raw.items(), key=lambda kv: str(kv[0])):
         vecs = [m.image_of(srt, x) for srt, x in zip(sig[0], xw)]
         for big, c2 in free_theta(m.target, vecs, sig, c_name).items():
-            _acc(out, big, c * c2)
+            vec_acc(out, big, c * c2)
     return out
 
 
@@ -671,7 +661,7 @@ def roundtrip_algebra(algebra: Algebra, n_max: int) -> RoundtripAlgebraReport:
         pushed: Vec = {}
         for (sig2, xw2, c2), c in raw.items():
             for key2, s2 in join_word(B, xw2, sig2, c2).items():
-                _acc(pushed, key2, c * s2)
+                vec_acc(pushed, key2, c * s2)
         pushed = {k: sgn.inv() * c for k, c in pushed.items()}
         want = quotient.d.get(key, {})
         if pushed != want and first is None:

@@ -35,6 +35,16 @@ def vec_axpy(u: Vec, s: Scalar, v: Vec) -> Vec:
     return out
 
 
+def vec_acc(u: Vec, k, c: Scalar) -> None:
+    """u[k] += c in place, dropping the entry if it cancels."""
+    w = u.get(k)
+    c = c if w is None else w + c
+    if c.is_zero():
+        u.pop(k, None)
+    else:
+        u[k] = c
+
+
 def vec_add(u: Vec, v: Vec) -> Vec:
     out = dict(u)
     for k, c in v.items():

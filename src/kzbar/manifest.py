@@ -49,6 +49,7 @@ from kzbar.catalog import (
 from kzbar.dstructures import DStructure, bar_dstructure
 from kzbar.fields import GF, QQ, FieldSpec
 from kzbar.operads import Operad
+from kzbar.trees import ENUMERATION_CAP
 
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
 _HEADERS = ("field", "sorts", "cap", "window")
@@ -263,6 +264,10 @@ def _parse_header(key: str, toks: list[tuple[str, int]], lineno: int):
 
 
 def _window(n: int, lo: int | None, hi: int | None, lineno: int, col: int) -> Window:
+    if n > ENUMERATION_CAP:
+        raise ManifestError(
+            f"window size {n} exceeds the tree enumeration cap {ENUMERATION_CAP}",
+            lineno, col)
     try:
         return Window(n, lo, hi)
     except ValueError as e:

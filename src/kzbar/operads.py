@@ -16,12 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import product as iproduct
+from math import factorial
 
 from kzbar.complexes import ChainComplex
 from kzbar.fields import FieldSpec, Scalar
 from kzbar.linalg import Vec, vec_axpy, vec_scale
 
 Sig = tuple[tuple[str, ...], str]  # (input sorts, output sort)
+Label = tuple[Sig, object]  # (signature, basis name)
 
 
 class OperadError(ValueError):
@@ -65,6 +67,24 @@ def block_perm(sigma: tuple[int, ...], arities: list[int]) -> tuple[int, ...]:
         for r in range(1, arities[i - 1] + 1):
             out[offsets[i - 1] + r - 1] = new_offset[i - 1] + r
     return tuple(out)
+
+
+@dataclass
+class LabelOrbits:
+    """The Sigma_n-orbits on the labels of one arity, walked once.
+
+    members[label] = (root, sign, sigma): the group element g that the
+    walk took from root to label has g . root = sign * label, sign = +1
+    or -1 as an int, and g moves input position i of root to position
+    sigma[i] (0-based).  sizes maps each finished orbit's root to its
+    size, in walk order.  fault names the first non-monomial, non-unit
+    or sign-inconsistent step; the walk stops there, and the orbit it
+    was in appears in neither mapping.
+    """
+
+    members: dict[Label, tuple[Label, int, tuple[int, ...]]] = dc_field(default_factory=dict)
+    sizes: dict[Label, int] = dc_field(default_factory=dict)
+    fault: str | None = None
 
 
 @dataclass
@@ -138,6 +158,7 @@ class Operad:
         self.arity_bound = arity_bound
         self._gamma_memo: dict = {}
         self._perm_memo: dict = {}
+        self._orbit_memo: dict[int, LabelOrbits] = {}
         for sig, comp in self.components.items():
             if comp.field != field:
                 raise OperadError(f"component {sig} over wrong field")
@@ -270,6 +291,54 @@ class Operad:
             out[name] = (img.sig, img.vec)
         self._perm_memo[key] = out
         return out
+
+    def label_orbits(self, n: int) -> LabelOrbits:
+        """Memoized orbit walk over the labels (sig, name) of arity n.
+
+        One breadth-first pass costs dim O(n) * (n - 1) transpositions;
+        the free-module certificate and the coinvariant parts of free
+        algebras both read it.
+        """
+        hit = self._orbit_memo.get(n)
+        if hit is None:
+            hit = self._orbit_memo[n] = self._walk_label_orbits(n)
+        return hit
+
+    def _walk_label_orbits(self, n: int) -> LabelOrbits:
+        one, minus_one = self.field.one, -self.field.one
+        walk = LabelOrbits()
+        for sig in self.arity_signatures(n):
+            for name in self.components[sig].basis():
+                root = (sig, name)
+                if root in walk.members:
+                    continue
+                found = {root: (root, 1, tuple(range(n)))}
+                frontier = [root]
+                while frontier:
+                    cur = frontier.pop()
+                    _, sign, sigma = found[cur]
+                    for k in range(1, n):
+                        tsig, tvec = self.apply_transposition(cur[0], k, {cur[1]: one})
+                        if len(tvec) != 1:
+                            walk.fault = f"non-monomial action at {cur[0]}:{cur[1]!r}"
+                            return walk
+                        (tname, tcoef), = tvec.items()
+                        if tcoef != one and tcoef != minus_one:
+                            walk.fault = f"non-unit coefficient at {cur[0]}:{cur[1]!r}"
+                            return walk
+                        tsign = sign if tcoef == one else -sign
+                        prev = found.get((tsig, tname))
+                        if prev is None:
+                            tsigma = tuple(k if v == k - 1 else k - 1 if v == k else v
+                                           for v in sigma)
+                            found[(tsig, tname)] = (root, tsign, tsigma)
+                            frontier.append((tsig, tname))
+                        elif prev[1] != tsign:
+                            walk.fault = f"sign torsion in orbit of {sig}:{name!r} arity {n}"
+                            return walk
+                walk.members.update(found)
+                walk.sizes[root] = len(found)
+        return walk
 
     # -------------------------------------------------------------- misc
 
@@ -496,57 +565,18 @@ def _check_derivation(op: Operad, y_sig: Sig, y_name, xs: tuple) -> bool:
 def _verify_free_module(op: Operad) -> list[str]:
     """Check each arity's action is free: orbits of size n! with coherent signs."""
     failures = []
-    by_arity: dict[int, list[Sig]] = {}
-    for sig in op.signatures():
-        by_arity.setdefault(len(sig[0]), []).append(sig)
-    for n, sigs in by_arity.items():
+    for n in dict.fromkeys(len(sig[0]) for sig in op.signatures()):
         if n < 2:
             continue
-        fact = 1
-        for i in range(2, n + 1):
-            fact *= i
-        seen: dict[tuple, Scalar] = {}
-        total = sum(op.dim(s) for s in sigs)
-        orbit_count = 0
-        for sig in sigs:
-            for name in op.components[sig].basis():
-                if (sig, name) in seen:
-                    continue
-                orbit_count += 1
-                frontier = [(sig, name, op.field.one)]
-                seen[(sig, name)] = op.field.one
-                orbit_size = 0
-                while frontier:
-                    csig, cname, csign = frontier.pop()
-                    orbit_size += 1
-                    for k in range(1, n):
-                        tsig, tvec = op.apply_transposition(csig, k, {cname: csign})
-                        if len(tvec) != 1:
-                            failures.append(
-                                f"free-module: non-monomial action at {csig}:{cname!r}"
-                            )
-                            return failures
-                        (tname, tcoef), = tvec.items()
-                        if tcoef.val not in (1, -1, op.field.characteristic - 1):
-                            failures.append(
-                                f"free-module: non-unit coefficient at {csig}:{cname!r}"
-                            )
-                            return failures
-                        prev = seen.get((tsig, tname))
-                        if prev is None:
-                            seen[(tsig, tname)] = tcoef
-                            frontier.append((tsig, tname, tcoef))
-                        elif prev != tcoef:
-                            failures.append(
-                                f"free-module: sign torsion in orbit of {sig}:{name!r} arity {n}"
-                            )
-                            return failures
-                if orbit_size != fact:
-                    failures.append(
-                        f"free-module: orbit of {sig}:{name!r} has size {orbit_size}, want {fact}"
-                    )
+        walk = op.label_orbits(n)
+        want = factorial(n)
+        for (sig, name), size in walk.sizes.items():
+            if size != want:
+                failures.append(
+                    f"free-module: orbit of {sig}:{name!r} has size {size}, want {want}"
+                )
+        if walk.fault is not None:
+            failures.append(f"free-module: {walk.fault}")
         if failures:
             return failures
-        if orbit_count * fact != total:
-            failures.append(f"free-module: arity {n} dimension {total} not a multiple of {fact}")
     return failures

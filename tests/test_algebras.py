@@ -172,6 +172,16 @@ def test_free_com_odd_generator_truncates():
     assert fa.part(3).complex.dim() == 0
 
 
+def test_orbit_method_rejects_a_non_free_action():
+    with pytest.raises(AlgebraError,
+                       match=r"\(\('\*', '\*'\), '\*'\):'mu2' has size 1, want 2"):
+        free(kline(QQ), com_operad(QQ, 3), method="orbit")
+
+
+def test_auto_resolves_com_to_elimination():
+    assert free(kline(QQ), com_operad(QQ, 3))._resolved_method() == "elimination"
+
+
 def test_free_com_even_generator_is_polynomial():
     fa = free(kline(QQ, deg=0), com_operad(QQ, 3))
     assert [fa.part(n).complex.dim() for n in (1, 2, 3)] == [1, 1, 1]

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from kzbar.cli import DEFAULT_SEED, main, run, to_json, to_text
+from kzbar.cli import DEFAULT_SEED, _pmap, main, run, to_json, to_text
 from kzbar.manifest import load_builtin, parse_manifest
 from kzbar.trees import enumerate_trees
 
@@ -132,6 +132,44 @@ def test_bar_report_is_byte_stable_across_workers(capsys, monkeypatch):
     monkeypatch.delenv("KZ_THREADS")
     main(["bar", "uass_dual_numbers"])
     assert capsys.readouterr().out == first
+
+
+def test_worker_pool_is_capped_by_cpus_and_items(capsys, monkeypatch):
+    asked = []
+
+    class Recorder:
+        """Stands in for the pool: records its size, maps in this thread."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("kzbar.cli.ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr("kzbar.cli.os.cpu_count", lambda: 3)
+    monkeypatch.setenv("KZ_THREADS", str(10**9))
+    assert main(["bar", "uass_dual_numbers"]) == 0
+    capsys.readouterr()
+    assert asked == [3]
+    assert _pmap(abs, [-1, 2], 10**9) == [1, 2]
+    assert asked == [3, 2]
+
+
+def test_window_beyond_the_enumeration_cap_exits_two(capsys, tmp_path):
+    p = tmp_path / "wide.kz"
+    p.write_text(load_builtin("uass_dual_numbers").replace(
+        "window 3 : -1 .. 3", "window 10 : -1 .. 3"))
+    code = main(["bar", str(p)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 5, col 8: window size 10 exceeds the tree enumeration cap 9" in err
 
 
 def test_homology_builtin_tables(capsys):

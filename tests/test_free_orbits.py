@@ -1,0 +1,86 @@
+"""Free-algebra parts by label transversal against the per-word orbit
+walk of ``orbit_oracle``, on every stock free-module operad."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from kzbar.algebras import free
+from kzbar.catalog import ass_operad, module_operad, uass_operad
+from kzbar.complexes import ChainComplex
+from kzbar.fields import GF, QQ
+
+from orbit_oracle import orbit_part
+
+FIELDS = {"F2": GF(2), "F3": GF(3), "Q": QQ}
+OPERADS = {"Ass": ass_operad, "uAss": uass_operad, "module": module_operad}
+
+
+def generators(field, parity: str):
+    """Even generators, or odd ones with a differential into an even one."""
+    if parity == "even":
+        return ChainComplex(field, {"a": 0, "b": 2}, {})
+    return ChainComplex(field, {"a": 0, "b": 1, "e": 1}, {"b": {"a": field.one}})
+
+
+def free_algebra(op_name: str, field_name: str, parity: str):
+    field = FIELDS[field_name]
+    op = OPERADS[op_name](field, 3)
+    gens = generators(field, parity)
+    if op_name == "module":
+        return free({"a": gens, "m": ChainComplex(field, {"m0": 0, "m1": 1},
+                                                  {"m1": {"m0": field.one}})}, op)
+    return free(gens, op)
+
+
+CASES = [(o, f, p) for o in OPERADS for f in FIELDS for p in ("even", "odd")]
+
+
+def parts(fa):
+    for out_sort in fa.operad.sorts:
+        for n in range(0, 4):
+            yield n, out_sort
+
+
+@pytest.mark.parametrize("op_name,field_name,parity", CASES)
+def test_transversal_matches_orbit_walk(op_name, field_name, parity):
+    fa = free_algebra(op_name, field_name, parity)
+    assert fa._resolved_method() == "orbit"
+    one = fa.field.one
+    for n, out_sort in parts(fa):
+        part = fa.part(n, out_sort)
+        reps, project, d = orbit_part(fa, n, out_sort)
+        assert part.complex.basis() == reps, (n, out_sort)
+        assert list(part.complex.degrees) == reps
+        assert part.complex.d == d, (n, out_sort)
+        for word in part.big_degrees:
+            assert part.project({word: one}) == project({word: one}), word
+
+
+def _sampled_word(data):
+    fa = free_algebra(*data.draw(st.sampled_from(CASES)))
+    n, out_sort = data.draw(st.sampled_from(list(parts(fa))))
+    part = fa.part(n, out_sort)
+    words = list(part.big_degrees)
+    if not words:
+        return fa, part, n, None
+    return fa, part, n, data.draw(st.sampled_from(words))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_project_of_section_is_the_representative(data):
+    fa, part, _, _ = _sampled_word(data)
+    reps = part.complex.basis()
+    if reps:
+        r = data.draw(st.sampled_from(reps))
+        assert part.project({part.section(r): fa.field.one}) == {r: fa.field.one}
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_project_is_invariant_under_diagonal_swaps(data):
+    fa, part, n, word = _sampled_word(data)
+    if word is None or n < 2:
+        return
+    k = data.draw(st.integers(1, n - 1))
+    assert part.project({word: fa.field.one}) == part.project(fa._diagonal_swap(word, k))

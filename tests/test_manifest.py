@@ -110,6 +110,8 @@ BAD = [
     ("field Q\ncap x\nwindow 1\n", "not an integer", 2, 5),
     ("field Q\ncap 1\nwindow 1 : -1\n", "window takes", 3, 1),
     ("field Q\ncap 1\nwindow 1 : 2 .. 1\n", "is empty", 3, 8),
+    ("field Q\ncap 1\nwindow 10 : -1 .. 4\n",
+     "window size 10 exceeds the tree enumeration cap 9", 3, 8),
     ("field Q\ncap 1\nwindow 1\nsorts a a\n", "duplicate sort 'a'", 4, 9),
     ("field Q\ncap 1\n", "missing window header", None, None),
     ("field Q\nwindow 1\n", "missing cap header", None, None),
