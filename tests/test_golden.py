@@ -1,5 +1,7 @@
-"""Golden reports: the validate, dstruct and roundtrip reports on the
-shipped manifest and on the two-sorted pair over Q, frozen byte for byte.
+"""Golden reports, frozen byte for byte: the validate, dstruct and
+roundtrip reports on the shipped manifest and on the two-sorted pair over
+Q, and the bar and homology reports on the shipped dual numbers at
+window 5.
 
 The files under ``tests/golden/`` must also hash to the report digests
 the benchmark pins in ``perfbench/pins.json``, so the lock and the
@@ -20,20 +22,23 @@ from kzbar.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PINS = GOLDEN.parent.parent / "perfbench" / "pins.json"
 
-# golden name -> (manifest argument, benchmark workload pinning it)
+# golden name -> (manifest argument, benchmark workload pinning it, suites)
 MANIFESTS = {
-    "uass_dual_numbers": ("uass_dual_numbers", "dual-w3"),
-    "pair_q_w3": (str(GOLDEN / "pair_q_w3.kz"), "pair-q-w3"),
+    "uass_dual_numbers": ("uass_dual_numbers", "dual-w3",
+                          ("validate", "dstruct", "roundtrip")),
+    "pair_q_w3": (str(GOLDEN / "pair_q_w3.kz"), "pair-q-w3",
+                  ("validate", "dstruct", "roundtrip")),
+    "bar_w5": (str(GOLDEN / "bar_w5.kz"), "bar-w5", ("bar", "homology")),
 }
-SUITES = ("validate", "dstruct", "roundtrip")
+CASES = [(name, suite) for name, (_, _, suites) in sorted(MANIFESTS.items())
+         for suite in suites]
 
 
-@pytest.mark.parametrize("suite", SUITES)
-@pytest.mark.parametrize("name", sorted(MANIFESTS))
+@pytest.mark.parametrize("name,suite", CASES)
 def test_report_matches_golden_bytes(name, suite, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("KZ_SEED", raising=False)
     monkeypatch.delenv("KZ_THREADS", raising=False)
-    manifest, workload = MANIFESTS[name]
+    manifest, workload, _ = MANIFESTS[name]
     out = tmp_path / "report.json"
     assert main([suite, manifest, "--out", str(out)]) == 0
     capsys.readouterr()
