@@ -26,7 +26,7 @@ from operator import itemgetter
 
 from kzbar.complexes import ChainComplex, ChainMap
 from kzbar.fields import Scalar
-from kzbar.linalg import Vec, echelon, vec_acc, vec_axpy, vec_scale
+from kzbar.linalg import Vec, echelon, vec_acc, vec_axpy, vec_iaxpy, vec_scale
 from kzbar.operads import CapExceeded, Operad, OperadElement, Sig
 
 
@@ -119,7 +119,7 @@ class Algebra:
                 for _, cx in combo:
                     coeff = coeff * cx
                 vec = self.theta_basis(c.sig, c_name, tuple(n for n, _ in combo))
-                target = vec_axpy(target, coeff, vec)
+                vec_iaxpy(target, coeff, vec)
         return AlgebraElement(self, out, target)
 
 
@@ -223,7 +223,7 @@ def _check_action_equivariance(alg: Algebra, c_sig: Sig, c_name, xs, k: int) -> 
     swapped[k - 1], swapped[k] = swapped[k], swapped[k - 1]
     lhs: Vec = {}
     for nm, cf in sc_vec.items():
-        lhs = vec_axpy(lhs, cf, alg.theta_basis(sc_sig, nm, tuple(swapped)))
+        vec_iaxpy(lhs, cf, alg.theta_basis(sc_sig, nm, tuple(swapped)))
     da = alg.carrier_degree(ins[k - 1], xs[k - 1])
     db = alg.carrier_degree(ins[k], xs[k])
     sgn = koszul_sign_of_crossing(F, da, db)
@@ -281,12 +281,12 @@ def _check_action_leibniz(alg: Algebra, c_sig: Sig, c_name, xs) -> bool:
         for nm, cf in dx.items():
             terms = list(xs)
             terms[i] = nm
-            rhs = vec_axpy(rhs, sgn * cf, alg.theta_basis(c_sig, c_name, tuple(terms)))
+            vec_iaxpy(rhs, sgn * cf, alg.theta_basis(c_sig, c_name, tuple(terms)))
         if alg.carrier_degree(ins[i], x_name) % 2:
             sgn = -sgn
     dc = op.components[c_sig].apply_d({c_name: F.one})
     for nm, cf in dc.items():
-        rhs = vec_axpy(rhs, sgn * cf, alg.theta_basis(c_sig, nm, tuple(xs)))
+        vec_iaxpy(rhs, sgn * cf, alg.theta_basis(c_sig, nm, tuple(xs)))
     return lhs == rhs
 
 
@@ -528,7 +528,7 @@ def free_map(f: dict[str, ChainMap] | ChainMap, src: FreeAlgebra, dst: FreeAlgeb
             nxt: Vec = {}
             for (sg, w, cn), cf in acc.items():
                 for ynm, yc in fx.items():
-                    nxt = vec_axpy(nxt, cf * yc, {(sg, w + (ynm,), cn): src.field.one})
+                    vec_acc(nxt, (sg, w + (ynm,), cn), cf * yc)
             acc = nxt
         col = dp.project(acc)
         if col:
@@ -569,8 +569,7 @@ def monad_theta(fa: FreeAlgebra, parts_cap: int):
         target = fa.part(total, out)
         for nm, cf in comp.vec.items():
             big_name = (comp.sig, xw_all, nm)
-            out_vec = vec_axpy(out_vec, sgn * cf,
-                               target.project({big_name: fa.field.one}))
+            vec_iaxpy(out_vec, sgn * cf, target.project({big_name: fa.field.one}))
         return {(total, r): c for r, c in out_vec.items()}
 
     return theta_rule

@@ -23,7 +23,7 @@ from itertools import product as iproduct
 from kzbar.algebras import Algebra
 from kzbar.complexes import ChainComplex, ChainMap, direct_sum
 from kzbar.fields import Scalar
-from kzbar.linalg import Vec
+from kzbar.linalg import Vec, vec_iaxpy
 from kzbar.operads import CapExceeded, OperadElement
 from kzbar.signs import SignWord, left_mul_f, multiply, partial_e, relabel, word
 from kzbar.trees import (
@@ -284,27 +284,11 @@ class BarComplex:
             return {}
         return {(t, labels): coeff}
 
-    def normalize(self, t: Tree, w: SignWord, labels: tuple,
-                  coeff: Scalar | None = None) -> BarVec:
-        if coeff is None:
-            coeff = self.field.one
-        return self.normalize_term(t, w, labels, coeff)
-
     def basis_vector(self, t: Tree, labels: tuple) -> BarVec:
         return self.normalize_term(t, self.basis_word(t, labels), labels,
                                    self.field.one)
 
     # ------------------------------------------------------------ operations
-
-    def _add_terms(self, acc: BarVec, terms: BarVec, scale: Scalar) -> None:
-        for key, c in terms.items():
-            coeff = scale * c
-            cur = acc.get(key)
-            coeff = coeff if cur is None else cur + coeff
-            if coeff.is_zero():
-                acc.pop(key, None)
-            else:
-                acc[key] = coeff
 
     def differential_key(self, key: BarKey) -> BarVec:
         t, labels = key
@@ -337,8 +321,8 @@ class BarComplex:
             spot = wit.rho[q - 1] - 1
             for nm, cf in sorted(merged.vec.items(), key=lambda kv: str(kv[0])):
                 lab2[spot] = nm
-                self._add_terms(out, self.normalize_term(
-                    wit.result, dw, tuple(lab2), self.field.one), cf)
+                vec_iaxpy(out, cf, self.normalize_term(
+                    wit.result, dw, tuple(lab2), self.field.one))
 
         # contract a fully-leafed vertex into a new leaf via the action
         for j in sorted(nl):
@@ -359,8 +343,8 @@ class BarComplex:
             lab2 = [labels[wit.tau[r - 1] - 1] for r in range(1, wit.result.n + 1)]
             for nm, cf in sorted(merged.vec.items(), key=lambda kv: str(kv[0])):
                 lab2[i - 1] = nm
-                self._add_terms(out, self.normalize_term(
-                    wit.result, dw, tuple(lab2), self.field.one), cf)
+                vec_iaxpy(out, cf, self.normalize_term(
+                    wit.result, dw, tuple(lab2), self.field.one))
 
         # internal differential at one vertex
         for v in range(1, t.n + 1):
@@ -376,14 +360,14 @@ class BarComplex:
             for nm, cf in sorted(dlab.items(), key=lambda kv: str(kv[0])):
                 lab2 = list(labels)
                 lab2[v - 1] = nm
-                self._add_terms(out, self.normalize_term(
-                    t, dw, tuple(lab2), self.field.one), cf)
+                vec_iaxpy(out, cf, self.normalize_term(
+                    t, dw, tuple(lab2), self.field.one))
         return out
 
     def differential(self, vec: BarVec) -> BarVec:
         out: BarVec = {}
         for key, c in sorted(vec.items(), key=lambda kv: _key_order(kv[0])):
-            self._add_terms(out, self.differential_key(key), c)
+            vec_iaxpy(out, c, self.differential_key(key))
         return out
 
     def differential_quotient(self, vec: BarVec) -> BarVec:
@@ -402,10 +386,16 @@ class BarComplex:
     def homotopy(self, vec: BarVec) -> BarVec:
         out: BarVec = {}
         for key, c in sorted(vec.items(), key=lambda kv: _key_order(kv[0])):
-            self._add_terms(out, self.homotopy_key(key), c)
+            vec_iaxpy(out, c, self.homotopy_key(key))
         return out
 
     # ------------------------------------------------------------- basis
+
+    def _min_label_degree(self) -> int:
+        """The least degree of any leaf or vertex label, or 0 if none is
+        negative."""
+        comps = [*self.algebra.carrier.values(), *self.operad.components.values()]
+        return min([0, *(d for comp in comps for d in comp.degrees.values())])
 
     def enumerate_basis(self, n_max: int, deg_lo: int | None = None,
                         deg_hi: int | None = None) -> list[BarKey]:
@@ -413,11 +403,7 @@ class BarComplex:
         to the (unshifted) degree window; deterministic order."""
         sorts = self.operad.sorts if len(self.operad.sorts) > 1 else None
         cap_val = self.operad.max_nonzero_arity()
-        min_label = 0
-        for comp in self.algebra.carrier.values():
-            min_label = min([min_label, *comp.degrees.values()])
-        for comp in self.operad.components.values():
-            min_label = min([min_label, *comp.degrees.values()])
+        min_label = self._min_label_degree()
         seen: set = set()
         for n in range(1, n_max + 1):
             for t0 in enumerate_trees(n):
@@ -471,12 +457,7 @@ class BarComplex:
         label spoils the vertex-count bound the same way.
         """
         arity = self.operad.arity_bound
-        min_deg = 0
-        for comp in self.algebra.carrier.values():
-            min_deg = min([min_deg, *comp.degrees.values()])
-        for comp in self.operad.components.values():
-            min_deg = min([min_deg, *comp.degrees.values()])
-        if arity is None or arity == 0 or min_deg < 0:
+        if arity is None or arity == 0 or self._min_label_degree() < 0:
             return []
         out = []
         d = 0
@@ -545,15 +526,8 @@ class BarComplex:
         out: dict[str, Vec] = {}
         for key, c in sorted(vec.items(), key=lambda kv: _key_order(kv[0])):
             t, _ = key
-            tgt = out.setdefault(self._sort_of(t, t.n), {})
-            for nm, cf in self.mu_key(key).items():
-                coeff = c * cf
-                cur = tgt.get(nm)
-                coeff = coeff if cur is None else cur + coeff
-                if coeff.is_zero():
-                    tgt.pop(nm, None)
-                else:
-                    tgt[nm] = coeff
+            vec_iaxpy(out.setdefault(self._sort_of(t, t.n), {}), c,
+                      self.mu_key(key))
         return {srt: v for srt, v in out.items() if v}
 
     def mu_chain_map(self, quotient: ChainComplex) -> "ChainMap":
@@ -589,12 +563,8 @@ class BarComplex:
             for _, cf in combo:
                 coeff = coeff * cf
             for c_name, cc in sorted(c.vec.items(), key=lambda kv: str(kv[0])):
-                self._add_terms(
-                    out,
-                    self._action_basis([k for k, _ in combo], c.sig, c_name,
-                                       n_cap),
-                    coeff * cc,
-                )
+                vec_iaxpy(out, coeff * cc, self._action_basis(
+                    [k for k, _ in combo], c.sig, c_name, n_cap))
         return out
 
     def _action_basis(self, keys: list[BarKey], c_sig, c_name,
@@ -652,6 +622,6 @@ class BarComplex:
         out: BarVec = {}
         for nm, cf in sorted(merged.vec.items(), key=lambda kv: str(kv[0])):
             lab2[n_new - 1] = nm
-            self._add_terms(out, self.normalize_term(
-                t_new, w_acc, tuple(lab2), self.field.one), cf)
+            vec_iaxpy(out, cf, self.normalize_term(
+                t_new, w_acc, tuple(lab2), self.field.one))
         return out

@@ -15,7 +15,7 @@ from itertools import permutations
 from kzbar.algebras import Algebra
 from kzbar.complexes import ChainComplex
 from kzbar.fields import FieldSpec, Scalar
-from kzbar.linalg import Vec
+from kzbar.linalg import Vec, vec_iaxpy
 from kzbar.operads import Operad, OperadError, single_sig
 
 A_SORT = "a"
@@ -187,14 +187,7 @@ def _fold_product(field: FieldSpec, mult, names) -> Vec:
             continue
         nxt: Vec = {}
         for anm, ac in acc.items():
-            for bnm, bc in mult.get((anm, nm), {}).items():
-                coeff = ac * bc
-                cur = nxt.get(bnm)
-                coeff = coeff if cur is None else cur + coeff
-                if coeff.is_zero():
-                    nxt.pop(bnm, None)
-                else:
-                    nxt[bnm] = coeff
+            vec_iaxpy(nxt, ac, mult.get((anm, nm), {}))
         acc = nxt
     return {} if acc is None else acc
 
@@ -274,14 +267,7 @@ def module_pair_algebra(field: FieldSpec, operad: Operad, b_degrees: dict,
             prod = _fold_product(field, b_mult, [xs[v - 1] for v in w])
             acted: Vec = {}
             for bnm, bc in prod.items():
-                for mnm, mc in action.get((bnm, xs[p - 1]), {}).items():
-                    coeff = bc * mc
-                    cur = acted.get(mnm)
-                    coeff = coeff if cur is None else cur + coeff
-                    if coeff.is_zero():
-                        acted.pop(mnm, None)
-                    else:
-                        acted[mnm] = coeff
+                vec_iaxpy(acted, bc, action.get((bnm, xs[p - 1]), {}))
             out_vec = acted
         return {nm: sgn * c for nm, c in out_vec.items()}
 

@@ -12,11 +12,12 @@ checks, and prints a report.  Commands:
     roundtrip   windowed certificates that the constructions invert
 
 The JSON report is canonical: keys sorted, no wall-clock data, so the
-same inputs give identical bytes on every run and any worker count.
-Elapsed time goes to stderr.  ``KZ_THREADS`` sets the worker count for
-elementwise checks, ``KZ_SEED`` the randomness of sampled probes; both
-default fixed.  Exit status is 0 exactly when every check passes, 1 on
-a failed check, 2 when the manifest cannot be read at all.
+same inputs give identical bytes on every run.  Elapsed time goes to
+stderr.  ``KZ_SEED`` sets the randomness of sampled probes (default
+fixed).  ``KZ_THREADS`` is accepted and ignored, as every suite runs in
+one thread; a value that is not an integer is still an error.  Exit
+status is 0 exactly when every check passes, 1 on a failed check, 2
+when the manifest cannot be read at all.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from random import Random
@@ -45,6 +45,7 @@ from kzbar.dstructures import (
     split_identity_failures,
     verify_morphism,
 )
+from kzbar.linalg import vec_acc, vec_iaxpy
 from kzbar.manifest import (
     Build,
     Manifest,
@@ -92,15 +93,6 @@ class Report:
         self.checks.append(Check(name, "pass" if ok else "fail", witness, note))
 
 
-def _add(acc: dict, k, c) -> None:
-    s = acc.get(k)
-    s = c if s is None else s + c
-    if s.is_zero():
-        acc.pop(k, None)
-    else:
-        acc[k] = s
-
-
 def _vec_str(v: dict) -> str:
     if not v:
         return "0"
@@ -123,17 +115,6 @@ def _verdict_rows(verdicts: dict) -> list[dict]:
                      "target_dim": v.target_dim, "induced_rank": v.induced_rank,
                      "isomorphism": v.isomorphism})
     return rows
-
-
-def _pmap(fn, items, threads: int):
-    """Order-preserving map, fanned out when more than one worker is asked
-    for; results are identical either way.  The pool never grows past the
-    CPU count or the number of items."""
-    workers = min(threads, os.cpu_count() or 1, len(items))
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 # ------------------------------------------------------------- validate
@@ -178,8 +159,7 @@ def _sample_probe(alg: Algebra, rng: Random) -> str | None:
     return None
 
 
-def _run_validate(m: Manifest, rep: Report, verify_cap: int, seed: int,
-                  threads: int) -> None:
+def _run_validate(m: Manifest, rep: Report, verify_cap: int, seed: int) -> None:
     clipped = build(m, cap=verify_cap)
     eff = min(m.cap, verify_cap)
     for name, op in clipped.operads.items():
@@ -234,25 +214,21 @@ def _window_range(m: Manifest):
     return list(range(w.deg_lo, w.deg_hi + 1))
 
 
-def _run_bar(m: Manifest, built: Build, rep: Report, threads: int) -> None:
+def _run_bar(m: Manifest, built: Build, rep: Report) -> None:
     n_max = m.window.n_max
     for name, alg in built.algebras.items():
         B = BarComplex(alg)
         keys = B.enumerate_basis(n_max)
         one = B.field.one
-
-        def probe(key):
+        probed = []
+        for key in keys:
             x = {key: one}
-            dd = B.differential(B.differential(x))
-            unit = {}
-            for k2, c in B.differential(B.homotopy(x)).items():
-                _add(unit, k2, c)
-            for k2, c in B.homotopy(B.differential(x)).items():
-                _add(unit, k2, c)
-            _add(unit, key, -one)
-            return (key, dd, unit)
-
-        probed = _pmap(probe, keys, threads)
+            dx = B.differential(x)
+            unit: dict = {}
+            vec_iaxpy(unit, one, B.differential(B.homotopy(x)))
+            vec_iaxpy(unit, one, B.homotopy(dx))
+            vec_acc(unit, key, -one)
+            probed.append((key, B.differential(dx), unit))
         d2_bad = [(k, dd) for k, dd, _ in probed if dd]
         un_bad = [(k, u) for k, _, u in probed if u]
         rep.record(
@@ -325,16 +301,23 @@ def _bar_nilpotency(B: BarComplex, ds: DStructure) -> tuple[bool, str | None]:
             big0 = (((srt,), srt), (x,), op.unit_names[srt])
             acc: dict = {}
             for b, c in ds.delta_terms(big0).items():
-                for b2, c2 in ds.delta_terms(b).items():
-                    _add(acc, b2, c * c2)
+                vec_iaxpy(acc, c, ds.delta_terms(b))
             folded: dict = {}
             for big, c in acc.items():
-                for bk, bc in join_word(B, big[1], big[0], big[2]).items():
-                    _add(folded, bk, c * bc)
+                vec_iaxpy(folded, c, join_word(B, big[1], big[0], big[2]))
             if folded:
                 return False, (f"Delta.Delta at {x!r} folds to "
                                f"{_vec_str(folded)}")
     return True, None
+
+
+def _carrier_size(ds: DStructure) -> int:
+    return sum(len(c.degrees) for c in ds.carrier.values())
+
+
+def _parts_fit(carrier_size: int, n_max: int) -> bool:
+    """Whether the coinvariant parts of the window stay under the budget."""
+    return carrier_size ** max(n_max, 1) <= _PART_BUDGET
 
 
 def _run_dstruct(m: Manifest, built: Build, rep: Report) -> None:
@@ -342,11 +325,11 @@ def _run_dstruct(m: Manifest, built: Build, rep: Report) -> None:
     by_name = {d.name: d for d in m.dstructures}
     for name, ds in built.dstructures.items():
         sec = by_name[name]
-        carrier_size = sum(len(c.degrees) for c in ds.carrier.values())
+        carrier_size = _carrier_size(ds)
 
         note = ""
         certified = False
-        if carrier_size ** max(n_max, 1) <= _PART_BUDGET:
+        if _parts_fit(carrier_size, n_max):
             try:
                 window = build_delta_differential(ds, n_max)
                 dim = sum(len(c.degrees) for c in window.carrier.values())
@@ -405,8 +388,7 @@ def _run_roundtrip(m: Manifest, built: Build, rep: Report) -> None:
             "evaluation": _verdict_rows(r.evaluation),
         }
     for name, ds in built.dstructures.items():
-        carrier_size = sum(len(c.degrees) for c in ds.carrier.values())
-        if carrier_size ** max(n_max, 1) > _PART_BUDGET:
+        if not _parts_fit(_carrier_size(ds), n_max):
             rep.tables.setdefault("roundtrip", {})[name] = {
                 "note": "skipped: coinvariant parts too large at this window"}
             continue
@@ -437,14 +419,14 @@ def _run_roundtrip(m: Manifest, built: Build, rep: Report) -> None:
 
 def run(command: str, m: Manifest, *, n: int | None = None,
         classes: bool = False, verify_cap: int = DEFAULT_VERIFY_CAP,
-        threads: int = 1, seed: int = DEFAULT_SEED) -> Report:
+        seed: int = DEFAULT_SEED) -> Report:
     """Run one command against a parsed manifest and return its report."""
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     rep = Report(command, manifest_digest(m), seed)
     if command == "validate":
         rep.args = {"verify_cap": verify_cap}
-        _run_validate(m, rep, verify_cap, seed, threads)
+        _run_validate(m, rep, verify_cap, seed)
     elif command == "trees":
         if n is None:
             raise ValueError("trees needs a vertex bound")
@@ -453,7 +435,7 @@ def run(command: str, m: Manifest, *, n: int | None = None,
     else:
         built = build(m)
         if command == "bar":
-            _run_bar(m, built, rep, threads)
+            _run_bar(m, built, rep)
         elif command == "homology":
             _run_homology(m, built, rep)
         elif command == "dstruct":
@@ -539,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        threads = _env_int("KZ_THREADS", 1)
+        _env_int("KZ_THREADS", 1)  # accepted and ignored
         seed = _env_int("KZ_SEED", DEFAULT_SEED)
         text = _load_text(args.manifest)
         m = parse_manifest(text)
@@ -548,7 +530,7 @@ def main(argv: list[str] | None = None) -> int:
                   n=getattr(args, "n", None),
                   classes=getattr(args, "classes", False),
                   verify_cap=getattr(args, "verify_cap", DEFAULT_VERIFY_CAP),
-                  threads=max(1, threads), seed=seed)
+                  seed=seed)
         elapsed = int((time.monotonic() - t0) * 1000)
     except (ManifestError, OSError) as e:
         print(f"{args.manifest}: {e}", file=sys.stderr)

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Hashable, Iterable
 
-from kzbar.fields import FieldSpec, Scalar
-from kzbar.linalg import Vec, echelon, kernel_of_map, vec_acc, vec_axpy, vec_scale
+from kzbar.fields import FieldSpec
+from kzbar.linalg import Vec, echelon, kernel_of_map, vec_iaxpy, vec_scale
 
 Name = Hashable
 
@@ -82,8 +82,7 @@ class ChainComplex:
     def apply_d(self, v: Vec) -> Vec:
         out: Vec = {}
         for n, s in v.items():
-            for r, c in self.d.get(n, {}).items():
-                vec_acc(out, r, c * s)
+            vec_iaxpy(out, s, self.d.get(n, {}))
         return out
 
     def dim(self, degree: int | None = None) -> int:
@@ -117,7 +116,7 @@ class ChainComplex:
             for p, row in span:
                 c = rem.get(p)
                 if c is not None:
-                    rem = vec_axpy(rem, -c, row)
+                    vec_iaxpy(rem, -c, row)
             if rem:
                 piv = min(rem, key=_name_key)
                 span.append((piv, vec_scale(rem, rem[piv].inv())))
@@ -220,9 +219,7 @@ class ChainMap:
     def apply(self, v: Vec) -> Vec:
         out: Vec = {}
         for n, s in v.items():
-            img = self.entries.get(n)
-            if img:
-                out = vec_axpy(out, s, img)
+            vec_iaxpy(out, s, self.entries.get(n, {}))
         return out
 
     def is_quasi_iso(self, degrees: Iterable[int]) -> dict[int, "QuasiIsoVerdict"]:

@@ -25,7 +25,7 @@ from itertools import product as iproduct
 from kzbar.algebras import Algebra, FreeAlgebra, monad_theta
 from kzbar.bar import BarComplex, _is_bare
 from kzbar.complexes import ChainComplex, ChainMap, QuasiIsoVerdict
-from kzbar.linalg import Vec, vec_acc
+from kzbar.linalg import Vec, vec_acc, vec_iaxpy
 from kzbar.operads import Operad
 from kzbar.signs import multiply, relabel, word
 from kzbar.trees import assemble, root_blocks, subtree_at
@@ -165,8 +165,7 @@ class DStructure:
     def delta_vec(self, raw: BigVec) -> BigVec:
         out: BigVec = {}
         for big, c in sorted(raw.items(), key=lambda kv: str(kv[0])):
-            for big2, c2 in self.delta_terms(big).items():
-                vec_acc(out, big2, c * c2)
+            vec_iaxpy(out, c, self.delta_terms(big))
         return out
 
     def project(self, raw: BigVec) -> dict[str, Vec]:
@@ -295,10 +294,8 @@ def split_identity_failures(ds: DStructure) -> list[tuple[DName, dict, dict]]:
         lhs = ds.project(ds.delta_vec(unit_word))
         rhs_raw: BigVec = {}
         for nm, c in ds.carrier[srt].apply_d({x: ds.field.one}).items():
-            for big, c2 in inc[(srt, nm)].items():
-                vec_acc(rhs_raw, big, c * c2)
-        for big, c in ds.delta_of(srt, x).items():
-            vec_acc(rhs_raw, big, c)
+            vec_iaxpy(rhs_raw, c, inc[(srt, nm)])
+        vec_iaxpy(rhs_raw, ds.field.one, ds.delta_of(srt, x))
         rhs = ds.project(rhs_raw)
         if lhs != rhs:
             bad.append(((srt, x), lhs, rhs))
@@ -335,10 +332,10 @@ def _inclusion_boundary(ds: DStructure, srt: str, x) -> Vec:
     """(Delta . eta - eta . d)(x) in coinvariant coordinates."""
     F = ds.field
     inc = eta(ds)
-    raw = ds.delta_vec(inc[(srt, x)])
+    raw: BigVec = {}
     for nm, c in ds.carrier[srt].apply_d({x: F.one}).items():
-        for big, c2 in inc[(srt, nm)].items():
-            vec_acc(raw, big, -(c * c2))
+        vec_iaxpy(raw, -c, inc[(srt, nm)])
+    vec_iaxpy(raw, F.one, ds.delta_vec(inc[(srt, x)]))
     return ds.project(raw).get(srt, {})
 
 
@@ -509,8 +506,7 @@ def extend_morphism(m: DMorphism, raw: BigVec) -> BigVec:
     out: BigVec = {}
     for (sig, xw, c_name), c in sorted(raw.items(), key=lambda kv: str(kv[0])):
         vecs = [m.image_of(srt, x) for srt, x in zip(sig[0], xw)]
-        for big, c2 in free_theta(m.target, vecs, sig, c_name).items():
-            vec_acc(out, big, c * c2)
+        vec_iaxpy(out, c, free_theta(m.target, vecs, sig, c_name))
     return out
 
 
@@ -660,8 +656,7 @@ def roundtrip_algebra(algebra: Algebra, n_max: int) -> RoundtripAlgebraReport:
         raw = ds.delta_terms(ds.free.part(n, srt).section(rep))
         pushed: Vec = {}
         for (sig2, xw2, c2), c in raw.items():
-            for key2, s2 in join_word(B, xw2, sig2, c2).items():
-                vec_acc(pushed, key2, c * s2)
+            vec_iaxpy(pushed, c, join_word(B, xw2, sig2, c2))
         pushed = {k: sgn.inv() * c for k, c in pushed.items()}
         want = quotient.d.get(key, {})
         if pushed != want and first is None:

@@ -2,6 +2,9 @@
 
 Vectors are dicts mapping basis names (arbitrary hashable, deterministically
 sortable via str) to nonzero Scalars. Never store a zero coefficient.
+Sums accumulate in place through ``vec_iaxpy`` and ``vec_acc``, always
+into a dict the accumulating function created: memoized vectors are
+handed out uncopied and must only be read.
 """
 
 from __future__ import annotations
@@ -20,18 +23,23 @@ def vec_scale(v: Vec, s: Scalar) -> Vec:
     return {k: c * s for k, c in v.items()}
 
 
-def vec_axpy(u: Vec, s: Scalar, v: Vec) -> Vec:
-    """u + s*v, dropping entries that cancel."""
+def vec_iaxpy(u: Vec, s: Scalar, v: Vec) -> None:
+    """u += s*v in place, dropping entries that cancel; v is only read."""
     if s.is_zero():
-        return dict(u)
-    out = dict(u)
+        return
     for k, c in v.items():
-        w = out.get(k)
+        w = u.get(k)
         nc = c * s if w is None else w + c * s
         if nc.is_zero():
-            out.pop(k, None)
+            u.pop(k, None)
         else:
-            out[k] = nc
+            u[k] = nc
+
+
+def vec_axpy(u: Vec, s: Scalar, v: Vec) -> Vec:
+    """u + s*v as a fresh vector, dropping entries that cancel."""
+    out = dict(u)
+    vec_iaxpy(out, s, v)
     return out
 
 
@@ -43,27 +51,6 @@ def vec_acc(u: Vec, k, c: Scalar) -> None:
         u.pop(k, None)
     else:
         u[k] = c
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    out = dict(u)
-    for k, c in v.items():
-        w = out.get(k)
-        nc = c if w is None else w + c
-        if nc.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = nc
-    return out
-
-
-def vec_neg(v: Vec) -> Vec:
-    return {k: -c for k, c in v.items()}
-
-
-def vec_eq(u: Vec, v: Vec) -> bool:
-    # zero coefficients are never stored, so dict equality is exact equality
-    return u == v
 
 
 def default_key(c: Hashable) -> str:
@@ -101,12 +88,8 @@ class Echelon:
             if c is None:
                 continue
             coeffs[i] = c
-            rem = vec_axpy(rem, -c, row)
+            vec_iaxpy(rem, -c, row)
         return rem, coeffs
-
-    def in_span(self, v: Vec) -> bool:
-        rem, _ = self.reduce(v)
-        return not rem
 
     def express(self, v: Vec) -> Vec | None:
         """Coordinates of v on the ORIGINAL input vectors, or None if outside.
@@ -121,7 +104,7 @@ class Echelon:
             return None
         out: Vec = {}
         for i, c in coeffs.items():
-            out = vec_axpy(out, c, self.combos[i])
+            vec_iaxpy(out, c, self.combos[i])
         return out
 
 
@@ -151,20 +134,20 @@ def echelon(
         pv = vec_scale(pv, s)
         if track:
             pcombo = vec_scale(pcombo, s)  # type: ignore[arg-type]
-        for i, (v, combo) in enumerate(work):
+        for v, combo in work:
             c = v.get(col)
             if c is None:
                 continue
-            nv = vec_axpy(v, -c, pv)
-            ncombo = vec_axpy(combo, -c, pcombo) if track else None  # type: ignore[arg-type]
-            work[i] = (nv, ncombo)
-        for i in range(len(done_rows)):
-            c = done_rows[i].get(col)
+            vec_iaxpy(v, -c, pv)
+            if track:
+                vec_iaxpy(combo, -c, pcombo)  # type: ignore[arg-type]
+        for i, row in enumerate(done_rows):
+            c = row.get(col)
             if c is None:
                 continue
-            done_rows[i] = vec_axpy(done_rows[i], -c, pv)
+            vec_iaxpy(row, -c, pv)
             if track:
-                done_combos[i] = vec_axpy(done_combos[i], -c, pcombo)  # type: ignore[arg-type]
+                vec_iaxpy(done_combos[i], -c, pcombo)  # type: ignore[arg-type]
         done_rows.append(pv)
         pivots.append(col)
         if track:

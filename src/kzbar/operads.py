@@ -20,7 +20,7 @@ from math import factorial
 
 from kzbar.complexes import ChainComplex
 from kzbar.fields import FieldSpec, Scalar
-from kzbar.linalg import Vec, vec_axpy, vec_scale
+from kzbar.linalg import Vec, vec_axpy, vec_iaxpy, vec_scale
 
 Sig = tuple[tuple[str, ...], str]  # (input sorts, output sort)
 Label = tuple[Sig, object]  # (signature, basis name)
@@ -235,7 +235,7 @@ class Operad:
                     y.sig, y_name, tuple((x.sig, nm) for x, (nm, _) in zip(xs, combo))
                 )
                 target_sig = sig_res
-                target = vec_axpy(target, coeff, vec)
+                vec_iaxpy(target, coeff, vec)
         if target_sig is None:
             target_sig = (tuple(s for x in xs for s in x.sig[0]), y.sig[1])
         return OperadElement(self, target_sig, target)
@@ -263,8 +263,7 @@ class Operad:
         out_sig = self.swap_sig(sig, k)
         out: Vec = {}
         for name, c in vec.items():
-            img = self._sym_rule(sig, k, name)
-            out = vec_axpy(out, c, img)
+            vec_iaxpy(out, c, self._sym_rule(sig, k, name))
         return out_sig, out
 
     def apply_perm(self, el: OperadElement, sigma: tuple[int, ...]) -> OperadElement:

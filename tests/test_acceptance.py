@@ -35,6 +35,7 @@ from kzbar.dstructures import (
     split_identity_failures,
 )
 from kzbar.fields import GF, QQ
+from kzbar.linalg import vec_iaxpy
 from kzbar.signs import multiply, word
 from kzbar.trees import (
     canonical_form,
@@ -90,7 +91,7 @@ def roundtrips():
 def _combine(B, *vecs):
     out = {}
     for v in vecs:
-        B._add_terms(out, v, B.field.one)
+        vec_iaxpy(out, B.field.one, v)
     return out
 
 

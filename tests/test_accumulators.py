@@ -1,0 +1,88 @@
+"""In-place accumulators never write into a memoized or stored vector.
+
+Every sum in kzbar is accumulated into a dict its own function created,
+while the operad, algebra and free-algebra memos hand out their stored
+vectors without copying them.  Running the same checks twice must
+therefore leave every memo entry and every stored column exactly as the
+first pass left it; an accumulator seeded with a memo value would
+change them.
+"""
+
+from kzbar.algebras import AlgebraElement, verify_algebra
+from kzbar.bar import BarComplex
+from kzbar.dstructures import roundtrip_algebra, split_identity_failures
+from kzbar.manifest import build, load_builtin, parse_manifest
+from kzbar.operads import OperadElement
+
+
+def _snap(x):
+    """A deep copy of nested dicts and tuples that also keeps dict order."""
+    if isinstance(x, dict):
+        return [(k, _snap(v)) for k, v in x.items()]
+    if isinstance(x, tuple):
+        return tuple(_snap(v) for v in x)
+    return x
+
+
+def _state(alg, ds) -> dict[str, dict]:
+    """Per store, a snapshot of each entry by key."""
+    op = alg.operad
+    stores = {
+        "operad gamma memo": op._gamma_memo,
+        "operad perm memo": op._perm_memo,
+        "algebra theta memo": alg._theta_memo,
+        "algebra carrier d": {s: c.d for s, c in alg.carrier.items()},
+        "dstructure carrier d": {s: c.d for s, c in ds.carrier.items()},
+        "free-algebra part columns": {
+            key: (part.complex.degrees, part.complex.d, part.big_degrees)
+            for key, part in ds.free._parts.items()},
+    }
+    return {name: {k: _snap(v) for k, v in store.items()}
+            for name, store in stores.items()}
+
+
+def _sums(alg) -> None:
+    """Compose and evaluate sums of basis elements, so that each sum is
+    accumulated onto the memoized vector of its first term."""
+    op, one = alg.operad, alg.field.one
+
+    def total(sig):
+        return OperadElement(op, sig, dict.fromkeys(op.components[sig].degrees, one))
+
+    xs = {s: AlgebraElement(alg, s, dict.fromkeys(c.degrees, one))
+          for s, c in alg.carrier.items()}
+    for sig in op.signatures():
+        alg.theta_eval([xs[s] for s in sig[0]], total(sig))
+        if len(sig[0]) == 2:
+            for inner in op.signatures():
+                if len(inner[0]) == 2 and inner[1] == sig[0][0]:
+                    op.gamma([total(inner), op.unit(sig[0][1])], total(sig))
+
+
+def _one_pass(alg, ds, n_max: int) -> list[bool]:
+    """The checks of one pass and their verdicts; the chain-complex and
+    chain-map certificates raise instead."""
+    verdicts = [verify_algebra(alg).ok]
+    _sums(alg)
+    B = BarComplex(alg)
+    B.mu_chain_map(B.bar_quotient(n_max))
+    verdicts.append(roundtrip_algebra(alg, n_max).matrices_equal)
+    verdicts.append(not split_identity_failures(ds))
+    return verdicts
+
+
+def test_a_second_pass_leaves_memos_and_columns_unchanged():
+    m = parse_manifest(load_builtin("uass_dual_numbers"))
+    assert m.window.n_max == 3
+    built = build(m, cap=3)  # the cap `kz validate` verifies at
+    alg = built.algebras["dual"]
+    ds = built.dstructures["bardual"]
+    assert ds.operad is alg.operad
+    assert all(_one_pass(alg, ds, m.window.n_max))
+    before = _state(alg, ds)
+    assert all(before.values()), [k for k, v in before.items() if not v]
+    second = _one_pass(alg, ds, m.window.n_max)
+    after = _state(alg, ds)
+    for name, entries in before.items():
+        assert {k: after[name][k] for k in entries} == entries, name
+    assert all(second)

@@ -22,6 +22,7 @@ from kzbar.catalog import (
 )
 from kzbar.complexes import ChainComplex
 from kzbar.fields import GF, QQ
+from kzbar.linalg import vec_acc, vec_iaxpy
 from kzbar.operads import CapExceeded, Operad, single_sig
 from kzbar.signs import relabel, word
 from kzbar.trees import Tree, enumerate_trees, is_intertwiner, validate
@@ -100,7 +101,7 @@ def vec_eq(a, b):
 def combine(B, *vecs):
     out = {}
     for v in vecs:
-        B._add_terms(out, v, B.field.one)
+        vec_iaxpy(out, B.field.one, v)
     return out
 
 
@@ -254,8 +255,8 @@ def _raw_transport(B, t, labels, sigma, t2):
         for _, c in combo:
             coeff = coeff * c
         lab2 = tuple(nm for nm, _ in combo)
-        B._add_terms(out, B.normalize(t2, B.basis_word(t2, lab2), lab2),
-                     coeff)
+        vec_iaxpy(out, coeff, B.normalize_term(t2, B.basis_word(t2, lab2), lab2,
+                                               B.field.one))
     return out
 
 
@@ -270,7 +271,8 @@ def test_normalize_agrees_with_every_intertwiner(make):
         trees = enumerate_trees(n)
         nodes = _labeled_nodes(B, n)
         for t, labels in nodes:
-            base = B.normalize(t, B.basis_word(t, labels), labels)
+            base = B.normalize_term(t, B.basis_word(t, labels), labels,
+                                    B.field.one)
             for t2 in trees:
                 for sigma in permutations(range(1, n + 1)):
                     if not is_intertwiner(t, t2, tuple(sigma)):
@@ -287,7 +289,8 @@ def test_enumerate_basis_matches_the_orbit_partition(make):
     for n in range(1, 4):
         keys = set()
         for t, labels in _labeled_nodes(B, n):
-            v = B.normalize(t, B.basis_word(t, labels), labels)
+            v = B.normalize_term(t, B.basis_word(t, labels), labels,
+                                 B.field.one)
             assert len(v) <= 1
             for key, c in v.items():
                 assert c == B.field.one or c == -B.field.one
@@ -316,8 +319,8 @@ def test_labeled_counts_by_hand():
 def test_odd_leaf_swap_freezes_the_sign():
     B = exterior_bar(QQ, 3)
     bush = validate(3, (3, 3), frozenset({1, 2}))
-    got = B.normalize(bush, B.basis_word(bush, ("e", "e", (2, 1))),
-                      ("e", "e", (2, 1)))
+    got = B.normalize_term(bush, B.basis_word(bush, ("e", "e", (2, 1))),
+                           ("e", "e", (2, 1)), QQ.one)
     assert vec_eq(got, {(bush, ("e", "e", (1, 2))): -QQ.one})
 
 
@@ -334,11 +337,11 @@ def test_torsion_symmetry_kills_the_term_over_q():
 
     B = BarComplex(Algebra(op, carrier, theta_rule, name="com-line"))
     bush = validate(3, (3, 3), frozenset({1, 2}))
-    dead = B.normalize(bush, B.basis_word(bush, ("xi", "xi", "mu2")),
-                       ("xi", "xi", "mu2"))
+    dead = B.normalize_term(bush, B.basis_word(bush, ("xi", "xi", "mu2")),
+                            ("xi", "xi", "mu2"), one)
     assert dead == {}
-    alive = B.normalize(bush, B.basis_word(bush, ("1", "xi", "mu2")),
-                        ("1", "xi", "mu2"))
+    alive = B.normalize_term(bush, B.basis_word(bush, ("1", "xi", "mu2")),
+                             ("1", "xi", "mu2"), one)
     assert len(alive) == 1
 
 
@@ -360,7 +363,8 @@ def test_non_monomial_symmetry_is_rejected():
     B = BarComplex(Algebra(op, carrier, lambda s, c, xs: {"1": one}))
     bush = validate(3, (3, 3), frozenset({1, 2}))
     with pytest.raises(BarError, match="monomial"):
-        B.normalize(bush, B.basis_word(bush, ("1", "1", "p")), ("1", "1", "p"))
+        B.normalize_term(bush, B.basis_word(bush, ("1", "1", "p")),
+                         ("1", "1", "p"), one)
 
 
 def test_check_key_rejects_foreign_labels():
@@ -488,7 +492,7 @@ def _leibniz_defect(B, keys, c):
             slots = list(vs)
             slots[q] = dq
             sgn = one if prefix % 2 == 0 else -one
-            B._add_terms(out, B.bar_algebra_action(slots, c), -sgn)
+            vec_iaxpy(out, -sgn, B.bar_algebra_action(slots, c))
         prefix += B.degree_of(*k) - 1
     return out
 
@@ -543,7 +547,7 @@ def test_differential_kills_random_combinations(data):
                                 max_size=len(picks)))
     v = {}
     for k, c in zip(picks, coeffs):
-        B._add_terms(v, {k: B.field.scalar(c)}, B.field.one)
+        vec_acc(v, k, B.field.scalar(c))
     assert B.differential(B.differential(v)) == {}
 
 

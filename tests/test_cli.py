@@ -1,12 +1,14 @@
 """Command line: report shape, frozen counts, byte stability, exit codes."""
 
+import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from kzbar.cli import DEFAULT_SEED, _pmap, main, run, to_json, to_text
+from kzbar.cli import DEFAULT_SEED, main, run, to_json, to_text
 from kzbar.manifest import load_builtin, parse_manifest
 from kzbar.trees import enumerate_trees
 
@@ -134,32 +136,22 @@ def test_bar_report_is_byte_stable_across_workers(capsys, monkeypatch):
     assert capsys.readouterr().out == first
 
 
-def test_worker_pool_is_capped_by_cpus_and_items(capsys, monkeypatch):
-    asked = []
-
-    class Recorder:
-        """Stands in for the pool: records its size, maps in this thread."""
-
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr("kzbar.cli.ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr("kzbar.cli.os.cpu_count", lambda: 3)
-    monkeypatch.setenv("KZ_THREADS", str(10**9))
-    assert main(["bar", "uass_dual_numbers"]) == 0
-    capsys.readouterr()
-    assert asked == [3]
-    assert _pmap(abs, [-1, 2], 10**9) == [1, 2]
-    assert asked == [3, 2]
+def test_benchmark_trace_installs_and_keeps_the_report(capsys, monkeypatch,
+                                                       unit_path):
+    """perfbench/kztrace.py wraps kzbar functions by name from outside
+    src/, so a rename that breaks the benchmark trace fails here."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ stays as is
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    kztrace = importlib.import_module("kztrace")
+    assert main(["bar", unit_path]) == 0
+    plain = capsys.readouterr().out
+    tracer = kztrace.Tracer()
+    with tracer.installed():
+        assert main(["bar", unit_path]) == 0
+    assert capsys.readouterr().out == plain
+    stats = tracer.summary()["stats"]
+    assert stats["cli.run"]["calls"] == 1
+    assert stats["bar.BarComplex.differential_key"]["calls"] > 0
 
 
 def test_window_beyond_the_enumeration_cap_exits_two(capsys, tmp_path):

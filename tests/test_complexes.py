@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from kzbar.complexes import ChainComplex, ChainMap, ComplexError
 from kzbar.fields import GF, QQ
-from kzbar.linalg import echelon, kernel_of_map, rank
+from kzbar.linalg import echelon, kernel_of_map, rank, vec_axpy, vec_iaxpy
 
 
 def interval(F):
@@ -44,6 +44,51 @@ def test_kernel_of_map():
             for t, c in cols[n].items():
                 img[t] = img.get(t, F.zero) + c * s
         assert all(x.is_zero() for x in img.values())
+
+
+def test_iaxpy_drops_a_cancelled_entry():
+    F = GF(3)
+    u = {"a": F.one, "b": F.scalar(2)}
+    vec_iaxpy(u, F.scalar(2), {"a": F.one, "c": F.one})
+    assert u == {"b": F.scalar(2), "c": F.scalar(2)}
+
+
+def test_iaxpy_with_zero_scale_leaves_u_unchanged():
+    u = {"a": QQ.one}
+    vec_iaxpy(u, QQ.zero, {"a": -QQ.one, "b": QQ.one})
+    assert u == {"a": QQ.one}
+
+
+def test_iaxpy_never_mutates_v():
+    F = GF(3)
+    v = {"a": F.one, "b": F.scalar(2)}
+    u = {"a": F.scalar(2)}
+    vec_iaxpy(u, F.one, v)
+    assert v == {"a": F.one, "b": F.scalar(2)}
+    assert u == {"b": F.scalar(2)}
+    u["b"] = F.one  # the sum holds no reference into v
+    assert v["b"] == F.scalar(2)
+
+
+_NAMES = st.sampled_from("abcd")
+
+
+@given(st.sampled_from([GF(3), QQ]),
+       st.dictionaries(_NAMES, st.integers(-4, 4)),
+       st.integers(-4, 4),
+       st.dictionaries(_NAMES, st.integers(-4, 4)))
+def test_iaxpy_equals_axpy(F, u_raw, s, v_raw):
+    u = {k: F.scalar(c) for k, c in u_raw.items() if not F.scalar(c).is_zero()}
+    v = {k: F.scalar(c) for k, c in v_raw.items() if not F.scalar(c).is_zero()}
+    v_before = dict(v)
+    want = vec_axpy(u, F.scalar(s), v)
+    # entrywise oracle, independent of both
+    naive = {k: u.get(k, F.zero) + F.scalar(s) * v.get(k, F.zero) for k in {*u, *v}}
+    vec_iaxpy(u, F.scalar(s), v)
+    assert u == want == {k: c for k, c in naive.items() if not c.is_zero()}
+    assert list(u) == list(want)
+    assert all(not c.is_zero() for c in u.values())
+    assert v == v_before
 
 
 def test_homology_of_two_by_two_f2():
