@@ -7,14 +7,17 @@ label last: theta is evaluated on x_1 (x) ... (x) x_n (x) c, and every
 axiom's sign is the Koszul cost of reshuffling that tensor order.
 
 Free algebras quotient X^{(x)n} (x) C(n) by the diagonal symmetric group
-action.  When Sigma_n acts freely and monomially on the labels of C(n),
-as the free-module certificate proves, the orbit route reads the
-quotient off a transversal of the label orbits: each class is one pair
-(root label, generator word), and projecting a word is a lookup plus the
-Koszul sign of the permutation that carries its label to the root.  Any
-other action goes through the elimination route, which computes the
-quotient as a cokernel by exact elimination; asking for the orbit route
-on a non-free action raises AlgebraError.
+action.  ``FreeAlgebra`` owns the arithmetic of the words (sig, generator
+word, label) of that space and their Koszul signs: ``word_d`` is the
+internal differential of one word and ``compose`` composes word vectors
+through a label.  When Sigma_n acts freely and monomially on the labels
+of C(n), as the free-module certificate proves, the orbit route reads
+the quotient off a transversal of the label orbits: each class is one
+pair (root label, generator word), and projecting a word is a lookup
+plus the Koszul sign of the permutation that carries its label to the
+root.  Any other action goes through the elimination route, which
+computes the quotient as a cokernel by exact elimination; asking for
+the orbit route on a non-free action raises AlgebraError.
 """
 
 from __future__ import annotations
@@ -27,15 +30,11 @@ from operator import itemgetter
 from kzbar.complexes import ChainComplex, ChainMap
 from kzbar.fields import Scalar
 from kzbar.linalg import Vec, echelon, vec_acc, vec_axpy, vec_iaxpy, vec_scale
-from kzbar.operads import CapExceeded, Operad, OperadElement, Sig
+from kzbar.operads import CapExceeded, Operad, OperadElement, Sig, koszul_sign
 
 
 class AlgebraError(ValueError):
     pass
-
-
-def koszul_sign_of_crossing(field, deg_a: int, deg_b: int) -> Scalar:
-    return -field.one if (deg_a % 2 and deg_b % 2) else field.one
 
 
 @dataclass
@@ -226,7 +225,7 @@ def _check_action_equivariance(alg: Algebra, c_sig: Sig, c_name, xs, k: int) -> 
         vec_iaxpy(lhs, cf, alg.theta_basis(sc_sig, nm, tuple(swapped)))
     da = alg.carrier_degree(ins[k - 1], xs[k - 1])
     db = alg.carrier_degree(ins[k], xs[k])
-    sgn = koszul_sign_of_crossing(F, da, db)
+    sgn = koszul_sign(F, da, db)
     rhs_vec = alg.theta_basis(c_sig, c_name, tuple(xs))
     rhs = {n: sgn * c for n, c in rhs_vec.items()}
     return lhs == rhs
@@ -255,18 +254,21 @@ def _check_action_composition(alg: Algebra, c_sig: Sig, c_name, cs, xs) -> bool:
     flat_sorts = tuple(s for ci_sig, _ in cs for s in ci_sig[0])
     flat_x = [alg.basis_element(s, n) for s, n in zip(flat_sorts, xs)]
     rhs = alg.theta_eval(flat_x, comp)
-    # Koszul cost of pulling each c_i left past the later x blocks
-    sgn = F.one
-    block_degs = [
-        sum(alg.carrier_degree(s, n) for s, n in zip(ci_sig[0], blk))
-        for (ci_sig, _), blk in zip(cs, blocks)
-    ]
-    for i, (ci_sig, ci_name) in enumerate(cs):
-        ci_deg = op.degree_of(ci_sig, ci_name)
-        later = sum(block_degs[i + 1:])
-        if ci_deg % 2 and later % 2:
-            sgn = -sgn
+    sgn = _labels_past_words(F, [
+        (op.degree_of(ci_sig, ci_name),
+         sum(alg.carrier_degree(s, n) for s, n in zip(ci_sig[0], blk)))
+        for (ci_sig, ci_name), blk in zip(cs, blocks)])
     return lhs.vec == {n: sgn * c0 for n, c0 in rhs.vec.items()}
+
+
+def _labels_past_words(field, degs) -> Scalar:
+    """Koszul sign of moving each factor's label right, past the factor
+    words after it; degs holds (label degree, word degree) per factor."""
+    sgn, later = field.one, 0
+    for c_deg, w_deg in reversed(degs):
+        sgn = sgn * koszul_sign(field, c_deg, later)
+        later += w_deg
+    return sgn
 
 
 def _check_action_leibniz(alg: Algebra, c_sig: Sig, c_name, xs) -> bool:
@@ -297,18 +299,13 @@ def _check_action_leibniz(alg: Algebra, c_sig: Sig, c_name, xs) -> bool:
 class FreePart:
     """One arity part of a free algebra: representative basis, the degree
     of every word of the un-quotiented space, and the projection from it.
-    Representatives are words of that space, so the section back into it
-    is the identity."""
+    Representatives are words of that space and stand for themselves."""
 
     arity: int
     out_sort: str
     complex: ChainComplex
     big_degrees: dict
     project: object  # Vec over big names -> Vec over representatives
-
-    @staticmethod
-    def section(r):
-        return r
 
 
 class FreeAlgebra:
@@ -381,7 +378,7 @@ class FreeAlgebra:
         F = self.field
         da = self.generators[sig[0][k - 1]].degrees[xw[k - 1]]
         db = self.generators[sig[0][k]].degrees[xw[k]]
-        sgn = koszul_sign_of_crossing(F, da, db)
+        sgn = koszul_sign(F, da, db)
         xw2 = list(xw)
         xw2[k - 1], xw2[k] = xw2[k], xw2[k - 1]
         sig2, cvec = self.operad.apply_transposition(sig, k, {c_name: F.one})
@@ -397,30 +394,55 @@ class FreeAlgebra:
             reps, project = self._coinvariants_by_orbit(n, out_sort, big_degs, str_keys)
         else:
             reps, project = self._coinvariants_by_elimination(n, big_degs, str_keys)
-        comp = self._induced_complex(big_degs, reps, project)
+        d_cols = {}
+        for r in reps:
+            col = project(self.word_d(r))
+            if col:
+                d_cols[r] = col
+        comp = ChainComplex(self.field, {r: big_degs[r] for r in reps}, d_cols)
         part = self._parts[key] = FreePart(n, out_sort, comp, big_degs, project)
         return part
 
-    def _induced_complex(self, big_degs, reps, project) -> ChainComplex:
-        F = self.field
-        d_cols = {}
-        for r in reps:
-            sig, xw, c_name = r
-            db: Vec = {}
-            # differential of the generator word, Koszul signs left to right
-            sgn = F.one
-            for i, (s, x) in enumerate(zip(sig[0], xw)):
-                gen = self.generators[s]
-                for nm, cf in gen.d.get(x, {}).items():
-                    vec_acc(db, (sig, xw[:i] + (nm,) + xw[i + 1:], c_name), sgn * cf)
-                if gen.degrees[x] % 2:
-                    sgn = -sgn
-            for nm, cf in self.operad.components[sig].d.get(c_name, {}).items():
-                vec_acc(db, (sig, xw, nm), sgn * cf)
-            col = project(db)
-            if col:
-                d_cols[r] = col
-        return ChainComplex(F, {r: big_degs[r] for r in reps}, d_cols)
+    def word_d(self, big) -> Vec:
+        """Internal differential of one word: each generator's d under the
+        sign of the generators to its left, then the label's d under the
+        sign of the whole generator word."""
+        sig, xw, c_name = big
+        out: Vec = {}
+        sgn = self.field.one
+        for i, (s, x) in enumerate(zip(sig[0], xw)):
+            gen = self.generators[s]
+            for nm, cf in gen.d.get(x, {}).items():
+                vec_acc(out, (sig, xw[:i] + (nm,) + xw[i + 1:], c_name), sgn * cf)
+            if gen.degrees[x] % 2:
+                sgn = -sgn
+        for nm, cf in self.operad.components[sig].d.get(c_name, {}).items():
+            vec_acc(out, (sig, xw, nm), sgn * cf)
+        return out
+
+    def compose(self, vecs: list[Vec], c_sig: Sig, c_name) -> Vec:
+        """Compose word vectors through the label c_name of c_sig: each
+        choice of one word per vector concatenates the generator words
+        and composes the labels into c_name by gamma; each label moves
+        right past the later generator words at the Koszul sign."""
+        F, op = self.field, self.operad
+        c = op.basis_element(c_sig, c_name)
+        out: Vec = {}
+        items = [sorted(v.items(), key=lambda kv: str(kv[0])) for v in vecs]
+        for combo in iproduct(*items):
+            coeff = F.one
+            for _, cf in combo:
+                coeff = coeff * cf
+            words = [w for w, _ in combo]
+            sgn = _labels_past_words(F, [
+                (op.degree_of(sig, nm),
+                 sum(self.generators[s].degrees[x] for s, x in zip(sig[0], xw)))
+                for sig, xw, nm in words])
+            comp = op.gamma([op.basis_element(sig, nm) for sig, _, nm in words], c)
+            xw_all = tuple(x for _, xw, _ in words for x in xw)
+            for nm, cf in comp.vec.items():
+                vec_acc(out, (comp.sig, xw_all, nm), coeff * sgn * cf)
+        return out
 
     def _coinvariants_by_elimination(self, n: int, big_degs, str_keys):
         relations = []
@@ -520,7 +542,7 @@ def free_map(f: dict[str, ChainMap] | ChainMap, src: FreeAlgebra, dst: FreeAlgeb
     dp = dst.part(n, out_sort)
     entries = {}
     for r in sp.complex.basis():
-        sig, xw, c_name = sp.section(r)
+        sig, xw, c_name = r
         # expand f letter by letter; degree-0 maps cross without signs
         acc: Vec = {(sig, (), c_name): src.field.one}
         for s, x in zip(sig[0], xw):
@@ -538,39 +560,18 @@ def free_map(f: dict[str, ChainMap] | ChainMap, src: FreeAlgebra, dst: FreeAlgeb
 
 def monad_theta(fa: FreeAlgebra, parts_cap: int):
     """Algebra structure on the arity parts of a free algebra, given by
-    composing operad labels; raises CapExceeded past the window."""
-    op = fa.operad
+    composing representatives through the label and projecting; raises
+    CapExceeded past the window."""
+    one = fa.field.one
 
     def theta_rule(c_sig, c_name, xs):
         # xs are (arity, rep) names in the summed carrier
-        ins, out = c_sig
-        total = 0
-        bigs = []
-        for (ar, rep), srt in zip(xs, ins):
-            p = fa.part(ar, srt)
-            bigs.append(p.section(rep))
-            total += ar
-        if total > min(op.cap, parts_cap):
+        total = sum(ar for ar, _ in xs)
+        if total > min(fa.operad.cap, parts_cap):
             raise CapExceeded(f"free-algebra theta lands in arity {total}")
-        sgn = fa.field.one
-        word_degs = []
-        for sig, xw, _ in bigs:
-            word_degs.append(sum(fa.generators[s].degrees[x]
-                                 for s, x in zip(sig[0], xw)))
-        out_vec: Vec = {}
-        cs = [op.basis_element(sig, cn) for sig, _, cn in bigs]
-        comp = op.gamma(cs, op.basis_element(c_sig, c_name))
-        for i, (sig, _, cn) in enumerate(bigs):
-            cdeg = op.degree_of(sig, cn)
-            later = sum(word_degs[i + 1:])
-            if cdeg % 2 and later % 2:
-                sgn = -sgn
-        xw_all = tuple(x for _, xw, _ in bigs for x in xw)
-        target = fa.part(total, out)
-        for nm, cf in comp.vec.items():
-            big_name = (comp.sig, xw_all, nm)
-            vec_iaxpy(out_vec, sgn * cf, target.project({big_name: fa.field.one}))
-        return {(total, r): c for r, c in out_vec.items()}
+        raw = fa.compose([{rep: one} for _, rep in xs], c_sig, c_name)
+        return {(total, r): c
+                for r, c in fa.part(total, c_sig[1]).project(raw).items()}
 
     return theta_rule
 

@@ -75,6 +75,7 @@ class BarComplex:
         self.operad = algebra.operad
         self.field = algebra.field
         self.name = name
+        self._d_memo: dict = {}
 
     # ----------------------------------------------------------- structure
 
@@ -291,6 +292,10 @@ class BarComplex:
     # ------------------------------------------------------------ operations
 
     def differential_key(self, key: BarKey) -> BarVec:
+        """d of one basis key, memoized per key; callers only read it."""
+        hit = self._d_memo.get(key)
+        if hit is not None:
+            return hit
         t, labels = key
         w = self.basis_word(t, labels)
         out: BarVec = {}
@@ -362,6 +367,7 @@ class BarComplex:
                 lab2[v - 1] = nm
                 vec_iaxpy(out, cf, self.normalize_term(
                     t, dw, tuple(lab2), self.field.one))
+        self._d_memo[key] = out
         return out
 
     def differential(self, vec: BarVec) -> BarVec:

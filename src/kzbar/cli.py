@@ -17,7 +17,10 @@ stderr.  ``KZ_SEED`` sets the randomness of sampled probes (default
 fixed).  ``KZ_THREADS`` is accepted and ignored, as every suite runs in
 one thread; a value that is not an integer is still an error.  Exit
 status is 0 exactly when every check passes, 1 on a failed check, 2
-when the manifest cannot be read at all.
+when the manifest cannot be read at all, and 3 on an internal error:
+one of kzbar's own errors escaped a suite, which is not a verdict on
+the manifest.  Exits 2 and 3 print one ``manifest: message`` line to
+stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from random import Random
 
-from kzbar.algebras import Algebra, verify_algebra
-from kzbar.bar import BarComplex
+from kzbar.algebras import Algebra, AlgebraError, verify_algebra
+from kzbar.bar import BarComplex, BarError
 from kzbar.complexes import ChainComplex, ComplexError
 from kzbar.dstructures import (
     DStructure,
@@ -55,7 +58,7 @@ from kzbar.manifest import (
     manifest_digest,
     parse_manifest,
 )
-from kzbar.operads import CapExceeded, verify_operad
+from kzbar.operads import CapExceeded, OperadError, verify_operad
 from kzbar.trees import TreeError, enumerate_trees
 
 DEFAULT_SEED = 271828
@@ -335,7 +338,7 @@ def _run_dstruct(m: Manifest, built: Build, rep: Report) -> None:
                 dim = sum(len(c.degrees) for c in window.carrier.values())
                 note = f"complete window complex on {dim} words"
                 certified = True
-            except DStructureError as e:
+            except (CapExceeded, DStructureError) as e:
                 note = f"window does not close: {e}"
         if certified:
             rep.record(f"dstructure {name}: induced differential squares "
@@ -535,6 +538,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ManifestError, OSError) as e:
         print(f"{args.manifest}: {e}", file=sys.stderr)
         return 2
+    except (OperadError, TreeError, BarError, DStructureError, AlgebraError,
+            ComplexError) as e:
+        print(f"{args.manifest}: {e}", file=sys.stderr)
+        return 3
     print(f"elapsed: {elapsed} ms", file=sys.stderr)
     out = to_json(rep) if args.format == "json" else to_text(rep)
     if args.out:

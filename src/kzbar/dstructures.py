@@ -5,11 +5,14 @@ basis element to finitely many words x_1 (x) ... (x) x_m (x) c with
 factors in N and an operad label c; the pair induces a differential on
 the free algebra CN built from the internal differentials, the operad
 differential, and delta applied in one slot with the label composed in.
-The augmented bar construction is the motivating instance: delta cuts a
-tree at the root into its successor subtrees tensor the root label, and
-the induced differential on the free algebra recovers the quotient bar
-differential exactly, which the roundtrip report checks matrix against
-matrix.
+The words, their internal differential and their composition through
+a label belong to ``FreeAlgebra``, which alone fixes the Koszul signs
+(label last, factors left to right); this module adds only the delta
+terms.  The augmented bar construction is the motivating instance:
+delta cuts a tree at the root into its successor subtrees tensor the
+root label, and the induced differential on the free algebra recovers
+the quotient bar differential exactly, which the roundtrip report
+checks matrix against matrix.
 
 Degrees are rigid: delta must lower degree by one, the induced
 differential squares to zero on every window (certified at construction
@@ -20,13 +23,12 @@ time), and the arity-one inclusion eta satisfies
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from kzbar.algebras import Algebra, FreeAlgebra, monad_theta
 from kzbar.bar import BarComplex, _is_bare
 from kzbar.complexes import ChainComplex, ChainMap, QuasiIsoVerdict
 from kzbar.linalg import Vec, vec_acc, vec_iaxpy
-from kzbar.operads import Operad
+from kzbar.operads import Operad, koszul_sign
 from kzbar.signs import multiply, relabel, word
 from kzbar.trees import assemble, root_blocks, subtree_at
 
@@ -124,42 +126,27 @@ class DStructure:
     # ------------------------------------------------- induced differential
 
     def delta_terms(self, big: BigName) -> BigVec:
-        """Both summand families of the induced differential on one word.
-
-        Slot i contributes its factor's internal differential and its
-        factor's splitting, both under the sign of the degrees strictly
-        to the left; the splitting also pays for carrying its label past
-        the degrees to the right, and the operad label differentiates
-        last under the sign of the whole factor word.
+        """The induced differential on one word: the free algebra's word
+        differential, plus each slot's splitting with its label composed
+        into that slot, under the sign of the degrees to the left of the
+        slot and of the label crossing the degrees to its right.
         """
         sig, xw, c_name = big
-        ins, _ = sig
-        F = self.field
-        out: BigVec = {}
+        F, op = self.field, self.operad
+        c = op.basis_element(sig, c_name)
+        out = self.free.word_d(big)
         sgn = F.one
-        degs = [self.carrier[s].degrees[x] for s, x in zip(ins, xw)]
-        for i, (srt, x) in enumerate(zip(ins, xw)):
-            dx = self.carrier[srt].apply_d({x: F.one})
-            for nm, cf in dx.items():
-                vec_acc(out, (sig, xw[:i] + (nm,) + xw[i + 1:], c_name), sgn * cf)
+        degs = [self.carrier[s].degrees[x] for s, x in zip(sig[0], xw)]
+        for i, (srt, x) in enumerate(zip(sig[0], xw)):
+            tail = sum(degs[i + 1:])
             for (msig, yw, b_name), cf in self.delta_of(srt, x).items():
-                tail = sum(degs[i + 1:])
-                ssgn = sgn * cf
-                if self.operad.degree_of(msig, b_name) % 2 and tail % 2:
-                    ssgn = -ssgn
-                comp = self.operad.gamma_j(
-                    i + 1,
-                    self.operad.basis_element(msig, b_name),
-                    self.operad.basis_element(sig, c_name),
-                )
+                ssgn = sgn * cf * koszul_sign(F, op.degree_of(msig, b_name), tail)
+                comp = op.gamma_j(i + 1, op.basis_element(msig, b_name), c)
                 w2 = xw[:i] + yw + xw[i + 1:]
                 for nm2, cf2 in comp.vec.items():
                     vec_acc(out, (comp.sig, w2, nm2), ssgn * cf2)
             if degs[i] % 2:
                 sgn = -sgn
-        dc = self.operad.components[sig].apply_d({c_name: F.one})
-        for nm, cf in dc.items():
-            vec_acc(out, (sig, xw, nm), sgn * cf)
         return out
 
     def delta_vec(self, raw: BigVec) -> BigVec:
@@ -217,8 +204,7 @@ def build_delta_differential(ds: DStructure, n_max: int) -> DeltaWindow:
             for rep in part.complex.basis():
                 degs[(n, rep)] = part.complex.degrees[rep]
         for name in degs:
-            n, rep = name
-            raw = ds.delta_terms(ds.free.part(n, srt).section(rep))
+            raw = ds.delta_terms(name[1])
             # projection keeps the arity, so raw terms decide overflow and
             # the big out-of-window parts are never enumerated
             over = sorted({len(b[1]) for b in raw if len(b[1]) > n_max})
@@ -311,7 +297,6 @@ def delta_prime(ds: DStructure, n_max: int) -> dict[str, ChainMap]:
     null-homotopy, so any failure of either identity raises.
     """
     window = build_delta_differential(ds, n_max)
-    F = ds.field
     out: dict[str, ChainMap] = {}
     for srt, comp in sorted(ds.carrier.items()):
         entries: dict = {}
@@ -319,24 +304,13 @@ def delta_prime(ds: DStructure, n_max: int) -> dict[str, ChainMap]:
             img = ds.project(ds.delta_of(srt, x)).get(srt, {})
             if img:
                 entries[x] = img
-        cm = ChainMap(comp, window.carrier[srt], entries, degree=-1)
-        for x in comp.basis():
-            witness = _inclusion_boundary(ds, srt, x)
-            if witness != cm.apply({x: F.one}):
-                raise DStructureError(f"null-homotopy witness broken at {x!r}")
-        out[srt] = cm
+        out[srt] = ChainMap(comp, window.carrier[srt], entries, degree=-1)
+    # the witness (Delta . eta - eta . d)(x) equals delta(x) exactly when
+    # the inclusion passes the split identity at x
+    bad = split_identity_failures(ds)
+    if bad:
+        raise DStructureError(f"null-homotopy witness broken at {bad[0][0][1]!r}")
     return out
-
-
-def _inclusion_boundary(ds: DStructure, srt: str, x) -> Vec:
-    """(Delta . eta - eta . d)(x) in coinvariant coordinates."""
-    F = ds.field
-    inc = eta(ds)
-    raw: BigVec = {}
-    for nm, c in ds.carrier[srt].apply_d({x: F.one}).items():
-        vec_iaxpy(raw, -c, inc[(srt, nm)])
-    vec_iaxpy(raw, F.one, ds.delta_vec(inc[(srt, x)]))
-    return ds.project(raw).get(srt, {})
 
 
 # ------------------------------------------------------------- bar source
@@ -473,40 +447,12 @@ class DMorphism:
         return self.f0.get((srt, x), {})
 
 
-def free_theta(ds: DStructure, vecs: list[BigVec], c_sig, c_name) -> BigVec:
-    """Compose word vectors through an operad label, Koszul signs on the
-    labels crossing the later factor words."""
-    F = ds.field
-    out: BigVec = {}
-    items = [sorted(v.items(), key=lambda kv: str(kv[0])) for v in vecs]
-    for combo in iproduct(*items):
-        coeff = F.one
-        for _, c in combo:
-            coeff = coeff * c
-        word_degs = []
-        for (sig_i, xw_i, _), _ in combo:
-            word_degs.append(sum(ds.carrier[s].degrees[x]
-                                 for s, x in zip(sig_i[0], xw_i)))
-        sgn = F.one
-        for i, ((sig_i, _, nm_i), _) in enumerate(combo):
-            if ds.operad.degree_of(sig_i, nm_i) % 2 and sum(word_degs[i + 1:]) % 2:
-                sgn = -sgn
-        comp = ds.operad.gamma(
-            [ds.operad.basis_element(sig_i, nm_i) for (sig_i, _, nm_i), _ in combo],
-            ds.operad.basis_element(c_sig, c_name),
-        )
-        xw_all = tuple(x for (_, xw_i, _), _ in combo for x in xw_i)
-        for nm, cf in comp.vec.items():
-            vec_acc(out, (comp.sig, xw_all, nm), coeff * sgn * cf)
-    return out
-
-
 def extend_morphism(m: DMorphism, raw: BigVec) -> BigVec:
     """The induced free-algebra map applied to a raw word vector."""
     out: BigVec = {}
     for (sig, xw, c_name), c in sorted(raw.items(), key=lambda kv: str(kv[0])):
         vecs = [m.image_of(srt, x) for srt, x in zip(sig[0], xw)]
-        vec_iaxpy(out, c, free_theta(m.target, vecs, sig, c_name))
+        vec_iaxpy(out, c, m.target.free.compose(vecs, sig, c_name))
     return out
 
 
@@ -550,7 +496,7 @@ def verify_morphism(m: DMorphism, window: int = 2) -> MorphismReport:
         for n in range(0, window + 1):
             part = src.free.part(n, srt)
             for rep in part.complex.basis():
-                jobs.append((("word", srt, n, rep), {part.section(rep): src.field.one}))
+                jobs.append((("word", srt, n, rep), {rep: src.field.one}))
     for label, raw in jobs:
         lhs = tgt.project(extend_morphism(m, src.delta_vec(raw)))
         rhs = tgt.project(tgt.delta_vec(extend_morphism(m, raw)))
@@ -579,9 +525,7 @@ def is_equivalence(m: DMorphism, n_max: int) -> EquivalenceReport:
     for srt in m.source.operad.sorts:
         entries: dict = {}
         for name in sw.carrier[srt].basis():
-            n, rep = name
-            raw = extend_morphism(m, {m.source.free.part(n, srt).section(rep):
-                                      m.source.field.one})
+            raw = extend_morphism(m, {name[1]: m.source.field.one})
             col = m.target.project(raw).get(srt, {})
             col = {nm: c for nm, c in col.items() if nm in tw.carrier[srt].degrees}
             if col:
@@ -646,14 +590,14 @@ def roundtrip_algebra(algebra: Algebra, n_max: int) -> RoundtripAlgebraReport:
                 if key in matched or key not in targets:
                     basis_ok = False
                     continue
-                matched[key] = ((srt, n, rep), sgn)
+                matched[key] = (rep, sgn)
     basis_ok = basis_ok and set(matched) == targets
 
     matrices_equal = True
     first = None
     for key in quotient.basis():
-        (srt, n, rep), sgn = matched[key]
-        raw = ds.delta_terms(ds.free.part(n, srt).section(rep))
+        rep, sgn = matched[key]
+        raw = ds.delta_terms(rep)
         pushed: Vec = {}
         for (sig2, xw2, c2), c in raw.items():
             vec_iaxpy(pushed, c, join_word(B, xw2, sig2, c2))
@@ -707,8 +651,8 @@ def roundtrip_dstructure(ds: DStructure, n_max: int,
     f0: dict[DName, BigVec] = {}
     for (srt, key) in sorted(eta(source), key=str):
         if _is_bare(key):
-            n, rep = key[1][0]
-            f0[(srt, key)] = {ds.free.part(n, srt).section(rep): ds.field.one}
+            _, rep = key[1][0]
+            f0[(srt, key)] = {rep: ds.field.one}
     counit = DMorphism(source, ds, f0, name=f"counit({ds.name})")
     counit_report = verify_morphism(counit, window=1)
 
@@ -743,7 +687,6 @@ __all__ = [
     "delta_prime",
     "eta",
     "extend_morphism",
-    "free_theta",
     "identity_morphism",
     "is_equivalence",
     "join_word",

@@ -367,7 +367,8 @@ class OperadReport:
         return not self.failures
 
 
-def _koszul_swap_sign(field: FieldSpec, deg_a: int, deg_b: int) -> Scalar:
+def koszul_sign(field: FieldSpec, deg_a: int, deg_b: int) -> Scalar:
+    """Sign of moving a degree-deg_a element past a degree-deg_b one."""
     return -field.one if (deg_a % 2 and deg_b % 2) else field.one
 
 
@@ -519,7 +520,7 @@ def _check_equivariance(op: Operad, y_sig: Sig, y_name, xs: tuple, k: int) -> bo
     rhs = op.apply_perm(rhs0, beta)
     da = op.degree_of(xs[k - 1][0], xs[k - 1][1])
     db = op.degree_of(xs[k][0], xs[k][1])
-    rhs = rhs.scale(_koszul_swap_sign(F, da, db))
+    rhs = rhs.scale(koszul_sign(F, da, db))
     return lhs.sig == rhs.sig and lhs.vec == rhs.vec
 
 

@@ -1,8 +1,8 @@
 """In-place accumulators never write into a memoized or stored vector.
 
 Every sum in kzbar is accumulated into a dict its own function created,
-while the operad, algebra and free-algebra memos hand out their stored
-vectors without copying them.  Running the same checks twice must
+while the operad, algebra, bar-differential and free-algebra memos hand
+out their stored vectors without copying them.  Running the same checks twice must
 therefore leave every memo entry and every stored column exactly as the
 first pass left it; an accumulator seeded with a memo value would
 change them.
@@ -24,13 +24,14 @@ def _snap(x):
     return x
 
 
-def _state(alg, ds) -> dict[str, dict]:
+def _state(alg, ds, B) -> dict[str, dict]:
     """Per store, a snapshot of each entry by key."""
     op = alg.operad
     stores = {
         "operad gamma memo": op._gamma_memo,
         "operad perm memo": op._perm_memo,
         "algebra theta memo": alg._theta_memo,
+        "bar differential memo": B._d_memo,
         "algebra carrier d": {s: c.d for s, c in alg.carrier.items()},
         "dstructure carrier d": {s: c.d for s, c in ds.carrier.items()},
         "free-algebra part columns": {
@@ -59,13 +60,17 @@ def _sums(alg) -> None:
                     op.gamma([total(inner), op.unit(sig[0][1])], total(sig))
 
 
-def _one_pass(alg, ds, n_max: int) -> list[bool]:
+def _one_pass(alg, ds, B, n_max: int) -> list[bool]:
     """The checks of one pass and their verdicts; the chain-complex and
-    chain-map certificates raise instead."""
+    chain-map certificates raise instead.  B is the same bar complex in
+    every pass, so the second bar_quotient reads the first one's
+    differential memo, and the differential of the sum of all quotient
+    keys is accumulated onto the memoized vector of its first key."""
     verdicts = [verify_algebra(alg).ok]
     _sums(alg)
-    B = BarComplex(alg)
-    B.mu_chain_map(B.bar_quotient(n_max))
+    quotient = B.bar_quotient(n_max)
+    B.mu_chain_map(quotient)
+    B.differential(dict.fromkeys(quotient.degrees, alg.field.one))
     verdicts.append(roundtrip_algebra(alg, n_max).matrices_equal)
     verdicts.append(not split_identity_failures(ds))
     return verdicts
@@ -78,11 +83,12 @@ def test_a_second_pass_leaves_memos_and_columns_unchanged():
     alg = built.algebras["dual"]
     ds = built.dstructures["bardual"]
     assert ds.operad is alg.operad
-    assert all(_one_pass(alg, ds, m.window.n_max))
-    before = _state(alg, ds)
+    B = BarComplex(alg)
+    assert all(_one_pass(alg, ds, B, m.window.n_max))
+    before = _state(alg, ds, B)
     assert all(before.values()), [k for k, v in before.items() if not v]
-    second = _one_pass(alg, ds, m.window.n_max)
-    after = _state(alg, ds)
+    second = _one_pass(alg, ds, B, m.window.n_max)
+    after = _state(alg, ds, B)
     for name, entries in before.items():
         assert {k: after[name][k] for k in entries} == entries, name
     assert all(second)

@@ -184,6 +184,19 @@ def test_dstruct_builtin_surfaces_the_window_overflow(capsys):
     assert all(c["outcome"] == "pass" for c in rep["checks"])
 
 
+def test_dstruct_window_past_the_operad_cap_is_a_note(capsys, tmp_path):
+    p = tmp_path / "cap3.kz"
+    p.write_text(load_builtin("uass_dual_numbers").replace("cap 4", "cap 3"))
+    code, rep = _json_run(capsys, ["dstruct", str(p)])
+    assert code == 0
+    by_name = {c["name"]: c for c in rep["checks"]}
+    nil = by_name["dstructure bardual: induced differential squares to zero"]
+    assert nil["note"] == ("window does not close: "
+                           "gamma result arity 4 exceeds cap 3")
+    assert len(rep["checks"]) == 3
+    assert all(c["outcome"] == "pass" for c in rep["checks"])
+
+
 def test_dstruct_unit_certifies_the_complete_window(capsys, unit_path):
     code, rep = _json_run(capsys, ["dstruct", unit_path])
     assert code == 0
@@ -268,6 +281,22 @@ def test_parse_error_exits_two_with_position(capsys, tmp_path):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 1, col 1" in err
+
+
+def test_internal_error_exits_three_without_a_traceback(capsys, monkeypatch):
+    import kzbar.cli as cli
+    from kzbar.bar import BarError
+
+    def broken(*args, **kwargs):
+        raise BarError("mu lives on the quotient; bare term given")
+
+    monkeypatch.setattr(cli, "run", broken)
+    code = main(["bar", "uass_dual_numbers"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("uass_dual_numbers: mu lives on the quotient; "
+                            "bare term given\n")
 
 
 def test_bad_thread_env_exits_two(capsys, monkeypatch):

@@ -27,7 +27,6 @@ from kzbar.dstructures import (
     delta_prime,
     eta,
     extend_morphism,
-    free_theta,
     identity_morphism,
     is_equivalence,
     join_word,
@@ -205,11 +204,11 @@ def test_induced_differential_is_a_derivation_on_sampled_words():
         for b in ("x", "y"):
             for lab in ((1, 2), (2, 1)):
                 va, vb = inc[("*", a)], inc[("*", b)]
-                lhs = ds.delta_vec(free_theta(ds, [va, vb], SIG2, lab))
-                rhs = free_theta(ds, [ds.delta_vec(va), vb], SIG2, lab)
+                lhs = ds.delta_vec(ds.free.compose([va, vb], SIG2, lab))
+                rhs = ds.free.compose([ds.delta_vec(va), vb], SIG2, lab)
                 sgn = -QQ.one if ds.degree("*", a) % 2 else QQ.one
-                for big, c in free_theta(ds, [va, ds.delta_vec(vb)],
-                                         SIG2, lab).items():
+                for big, c in ds.free.compose([va, ds.delta_vec(vb)],
+                                              SIG2, lab).items():
                     rhs[big] = rhs.get(big, QQ.zero) + sgn * c
                 rhs = {k: v for k, v in rhs.items() if not v.is_zero()}
                 assert ds.project(lhs) == ds.project(rhs)
@@ -243,6 +242,14 @@ def test_inclusion_is_not_a_chain_map_when_delta_is_nonzero():
 def test_twisted_splitting_vanishes_without_a_splitting():
     prime = delta_prime(acyclic_ds(QQ), 2)
     assert all(not cm.entries for cm in prime.values())
+
+
+def test_twisted_splitting_raises_when_the_witness_breaks(monkeypatch):
+    ds = acyclic_ds(QQ)
+    monkeypatch.setattr(ds.free, "word_d", lambda big: {})
+    with pytest.raises(DStructureError,
+                       match="null-homotopy witness broken at 'x'"):
+        delta_prime(ds, 2)
 
 
 def test_twisted_splitting_projects_bar_elements_onto_their_own_class():
