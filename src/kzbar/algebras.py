@@ -23,14 +23,19 @@ the orbit route on a non-free action raises AlgebraError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import product as iproduct
 from math import factorial
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from kzbar.complexes import ChainComplex, ChainMap
 from kzbar.fields import Scalar
 from kzbar.linalg import Vec, echelon, vec_acc, vec_axpy, vec_iaxpy, vec_scale
 from kzbar.operads import CapExceeded, Operad, OperadElement, Sig, koszul_sign
+
+if TYPE_CHECKING:
+    from kzbar.bar import BarComplex
 
 
 class AlgebraError(ValueError):
@@ -74,6 +79,14 @@ class Algebra:
         for srt, comp in self.carrier.items():
             if comp.field != self.field:
                 raise AlgebraError(f"carrier of sort {srt!r} over wrong field")
+
+    @cached_property
+    def bar(self) -> "BarComplex":
+        """This algebra's one bar complex.  Its differential and basis
+        memos serve every construction and suite built on the algebra."""
+        from kzbar.bar import BarComplex  # the bar construction builds on this module
+
+        return BarComplex(self)
 
     def carrier_degree(self, sort: str, name) -> int:
         return self.carrier[sort].degrees[name]

@@ -76,6 +76,8 @@ class BarComplex:
         self.field = algebra.field
         self.name = name
         self._d_memo: dict = {}
+        self._basis_memo: dict[int, list[BarKey]] = {}
+        self._unit = {1: self.field.one, -1: -self.field.one}  # word signs
 
     # ----------------------------------------------------------- structure
 
@@ -83,7 +85,7 @@ class BarComplex:
         return t.sort_of(v) if t.sorts is not None else "*"
 
     def _component_sig(self, t: Tree, v: int):
-        ins = tuple(self._sort_of(t, c) for c in t.children(v))
+        ins = tuple(self._sort_of(t, c) for c in t.kids[v])
         return (ins, self._sort_of(t, v))
 
     def label_degree(self, t: Tree, v: int, label) -> int:
@@ -153,7 +155,7 @@ class BarComplex:
             if t_src.is_leaf(v):
                 new_labels[tv - 1] = lab
                 continue
-            cs = t_src.children(v)
+            cs = t_src.kids[v]
             images = [sigma[c - 1] for c in cs]
             order = sorted(range(len(cs)), key=lambda i: images[i])
             pi = [0] * len(cs)
@@ -173,29 +175,20 @@ class BarComplex:
         srt = self._sort_of(t, v)
         if t.is_leaf(v):
             return (0, srt, str(labels[v - 1]))
-        kids = tuple(self._labeled_enc(t, labels, c) for c in t.children(v))
+        kids = tuple(self._labeled_enc(t, labels, c) for c in t.kids[v])
         return (1, srt, str(labels[v - 1]), kids)
 
     def _shape_enc(self, t: Tree, v: int):
         if t.is_leaf(v):
             return (0, self._sort_of(t, v))
         return (1, self._sort_of(t, v),
-                tuple(self._shape_enc(t, c) for c in t.children(v)))
-
-    def _subtree_sizes(self, t: Tree) -> list[int]:
-        sizes = [1] * t.n
-        for v in range(1, t.n + 1):
-            if not t.is_leaf(v):
-                sizes[v - 1] = 1 + sum(sizes[c - 1] for c in t.children(v))
-        return sizes
+                tuple(self._shape_enc(t, c) for c in t.kids[v]))
 
     def _block_perm_at(self, t: Tree, v: int, order: list[int]) -> tuple:
         """The self-intertwiner moving v's child subtrees into the given
         order; order[i] names the old child position placed i-th.  Only
         equal-width blocks may move, which the callers guarantee."""
-        sizes = self._subtree_sizes(t)
-        cs = t.children(v)
-        blocks = [(c - sizes[c - 1] + 1, c) for c in cs]
+        blocks = [(c - t.sizes[c] + 1, c) for c in t.kids[v]]
         sigma = list(range(1, t.n + 1))
         new_lo = blocks[0][0]
         for pos in order:
@@ -225,7 +218,7 @@ class BarComplex:
         for v in range(1, t.n + 1):
             if t.is_leaf(v):
                 continue
-            cs = t.children(v)
+            cs = t.kids[v]
             if len(cs) < 2:
                 continue
             keys = [(self._shape_enc(t, c), self._labeled_enc(t, labels, c))
@@ -238,7 +231,6 @@ class BarComplex:
                     return {}
 
             # minimize this vertex's label over swaps of equal siblings
-            cs = t.children(v)
             encs = [self._labeled_enc(t, labels, c) for c in cs]
             gens = []
             for i in range(len(cs) - 1):
@@ -261,7 +253,7 @@ class BarComplex:
                 cur, csgn = frontier.pop()
                 for pi, ws in gens:
                     nm, cf = self._monomial_perm(sig, pi, cur)
-                    nsgn = csgn * cf * self.field.scalar(ws)
+                    nsgn = csgn * cf * self._unit[ws]
                     prev = seen.get(nm)
                     if prev is None:
                         seen[nm] = nsgn
@@ -277,7 +269,7 @@ class BarComplex:
                 labels = tuple(lab2)
                 coeff = coeff * best_sign
 
-        coeff = coeff * self.field.scalar(w.sign)
+        coeff = coeff * self._unit[w.sign]
         base = self.basis_word(t, labels)
         if base.es != w.es or base.fs != w.fs:
             raise BarError(f"normalized word {w} disagrees with parities on {t}")
@@ -331,7 +323,7 @@ class BarComplex:
 
         # contract a fully-leafed vertex into a new leaf via the action
         for j in sorted(nl):
-            cs = t.children(j)
+            cs = t.kids[j]
             if any(c not in t.L for c in cs):
                 continue
             i = j - len(cs)
@@ -406,19 +398,30 @@ class BarComplex:
     def enumerate_basis(self, n_max: int, deg_lo: int | None = None,
                         deg_hi: int | None = None) -> list[BarKey]:
         """All canonical labeled trees on at most n_max vertices, filtered
-        to the (unshifted) degree window; deterministic order."""
+        to the (unshifted) degree window; deterministic order.
+
+        The whole basis is built once per n_max and memoized; a window
+        filters it, since normalizing a term only transports labels
+        through monomial permutations, which keep the degree.
+        """
+        keys = self._basis_memo.get(n_max)
+        if keys is None:
+            keys = self._basis_memo[n_max] = self._full_basis(n_max)
+        if deg_lo is None and deg_hi is None:
+            return list(keys)
+        lo = float("-inf") if deg_lo is None else deg_lo
+        hi = float("inf") if deg_hi is None else deg_hi
+        return [k for k in keys if lo <= self.degree_of(*k) <= hi]
+
+    def _full_basis(self, n_max: int) -> list[BarKey]:
         sorts = self.operad.sorts if len(self.operad.sorts) > 1 else None
         cap_val = self.operad.max_nonzero_arity()
-        min_label = self._min_label_degree()
         seen: set = set()
         for n in range(1, n_max + 1):
             for t0 in enumerate_trees(n):
-                # valences and the non-leaf count are intertwiner
-                # invariants, so these shape prunes are sort-agnostic
-                nl = t0.non_leaves()
-                if any(t0.valence(v) > cap_val for v in nl):
-                    continue
-                if deg_hi is not None and min_label >= 0 and len(nl) > deg_hi:
+                # valences are intertwiner invariants, so this shape prune
+                # is sort-agnostic
+                if any(t0.valence(v) > cap_val for v in t0.non_leaves()):
                     continue
                 if sorts is None:
                     cands = [t0] if canonical_form(t0)[0] == t0 else []
@@ -444,11 +447,6 @@ class BarComplex:
                     if pools is None:
                         continue
                     for combo in iproduct(*pools):
-                        deg = self.degree_of(t, combo)
-                        if deg_lo is not None and deg < deg_lo:
-                            continue
-                        if deg_hi is not None and deg > deg_hi:
-                            continue
                         for key in self.basis_vector(t, combo):
                             seen.add(key)
         return sorted(seen, key=_key_order)
@@ -521,7 +519,7 @@ class BarComplex:
         c_el = self.operad.basis_element(
             self._component_sig(t, root), labels[root - 1])
         xs = [self.algebra.basis_element(self._sort_of(t, c), labels[c - 1])
-              for c in t.children(root)]
+              for c in t.kids[root]]
         out = self.algebra.theta_eval(xs, c_el).vec
         if (self.degree_of(t, labels) - 1) % 2:
             out = {nm: -c for nm, c in out.items()}

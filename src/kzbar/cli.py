@@ -220,7 +220,7 @@ def _window_range(m: Manifest):
 def _run_bar(m: Manifest, built: Build, rep: Report) -> None:
     n_max = m.window.n_max
     for name, alg in built.algebras.items():
-        B = BarComplex(alg)
+        B = alg.bar
         keys = B.enumerate_basis(n_max)
         one = B.field.one
         probed = []
@@ -283,8 +283,8 @@ def _run_homology(m: Manifest, built: Build, rep: Report) -> None:
         entry: dict = {"carrier": {}}
         for srt in sorted(alg.carrier):
             entry["carrier"][srt] = _homology_rows(alg.carrier[srt])
-        B = BarComplex(alg)
-        quotient = B.bar_quotient(n_max, m.window.deg_lo, m.window.deg_hi)
+        quotient = alg.bar.bar_quotient(n_max, m.window.deg_lo,
+                                        m.window.deg_hi)
         entry["bar_window"] = _homology_rows(quotient, _window_range(m))
         rep.record(f"homology {name}: window differential squares to zero",
                    True, note=f"{len(quotient.degrees)} window elements")
@@ -344,8 +344,7 @@ def _run_dstruct(m: Manifest, built: Build, rep: Report) -> None:
             rep.record(f"dstructure {name}: induced differential squares "
                        f"to zero", True, note=note)
         else:
-            B = BarComplex(built.algebras[sec.algebra])
-            ok, wit = _bar_nilpotency(B, ds)
+            ok, wit = _bar_nilpotency(built.algebras[sec.algebra].bar, ds)
             rep.record(f"dstructure {name}: induced differential squares "
                        f"to zero", ok, witness=wit,
                        note=note or "folded through the tree basis")

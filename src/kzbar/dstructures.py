@@ -329,7 +329,7 @@ def bar_dstructure(algebra: Algebra, n_max: int,
     Single-leaf elements split to zero, so each support is the singleton
     root valence.
     """
-    B = BarComplex(algebra)
+    B = algebra.bar
     keys = B.enumerate_basis(n_max)
     by_sort: dict[str, list] = {}
     for key in keys:
@@ -380,7 +380,7 @@ def _root_split(B: BarComplex, key) -> BigVec:
     base = B.basis_word(t, labels)
     if acc.sign == 0 or acc.es != base.es or acc.fs != base.fs:
         raise DStructureError(f"root split lost generators on {key!r}")
-    coeff = coeff * F.scalar(acc.sign)
+    coeff = coeff * B._unit[acc.sign]
     if B.degree_of(t, labels) % 2:
         coeff = -coeff
     return {(sig, tuple(factors), c_name): coeff}
@@ -566,7 +566,7 @@ def roundtrip_algebra(algebra: Algebra, n_max: int) -> RoundtripAlgebraReport:
     differential entry for entry.  Evaluation closes the loop as a
     quasi-isomorphism on the stable degrees.
     """
-    B = BarComplex(algebra)
+    B = algebra.bar
     # factors of a word that joins into the window have at most n_max - 1
     # vertices between them, so the smaller carrier sees every word
     ds = bar_dstructure(algebra, n_max - 1)
@@ -642,7 +642,7 @@ def roundtrip_dstructure(ds: DStructure, n_max: int,
     machinery as well.
     """
     algebra = delta_algebra(ds, n_max)
-    B = BarComplex(algebra)
+    B = algebra.bar
     quotient = B.bar_quotient(bar_cap)
     stable = B.stable_degrees(bar_cap)
     verdicts = B.mu_chain_map(quotient).is_quasi_iso(stable)

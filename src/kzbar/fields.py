@@ -7,7 +7,7 @@ Every computation in this package is exact: rationals are stdlib
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 _P_LIMIT = 2**31
@@ -48,6 +48,8 @@ class FieldSpec:
 
     kind: str
     p: int | None = None
+    zero: Scalar = field(init=False, repr=False, compare=False)
+    one: Scalar = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind == "Q":
@@ -62,6 +64,9 @@ class FieldSpec:
                 raise ValueError(f"characteristic {self.p} is not prime")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
+        # built once per field: the constants are read in every hot loop
+        object.__setattr__(self, "zero", self.scalar(0))
+        object.__setattr__(self, "one", self.scalar(1))
 
     @property
     def characteristic(self) -> int:
@@ -80,23 +85,8 @@ class FieldSpec:
             return Scalar(self, num * pow(value.denominator, -1, self.p) % self.p)
         return Scalar(self, value % self.p)  # type: ignore[operator]
 
-    @property
-    def zero(self) -> Scalar:
-        return self.scalar(0)
-
-    @property
-    def one(self) -> Scalar:
-        return self.scalar(1)
-
     def __str__(self) -> str:
         return "Q" if self.kind == "Q" else f"F{self.p}"
-
-
-QQ = FieldSpec("Q")
-
-
-def GF(p: int) -> FieldSpec:
-    return FieldSpec("Fp", p)
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,3 +159,10 @@ class Scalar:
 
     def __repr__(self) -> str:
         return f"{self.val}:{self.field}"
+
+
+QQ = FieldSpec("Q")
+
+
+def GF(p: int) -> FieldSpec:
+    return FieldSpec("Fp", p)

@@ -9,8 +9,8 @@ root, which is what conditions (1) and (2) below enforce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 
@@ -20,12 +20,48 @@ class TreeError(ValueError):
         self.violations = violations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Tree:
+    """A tree compared by value on (n, s, L, sorts).
+
+    The hash, the child table and the subtree sizes are computed once at
+    construction; ``kids[v]`` lists v's children left to right and
+    ``sizes[v]`` counts v's subtree, both indexed by vertex (index 0 is
+    unused).
+    """
+
     n: int
     s: tuple[int, ...]  # s[x-1] = parent of vertex x, for x in 1..n-1
     L: frozenset[int]
     sorts: tuple[str, ...] | None = None
+    kids: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    sizes: tuple[int, ...] = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n = self.n
+        kids: list[list[int]] = [[] for _ in range(n + 1)]
+        for x, p in enumerate(self.s, 1):
+            kids[p].append(x)
+        sizes = [1] * (n + 1)
+        for v in range(1, n + 1):  # children precede parents: condition (1)
+            for c in kids[v]:
+                sizes[v] += sizes[c]
+        object.__setattr__(self, "kids", tuple(map(tuple, kids)))
+        object.__setattr__(self, "sizes", tuple(sizes))
+        object.__setattr__(self, "_hash", hash((n, self.s, self.L, self.sorts)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Tree:
+            return NotImplemented
+        return (self._hash == other._hash and self.n == other.n
+                and self.s == other.s and self.L == other.L
+                and self.sorts == other.sorts)
 
     def parent(self, x: int) -> int:
         return self.s[x - 1]
@@ -34,10 +70,10 @@ class Tree:
         return x in self.L
 
     def children(self, v: int) -> list[int]:
-        return [x for x in range(1, self.n) if self.s[x - 1] == v]
+        return list(self.kids[v])
 
     def valence(self, v: int) -> int:
-        return len(self.children(v))
+        return len(self.kids[v])
 
     def non_leaves(self) -> list[int]:
         """All vertices carrying operad labels, root included."""
@@ -123,15 +159,7 @@ def validate(
 
 def root_blocks(t: Tree) -> list[tuple[int, int]]:
     """Ranges (offset, size) of the root's successor subtrees, left to right."""
-    if t.n == 1:
-        return []
-    ks = [x for x in range(1, t.n) if t.s[x - 1] == t.n]
-    out = []
-    prev = 0
-    for k in ks:
-        out.append((prev, k - prev))
-        prev = k
-    return out
+    return [(k - t.sizes[k], t.sizes[k]) for k in t.kids[t.n]]
 
 
 def subtree_at(t: Tree, offset: int, size: int) -> Tree:
@@ -216,11 +244,12 @@ def is_intertwiner(t1: Tree, t2: Tree, sigma: tuple[int, ...]) -> bool:
     return True
 
 
+@cache
 def encode(t: Tree) -> tuple:
     """Order-insensitive recursive encoding; equal on a ~-class's canonical form.
 
     Leaves sort before internal vertices, so e.g. a leaf child precedes a
-    0-ary labeled child.
+    0-ary labeled child.  Memoized per tree value.
     """
     srt = t.sort_of(t.n) or ""
     if t.n in t.L:
@@ -228,11 +257,14 @@ def encode(t: Tree) -> tuple:
     return (1, srt, tuple(sorted(encode(st) for st in successors(t))))
 
 
+@cache
 def canonical_form(t: Tree) -> tuple[Tree, tuple[int, ...]]:
     """Canonical representative of the ~-class plus an intertwiner to it.
 
     Successor subtrees are recursively canonicalized and stably sorted by
-    encoding, so canonical trees map to themselves by the identity.
+    encoding, so canonical trees map to themselves by the identity.  The
+    result is memoized per tree value for the life of the process; trees
+    and intertwiners are immutable, so every caller may share it.
     """
     if t.n == 1:
         return t, (1,)
@@ -308,7 +340,7 @@ def leaf_contract(t: Tree, i: int, j: int) -> ContractionWitness:
         raise TreeError(violations)
     if j in t.L:
         violations.append(f"vertex {j} is a leaf")
-    kids = set(t.children(j))
+    kids = set(t.kids[j])
     corona = set(range(i, j))
     if kids != corona:
         violations.append(f"children of {j} are {sorted(kids)}, not {sorted(corona)}")
@@ -339,13 +371,13 @@ def graft(t: Tree) -> Tree:
 
 def child_index(t: Tree, q: int) -> int:
     """1-based position of q among its parent's children."""
-    return t.children(t.s[q - 1]).index(q) + 1
+    return t.kids[t.s[q - 1]].index(q) + 1
 
 
 ENUMERATION_CAP = 9
 
 
-@lru_cache(maxsize=None)
+@cache
 def _all_trees(n: int) -> tuple[Tree, ...]:
     if n == 1:
         return (Tree(1, (), frozenset({1})), Tree(1, (), frozenset()))

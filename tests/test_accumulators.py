@@ -6,12 +6,27 @@ out their stored vectors without copying them.  Running the same checks twice mu
 therefore leave every memo entry and every stored column exactly as the
 first pass left it; an accumulator seeded with a memo value would
 change them.
+
+Each algebra carries one bar complex, which ``build`` and every suite
+share; the suites run here on one build must give the golden reports,
+only add to the shared differential memo, and find the whole n_max
+basis already in it.
 """
 
+from pathlib import Path
+
 from kzbar.algebras import AlgebraElement, verify_algebra
-from kzbar.bar import BarComplex
+from kzbar.cli import (
+    DEFAULT_SEED,
+    Report,
+    _run_bar,
+    _run_dstruct,
+    _run_homology,
+    _run_roundtrip,
+    to_json,
+)
 from kzbar.dstructures import roundtrip_algebra, split_identity_failures
-from kzbar.manifest import build, load_builtin, parse_manifest
+from kzbar.manifest import build, load_builtin, manifest_digest, parse_manifest
 from kzbar.operads import OperadElement
 
 
@@ -83,7 +98,7 @@ def test_a_second_pass_leaves_memos_and_columns_unchanged():
     alg = built.algebras["dual"]
     ds = built.dstructures["bardual"]
     assert ds.operad is alg.operad
-    B = BarComplex(alg)
+    B = alg.bar
     assert all(_one_pass(alg, ds, B, m.window.n_max))
     before = _state(alg, ds, B)
     assert all(before.values()), [k for k, v in before.items() if not v]
@@ -92,3 +107,75 @@ def test_a_second_pass_leaves_memos_and_columns_unchanged():
     for name, entries in before.items():
         assert {k: after[name][k] for k in entries} == entries, name
     assert all(second)
+
+
+# ------------------------------------------- one bar complex per algebra
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _report(run_suite, suite: str, m, built) -> str:
+    rep = Report(suite, manifest_digest(m), DEFAULT_SEED)
+    run_suite(m, built, rep)
+    return to_json(rep)
+
+
+def _memo_unchanged(B, before: dict) -> bool:
+    after = {k: _snap(v) for k, v in B._d_memo.items()}
+    return {k: after.get(k) for k in before} == before
+
+
+def test_build_and_the_bar_suites_share_one_bar_complex():
+    m = parse_manifest((GOLDEN / "bar_w5.kz").read_text())
+    built = build(m)
+    alg = built.algebras["dual"]
+    B = alg.bar
+    assert B is alg.bar and built.dstructures["bardual"].operad is alg.operad
+    # build's bar D-structure already filled the differential memo for the
+    # whole n_max basis, so the suites miss only on keys outside it
+    basis = set(B.enumerate_basis(m.window.n_max))
+    assert basis <= set(B._d_memo)
+    for suite, run_suite in (("bar", _run_bar), ("homology", _run_homology)):
+        before = {k: _snap(v) for k, v in B._d_memo.items()}
+        B._d_memo = _Recorder(B._d_memo)
+        got = _report(run_suite, suite, m, built)
+        assert got.encode() == (GOLDEN / f"bar_w5.{suite}.json").read_bytes(), suite
+        assert basis & set(B._d_memo.asked), suite  # it ran on this instance
+        assert not basis & set(B._d_memo.missed), suite
+        assert _memo_unchanged(B, before), suite
+
+
+def test_dstruct_and_roundtrip_share_the_algebras_bar_complex():
+    m = parse_manifest(load_builtin("uass_dual_numbers"))
+    built = build(m)
+    B = built.algebras["dual"].bar
+    basis = set(B.enumerate_basis(m.window.n_max))
+    assert basis <= set(B._d_memo)
+    for suite, run_suite in (("dstruct", _run_dstruct),
+                             ("roundtrip", _run_roundtrip)):
+        before = {k: _snap(v) for k, v in B._d_memo.items()}
+        B._d_memo = _Recorder(B._d_memo)
+        got = _report(run_suite, suite, m, built)
+        golden = GOLDEN / f"uass_dual_numbers.{suite}.json"
+        assert got.encode() == golden.read_bytes(), suite
+        assert not basis & set(B._d_memo.missed), suite
+        assert _memo_unchanged(B, before), suite
+    # roundtrip_algebra read the n_max quotient differential off this
+    # instance (its own D-structure stops one vertex short)
+    assert {k for k in basis if k[0].n == m.window.n_max} & set(B._d_memo.asked)
+
+
+class _Recorder(dict):
+    """The differential memo, recording each key it was asked for and
+    each of those it did not hold."""
+
+    def __init__(self, memo: dict) -> None:
+        super().__init__(memo)
+        self.asked: list = []
+        self.missed: list = []
+
+    def get(self, key, default=None):
+        self.asked.append(key)
+        if key not in self:
+            self.missed.append(key)
+        return super().get(key, default)

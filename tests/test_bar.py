@@ -558,3 +558,47 @@ def test_normalize_fixes_its_own_output(data):
     keys = B.enumerate_basis(4)
     key = data.draw(st.sampled_from(keys))
     assert vec_eq(B.basis_vector(*key), {key: B.field.one})
+
+
+# ----------------------------------------------- windowed basis vs oracle
+# The basis memo enumerates each n_max once and filters a degree window;
+# basis_oracle.py enumerates straight into the window, pruning shapes.
+
+
+def test_windowed_basis_matches_the_direct_enumeration_dual_numbers():
+    import basis_oracle
+
+    B = dual_bar(F2)
+    assert B._min_label_degree() >= 0  # so the oracle's shape prune runs
+    windows = [(None, None), (None, 1), (0, 2), (2, None), (-1, 3), (3, 5)]
+    for n_max in range(1, 6):
+        for lo, hi in windows:
+            want = basis_oracle.enumerate_basis(B, n_max, lo, hi)
+            assert B.enumerate_basis(n_max, lo, hi) == want, (n_max, lo, hi)
+    # (None, 1) is cut by the shape prune: trees with two labeled
+    # vertices are dropped before their labels are read
+    assert any(len(t.non_leaves()) > 1 for t, _ in B.enumerate_basis(5))
+    assert all(len(t.non_leaves()) <= 1 for t, _ in B.enumerate_basis(5, None, 1))
+
+
+def test_windowed_basis_matches_the_direct_enumeration_sorted_pair():
+    from pathlib import Path
+
+    import basis_oracle
+    from kzbar.manifest import build, parse_manifest
+
+    text = (Path(__file__).parent / "golden" / "pair_q_w3.kz").read_text()
+    alg = build(parse_manifest(text)).algebras["pair"]
+    assert alg.field == QQ and len(alg.operad.sorts) == 2
+    B = alg.bar
+    for n_max in range(1, 5):
+        for lo, hi in [(None, None), (None, 1), (0, 2), (1, None), (-1, 4)]:
+            want = basis_oracle.enumerate_basis(B, n_max, lo, hi)
+            assert B.enumerate_basis(n_max, lo, hi) == want, (n_max, lo, hi)
+
+
+def test_enumerate_basis_hands_out_a_copy_of_its_memo():
+    B = dual_bar(F2)
+    keys = B.enumerate_basis(3)
+    keys.clear()
+    assert B.enumerate_basis(3) and B.enumerate_basis(3) is not B.enumerate_basis(3)

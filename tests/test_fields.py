@@ -77,3 +77,25 @@ def test_inverse_law(F, a):
     if x.is_zero():
         return
     assert x * x.inv() == F.one
+
+
+@pytest.mark.parametrize("F", [GF(2), GF(3), QQ], ids=str)
+def test_cached_constants_match_fresh_scalars(F):
+    assert F.zero is F.zero and F.one is F.one
+    for const, value in ((F.zero, 0), (F.one, 1)):
+        fresh = F.scalar(value)
+        assert const == fresh and const.field == fresh.field == F
+        assert type(const.val) is type(fresh.val)
+    zero, one = F.zero, F.one
+    # arithmetic hands out new scalars and leaves the cached ones alone
+    results = [one + one, one - one, one * one, -one, one.inv(), one / one,
+               one.scaled(5), zero + one, zero * one, -zero]
+    assert all(r is not one and r is not zero for r in results)
+    assert (one.val, zero.val) == (1, 0)
+    assert F.one == F.scalar(1) and F.zero == F.scalar(0)
+
+
+def test_field_equality_and_hash_ignore_the_constants():
+    assert GF(3) == GF(3) and hash(GF(3)) == hash(GF(3))
+    assert GF(3) != GF(5) and QQ != GF(2)
+    assert repr(GF(3)) == "FieldSpec(kind='Fp', p=3)"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tree_oracle
 from kzbar.trees import (
     ContractionWitness,
     Tree,
@@ -19,6 +20,7 @@ from kzbar.trees import (
     is_intertwiner,
     leaf_contract,
     permute_successors,
+    root_blocks,
     successors,
     validate,
 )
@@ -428,3 +430,87 @@ def test_intertwiner_composition(t, data):
 def test_encode_invariant_under_equivalence(t):
     c, _ = canonical_form(t)
     assert encode(t) == encode(c)
+
+
+# ------------------------------------------- stored hash, child table, memo
+# Every planar tree up to 7 vertices, and every two-sorted tree up to 4,
+# against the rescanning oracle in tree_oracle.py.
+
+PLANAR = [t for n in range(1, 8) for t in enumerate_trees(n)]
+TWO_SORTED = [t for n in range(1, 5) for t in enumerate_trees(n, sorts=("a", "m"))]
+ALL_TREES = PLANAR + TWO_SORTED
+
+
+def _rebuilt(t):
+    """An equal tree built separately, from fresh containers."""
+    sorts = None if t.sorts is None else tuple(list(t.sorts))
+    return Tree(t.n, tuple(list(t.s)), frozenset(set(t.L)), sorts)
+
+
+def test_tree_families_are_complete():
+    assert len(PLANAR) == len(set(PLANAR))
+    assert len(TWO_SORTED) == sum(
+        len(enumerate_trees(n)) * 2 ** n for n in range(1, 5))
+
+
+def test_stored_hash_matches_a_separately_built_tree():
+    for t in ALL_TREES:
+        u = _rebuilt(t)
+        assert u is not t and u == t and hash(u) == hash(t)
+
+
+def test_equality_and_hash_are_those_of_the_value_tuple():
+    values = [(t.n, t.s, t.L, t.sorts) for t in ALL_TREES]
+    assert len(set(values)) == len(ALL_TREES) == len(set(ALL_TREES))
+    for t, value in zip(ALL_TREES, values):
+        assert hash(t) == hash(value)
+    # equal shapes that differ only in sorts are different trees
+    for t in PLANAR[:40]:
+        for sorts in (("a",) * t.n, ("m",) * t.n):
+            sorted_t = Tree(t.n, t.s, t.L, sorts)
+            assert sorted_t != t and t != sorted_t
+            assert hash(sorted_t) == hash((t.n, t.s, t.L, sorts)) != hash(t)
+    assert len({Tree(2, (2,), frozenset({1}), f) for f in
+                (None, ("a", "a"), ("a", "m"), ("m", "a"))}) == 4
+    assert Tree(1, (), frozenset()) != (1, (), frozenset(), None)
+
+
+def test_child_table_matches_the_scan():
+    for t in ALL_TREES:
+        for v in range(1, t.n + 1):
+            kids = t.children(v)
+            assert kids == tree_oracle.children(t, v)
+            assert isinstance(kids, list) and t.valence(v) == len(kids)
+            assert t.sizes[v] == 1 + sum(t.sizes[c] for c in kids)
+        assert root_blocks(t) == tree_oracle.root_blocks(t)
+        for q in range(1, t.n):
+            assert child_index(t, q) == tree_oracle.children(
+                t, t.s[q - 1]).index(q) + 1
+
+
+def test_children_hands_out_a_copy():
+    t = Tree(3, (3, 3), frozenset({1, 2}))
+    t.children(3).append(99)
+    assert t.children(3) == [1, 2]
+
+
+def test_memoized_canonical_form_matches_the_oracle():
+    for t in ALL_TREES:
+        want = tree_oracle.canonical_form(t)
+        for u in (t, _rebuilt(t)):
+            assert canonical_form(u) == want
+            assert encode(u) == tree_oracle.encode(t)
+        c, sigma = want
+        assert canonical_form(c) == (c, tuple(range(1, t.n + 1)))
+        assert is_intertwiner(t, c, sigma)
+
+
+def test_equality_does_not_rest_on_the_stored_hash():
+    base = Tree(3, (3, 3), frozenset({1, 2}), ("a", "a", "m"))
+    others = [Tree(3, (3, 3), frozenset({1, 2}), ("a", "m", "m")),
+              Tree(3, (3, 3), frozenset({1, 2})),
+              Tree(3, (3, 3), frozenset({1}), ("a", "a", "m")),
+              Tree(3, (2, 3), frozenset({1, 2}), ("a", "a", "m"))]
+    for other in others:
+        object.__setattr__(other, "_hash", base._hash)  # a forced collision
+        assert other != base and base != other
