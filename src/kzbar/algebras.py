@@ -10,7 +10,9 @@ Free algebras quotient X^{(x)n} (x) C(n) by the diagonal symmetric group
 action.  ``FreeAlgebra`` owns the arithmetic of the words (sig, generator
 word, label) of that space and their Koszul signs: ``word_d`` is the
 internal differential of one word and ``compose`` composes word vectors
-through a label.  When Sigma_n acts freely and monomially on the labels
+through a label.  An arity part is its classes and the projection onto
+them; only a caller that reads the part's differential builds its
+certified complex.  When Sigma_n acts freely and monomially on the labels
 of C(n), as the free-module certificate proves, the orbit route reads
 the quotient off a transversal of the label orbits: each class is one
 pair (root label, generator word), and projecting a word is a lookup
@@ -310,15 +312,21 @@ def _check_action_leibniz(alg: Algebra, c_sig: Sig, c_name, xs) -> bool:
 
 @dataclass
 class FreePart:
-    """One arity part of a free algebra: representative basis, the degree
-    of every word of the un-quotiented space, and the projection from it.
-    Representatives are words of that space and stand for themselves."""
+    """One arity part of a free algebra, as its classes: representatives in
+    str order with their degrees, the degree of every word of the
+    un-quotiented space, and the projection from it.  Representatives are
+    words of that space; the complex is built and certified on first read."""
 
-    arity: int
-    out_sort: str
-    complex: ChainComplex
+    free: "FreeAlgebra"
+    reps: list
+    degrees: dict
     big_degrees: dict
     project: object  # Vec over big names -> Vec over representatives
+
+    @cached_property
+    def complex(self) -> ChainComplex:
+        d = {r: self.project(self.free.word_d(r)) for r in self.reps}
+        return ChainComplex(self.free.field, self.degrees, d)
 
 
 class FreeAlgebra:
@@ -407,13 +415,8 @@ class FreeAlgebra:
             reps, project = self._coinvariants_by_orbit(n, out_sort, big_degs, str_keys)
         else:
             reps, project = self._coinvariants_by_elimination(n, big_degs, str_keys)
-        d_cols = {}
-        for r in reps:
-            col = project(self.word_d(r))
-            if col:
-                d_cols[r] = col
-        comp = ChainComplex(self.field, {r: big_degs[r] for r in reps}, d_cols)
-        part = self._parts[key] = FreePart(n, out_sort, comp, big_degs, project)
+        part = self._parts[key] = FreePart(
+            self, reps, {r: big_degs[r] for r in reps}, big_degs, project)
         return part
 
     def word_d(self, big) -> Vec:
@@ -554,7 +557,7 @@ def free_map(f: dict[str, ChainMap] | ChainMap, src: FreeAlgebra, dst: FreeAlgeb
     sp = src.part(n, out_sort)
     dp = dst.part(n, out_sort)
     entries = {}
-    for r in sp.complex.basis():
+    for r in sp.reps:
         sig, xw, c_name = r
         # expand f letter by letter; degree-0 maps cross without signs
         acc: Vec = {(sig, (), c_name): src.field.one}
@@ -599,8 +602,8 @@ def free_as_algebra(fa: FreeAlgebra, parts_cap: int | None = None,
         d: dict = {}
         for n in range(0, cap + 1):
             p = fa.part(n, srt)
-            for r in p.complex.basis():
-                degs[(n, r)] = p.complex.degrees[r]
+            for r in p.reps:
+                degs[(n, r)] = p.degrees[r]
                 col = p.complex.d.get(r)
                 if col:
                     d[(n, r)] = {(n, r2): c for r2, c in col.items()}

@@ -481,7 +481,8 @@ class BarComplex:
         The degree window is in shifted degrees and is applied exactly;
         ask for one degree of margin when reading homology off the ends.
         The suspension only renumbers degrees: the differential is the
-        induced one, kept sign-free so evaluation stays a chain map.
+        induced one, kept sign-free so evaluation stays a chain map, and
+        its square is certified zero on construction.
         """
         keys = [
             k for k in self.enumerate_basis(
@@ -499,7 +500,7 @@ class BarComplex:
                    if k2 in keep}
             if col:
                 d_cols[k] = col
-        return ChainComplex(self.field, degs, d_cols, check=False)
+        return ChainComplex(self.field, degs, d_cols)
 
     # ------------------------------------------------------------- mu
 

@@ -200,9 +200,8 @@ def build_delta_differential(ds: DStructure, n_max: int) -> DeltaWindow:
         degs: dict = {}
         cols: dict = {}
         for n in range(0, n_max + 1):
-            part = ds.free.part(n, srt)
-            for rep in part.complex.basis():
-                degs[(n, rep)] = part.complex.degrees[rep]
+            for rep, deg in ds.free.part(n, srt).degrees.items():
+                degs[(n, rep)] = deg
         for name in degs:
             raw = ds.delta_terms(name[1])
             # projection keeps the arity, so raw terms decide overflow and
@@ -494,8 +493,7 @@ def verify_morphism(m: DMorphism, window: int = 2) -> MorphismReport:
         jobs.append(((srt, x), unit_word))
     for srt in src.operad.sorts:
         for n in range(0, window + 1):
-            part = src.free.part(n, srt)
-            for rep in part.complex.basis():
+            for rep in src.free.part(n, srt).reps:
                 jobs.append((("word", srt, n, rep), {rep: src.field.one}))
     for label, raw in jobs:
         lhs = tgt.project(extend_morphism(m, src.delta_vec(raw)))
@@ -577,8 +575,7 @@ def roundtrip_algebra(algebra: Algebra, n_max: int) -> RoundtripAlgebraReport:
     basis_ok = True
     for srt in algebra.operad.sorts:
         for n in range(0, n_max):
-            part = ds.free.part(n, srt)
-            for rep in part.complex.basis():
+            for rep in ds.free.part(n, srt).reps:
                 sig, xw, c_name = rep
                 if 1 + sum(k[0].n for k in xw) > n_max:
                     continue

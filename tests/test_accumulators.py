@@ -165,6 +165,21 @@ def test_dstruct_and_roundtrip_share_the_algebras_bar_complex():
     assert {k for k in basis if k[0].n == m.window.n_max} & set(B._d_memo.asked)
 
 
+def test_dstruct_and_roundtrip_build_no_part_complex():
+    """The D-structure suites read the classes of each free-algebra part
+    and never its differential, so no part builds its complex."""
+    m = parse_manifest(load_builtin("uass_dual_numbers"))
+    built = build(m)
+    parts = built.dstructures["bardual"].free._parts
+    for suite, run_suite in (("dstruct", _run_dstruct),
+                             ("roundtrip", _run_roundtrip)):
+        got = _report(run_suite, suite, m, built)
+        golden = GOLDEN / f"uass_dual_numbers.{suite}.json"
+        assert got.encode() == golden.read_bytes(), suite
+    assert parts
+    assert [key for key, part in parts.items() if "complex" in vars(part)] == []
+
+
 class _Recorder(dict):
     """The differential memo, recording each key it was asked for and
     each of those it did not hold."""

@@ -173,6 +173,47 @@ def test_homology_builtin_tables(capsys):
     assert {r["degree"] for r in entry["bar_window"]} <= set(range(-1, 4))
 
 
+@pytest.mark.parametrize("suite", ["homology", "bar"])
+def test_a_quotient_window_whose_square_is_not_zero_fails_the_check(
+        suite, capsys, monkeypatch):
+    import kzbar.cli as cli
+    from kzbar.linalg import vec_acc
+    from kzbar.manifest import build
+
+    def corrupted_build(m, cap=None):
+        """Build, then add to the memoized d of one window key a key one
+        degree lower whose own d is not zero, so that d*d is not zero."""
+        built = build(m, cap)
+        B = built.algebras["dual"].bar
+        w = m.window
+        q = B.bar_quotient(w.n_max, w.deg_lo, w.deg_hi)
+        low = next(k for k in q.basis() if q.d.get(k))
+        top = next(k for k in q.basis() if q.degrees[k] == q.degrees[low] + 1)
+        col = dict(B.differential_key(top))
+        vec_acc(col, low, B.field.one)
+        B._d_memo[top] = col
+        return built
+
+    monkeypatch.setattr(cli, "build", corrupted_build)
+    code, rep = _json_run(capsys, [suite, "uass_dual_numbers"])
+    assert code == 1
+    by_name = {c["name"]: c for c in rep["checks"]}
+    window = by_name[f"{suite} dual: window differential squares to zero"]
+    assert window["outcome"] == "fail"
+    assert window["witness"].startswith("d*d != 0 on basis element")
+
+
+def test_validate_builds_no_dstructure(capsys, tmp_path):
+    # the clipped build has cap 3, which cannot carry the bar D-structure
+    # at window 6; validate checks only operads and algebras, so it passes
+    p = tmp_path / "w6.kz"
+    p.write_text(load_builtin("uass_dual_numbers").replace(
+        "window 3 : -1 .. 3", "window 6"))
+    code, rep = _json_run(capsys, ["validate", str(p)])
+    assert code == 0
+    assert all(c["outcome"] == "pass" for c in rep["checks"])
+
+
 def test_dstruct_builtin_surfaces_the_window_overflow(capsys):
     code, rep = _json_run(capsys, ["dstruct", "uass_dual_numbers"])
     assert code == 0

@@ -52,6 +52,8 @@ def test_transversal_matches_orbit_walk(op_name, field_name, parity):
         assert part.complex.basis() == reps, (n, out_sort)
         assert list(part.complex.degrees) == reps
         assert part.complex.d == d, (n, out_sort)
+        assert part.reps == part.complex.basis()
+        assert part.degrees == part.complex.degrees
         for word in part.big_degrees:
             assert part.project({word: one}) == project({word: one}), word
 
