@@ -12,14 +12,15 @@ word, label) of that space and their Koszul signs: ``word_d`` is the
 internal differential of one word and ``compose`` composes word vectors
 through a label.  An arity part is its classes and the projection onto
 them; only a caller that reads the part's differential builds its
-certified complex.  When Sigma_n acts freely and monomially on the labels
-of C(n), as the free-module certificate proves, the orbit route reads
-the quotient off a transversal of the label orbits: each class is one
-pair (root label, generator word), and projecting a word is a lookup
-plus the Koszul sign of the permutation that carries its label to the
-root.  Any other action goes through the elimination route, which
-computes the quotient as a cokernel by exact elimination; asking for
-the orbit route on a non-free action raises AlgebraError.
+certified complex.  The operad's certificate picks the route.  A
+free-module operad, on whose labels of C(n) Sigma_n acts freely and
+monomially, takes the orbit route, which reads the quotient off a
+transversal of the label orbits: each class is one pair (root label,
+generator word), and projecting a word is a lookup plus the Koszul sign
+of the permutation that carries its label to the root.  Every other
+operad takes the elimination route, which computes the quotient as a
+cokernel by exact elimination.  An operad certified as a free module
+whose action is not free raises AlgebraError.
 """
 
 from __future__ import annotations
@@ -262,10 +263,7 @@ def _check_action_composition(alg: Algebra, c_sig: Sig, c_name, cs, xs) -> bool:
         for (ci_sig, ci_name), blk in zip(cs, blocks)
     ]
     lhs = alg.theta_eval(inner, c)
-    try:
-        comp = op.gamma(c_els, c)
-    except CapExceeded:
-        return True
+    comp = op.gamma(c_els, c)
     flat_sorts = tuple(s for ci_sig, _ in cs for s in ci_sig[0])
     flat_x = [alg.basis_element(s, n) for s, n in zip(flat_sorts, xs)]
     rhs = alg.theta_eval(flat_x, comp)
@@ -332,38 +330,30 @@ class FreePart:
 class FreeAlgebra:
     """Free algebra on generator complexes, arity parts built on demand."""
 
-    def __init__(self, generators: dict[str, ChainComplex], operad: Operad,
-                 method: str = "auto") -> None:
-        if method not in ("auto", "elimination", "orbit"):
-            raise AlgebraError(f"unknown coinvariant method {method!r}")
+    def __init__(self, generators: dict[str, ChainComplex], operad: Operad) -> None:
         self.generators = dict(generators)
         self.operad = operad
         self.field = operad.field
-        self.method = method
         self._parts: dict = {}
         for srt, comp in self.generators.items():
             if comp.field != self.field:
                 raise AlgebraError(f"generators of sort {srt!r} over wrong field")
-        if self._resolved_method() == "orbit":
+        if operad.certificate == "free-module":
             for n in sorted({len(sig[0]) for sig in operad.components}):
                 self._free_orbits(n)
 
-    def _resolved_method(self) -> str:
-        if self.method != "auto":
-            return self.method
-        return "orbit" if self.operad.certificate == "free-module" else "elimination"
-
     def _free_orbits(self, n: int):
-        """The label orbits of arity n; the orbit route needs them free."""
+        """The label orbits of arity n; the orbit route needs them free, so
+        an operad wrongly certified as a free module is refused here."""
         walk = self.operad.label_orbits(n)
         if walk.fault is not None:
-            raise AlgebraError(f"orbit method needs a free monomial action: {walk.fault}")
+            raise AlgebraError(f"orbit route needs a free monomial action: {walk.fault}")
         want = factorial(n)
         for (sig, name), size in walk.sizes.items():
             if size != want:
                 raise AlgebraError(
-                    f"orbit method needs a free action: orbit of {sig}:{name!r} "
-                    f"has size {size}, want {want}; use method='elimination'"
+                    f"orbit route needs a free action: orbit of {sig}:{name!r} "
+                    f"has size {size}, want {want}"
                 )
         return walk
 
@@ -411,7 +401,7 @@ class FreeAlgebra:
         if hit is not None:
             return hit
         big_degs, str_keys = self._big_basis(n, out_sort)
-        if self._resolved_method() == "orbit":
+        if self.operad.certificate == "free-module":
             reps, project = self._coinvariants_by_orbit(n, out_sort, big_degs, str_keys)
         else:
             reps, project = self._coinvariants_by_elimination(n, big_degs, str_keys)
@@ -542,11 +532,11 @@ class FreeAlgebra:
         return reps, project
 
 
-def free(generators, operad: Operad, method: str = "auto") -> FreeAlgebra:
+def free(generators, operad: Operad) -> FreeAlgebra:
     """Free algebra on a complex (single-sorted) or dict of complexes."""
     if isinstance(generators, ChainComplex):
         generators = {"*": generators}
-    return FreeAlgebra(generators, operad, method)
+    return FreeAlgebra(generators, operad)
 
 
 def free_map(f: dict[str, ChainMap] | ChainMap, src: FreeAlgebra, dst: FreeAlgebra,

@@ -28,6 +28,7 @@ from kzbar.operads import CapExceeded, OperadElement
 from kzbar.signs import SignWord, left_mul_f, multiply, partial_e, relabel, word
 from kzbar.trees import (
     Tree,
+    assemble,
     canonical_form,
     child_index,
     edge_contract,
@@ -35,7 +36,7 @@ from kzbar.trees import (
     enumerate_trees,
     graft,
     leaf_contract,
-    validate,
+    successors,
 )
 
 
@@ -77,6 +78,7 @@ class BarComplex:
         self.name = name
         self._d_memo: dict = {}
         self._basis_memo: dict[int, list[BarKey]] = {}
+        self._word_memo: dict[BarKey, SignWord] = {}
         self._unit = {1: self.field.one, -1: -self.field.one}  # word signs
 
     # ----------------------------------------------------------- structure
@@ -100,11 +102,15 @@ class BarComplex:
         return total
 
     def basis_word(self, t: Tree, labels: tuple) -> SignWord:
-        fs = tuple(
-            v for v in range(1, t.n + 1)
-            if self.label_degree(t, v, labels[v - 1]) % 2
-        )
-        return word(tuple(t.non_leaves()), fs)
+        """The sign word of a key, memoized per key."""
+        hit = self._word_memo.get((t, labels))
+        if hit is None:
+            fs = tuple(
+                v for v in range(1, t.n + 1)
+                if self.label_degree(t, v, labels[v - 1]) % 2
+            )
+            hit = self._word_memo[(t, labels)] = word(tuple(t.non_leaves()), fs)
+        return hit
 
     def term(self, t: Tree, labels: tuple) -> BarTerm:
         return BarTerm(t, labels, self.basis_word(t, labels),
@@ -307,13 +313,7 @@ class BarComplex:
                 self._component_sig(t, q), labels[q - 1])
             x_p = self.operad.basis_element(
                 self._component_sig(t, parent), labels[parent - 1])
-            try:
-                merged = self.operad.gamma_j(child_index(t, q), x_q, x_p)
-            except CapExceeded:
-                # the merged vertex needs a component beyond the cap, so the
-                # target lies outside the materialised window; drop it like
-                # any other out-of-window term
-                continue
+            merged = self.operad.gamma_j(child_index(t, q), x_q, x_p)
             lab2 = [labels[wit.tau[r - 1] - 1] for r in range(1, wit.result.n + 1)]
             spot = wit.rho[q - 1] - 1
             for nm, cf in sorted(merged.vec.items(), key=lambda kv: str(kv[0])):
@@ -418,37 +418,24 @@ class BarComplex:
         cap_val = self.operad.max_nonzero_arity()
         seen: set = set()
         for n in range(1, n_max + 1):
-            for t0 in enumerate_trees(n):
-                # valences are intertwiner invariants, so this shape prune
-                # is sort-agnostic
-                if any(t0.valence(v) > cap_val for v in t0.non_leaves()):
+            for t in enumerate_trees(n, True, sorts):
+                if any(t.valence(v) > cap_val for v in t.non_leaves()):
                     continue
-                if sorts is None:
-                    cands = [t0] if canonical_form(t0)[0] == t0 else []
-                else:
-                    cands = [
-                        st
-                        for assignment in iproduct(sorts, repeat=n)
-                        for st in (Tree(t0.n, t0.s, t0.L, assignment),)
-                        if canonical_form(st)[0] == st
-                    ]
-                for t in cands:
-                    pools = []
-                    for v in range(1, n + 1):
-                        if t.is_leaf(v):
-                            comp = self.algebra.carrier.get(self._sort_of(t, v))
-                        else:
-                            comp = self.operad.component(
-                                self._component_sig(t, v))
-                        if comp is None or not comp.degrees:
-                            pools = None
-                            break
-                        pools.append(sorted(comp.degrees, key=str))
-                    if pools is None:
-                        continue
-                    for combo in iproduct(*pools):
-                        for key in self.basis_vector(t, combo):
-                            seen.add(key)
+                pools = []
+                for v in range(1, n + 1):
+                    if t.is_leaf(v):
+                        comp = self.algebra.carrier.get(self._sort_of(t, v))
+                    else:
+                        comp = self.operad.component(self._component_sig(t, v))
+                    if comp is None or not comp.degrees:
+                        pools = None
+                        break
+                    pools.append(sorted(comp.degrees, key=str))
+                if pools is None:
+                    continue
+                for combo in iproduct(*pools):
+                    for key in self.basis_vector(t, combo):
+                        seen.add(key)
         return sorted(seen, key=_key_order)
 
     def stable_degrees(self, n_max: int) -> list[int]:
@@ -581,32 +568,20 @@ class BarComplex:
         n_new = sum(t.n for t, _ in keys) - m + 1
         if n_cap is not None and n_new > n_cap:
             raise CapExceeded(f"joined tree has {n_new} vertices, cap {n_cap}")
-        multi = len(self.operad.sorts) > 1
-        s_new = [0] * max(n_new - 1, 0)
-        sorts_new = [None] * n_new if multi else None
-        big_L = set()
+        root_sort = c_sig[1] if len(self.operad.sorts) > 1 else None
+        t_new = assemble([st for t, _ in keys for st in successors(t)], root_sort)
+        # assemble keeps each factor's non-root vertices in order and merges
+        # the roots into the new one
         maps = []
         root_labels = []
         offset = 0
         for t, labels in keys:
-            mapping = {}
-            for v in range(1, t.n):
-                mapping[v] = v + offset
-                par = t.parent(v)
-                s_new[v + offset - 1] = par + offset if par != t.n else n_new
-                if v in t.L:
-                    big_L.add(v + offset)
-                if multi:
-                    sorts_new[v + offset - 1] = t.sort_of(v)
+            mapping = {v: v + offset for v in range(1, t.n)}
             mapping[t.n] = n_new
             maps.append(mapping)
             root_labels.append(self.operad.basis_element(
                 self._component_sig(t, t.n), labels[t.n - 1]))
             offset += t.n - 1
-        if multi:
-            sorts_new[n_new - 1] = c_sig[1]
-        t_new = validate(n_new, tuple(s_new), frozenset(big_L),
-                         tuple(sorts_new) if multi else None)
 
         merged = self.operad.gamma(
             root_labels, self.operad.basis_element(c_sig, c_name))

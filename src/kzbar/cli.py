@@ -14,13 +14,14 @@ checks, and prints a report.  Commands:
 The JSON report is canonical: keys sorted, no wall-clock data, so the
 same inputs give identical bytes on every run.  Elapsed time goes to
 stderr.  ``KZ_SEED`` sets the randomness of sampled probes (default
-fixed).  ``KZ_THREADS`` is accepted and ignored, as every suite runs in
-one thread; a value that is not an integer is still an error.  Exit
-status is 0 exactly when every check passes, 1 on a failed check, 2
-when the manifest cannot be read at all, and 3 on an internal error:
-one of kzbar's own errors escaped a suite, which is not a verdict on
-the manifest.  Exits 2 and 3 print one ``manifest: message`` line to
-stderr and no traceback.
+fixed).  Exit status is 0 exactly when every check passes, 1 on a
+failed check, 2 when the manifest cannot be read at all, and 3 on an
+internal error: one of kzbar's own errors escaped a suite, which is not
+a verdict on the manifest.  Exits 2 and 3 print one ``manifest:
+message`` line to stderr and no traceback.  A window whose bar
+differential composes past the operad cap is one of these: building
+its D-structure fails (exit 2), and without one the suite stops with
+the cap in the message (exit 3).
 """
 
 from __future__ import annotations
@@ -533,7 +534,6 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        _env_int("KZ_THREADS", 1)  # accepted and ignored
         seed = _env_int("KZ_SEED", DEFAULT_SEED)
         text = _load_text(args.manifest)
         m = parse_manifest(text)

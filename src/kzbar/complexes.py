@@ -36,7 +36,6 @@ class ChainComplex:
         field: FieldSpec,
         degrees: dict[Name, int],
         d: dict[Name, Vec] | None = None,
-        check: bool = True,
     ) -> None:
         self.field = field
         self.degrees = dict(degrees)
@@ -45,8 +44,7 @@ class ChainComplex:
             v = {k: s for k, s in v.items() if not s.is_zero()}
             if v:
                 self.d[c] = v
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         for c, v in self.d.items():
@@ -127,9 +125,7 @@ class ChainComplex:
         """Suspension by n: degrees go up by n, d is scaled by (-1)^n."""
         sign = self.field.one if n % 2 == 0 else -self.field.one
         d = {c: vec_scale(v, sign) for c, v in self.d.items()}
-        return ChainComplex(
-            self.field, {m: k + n for m, k in self.degrees.items()}, d, check=False
-        )
+        return ChainComplex(self.field, {m: k + n for m, k in self.degrees.items()}, d)
 
     def tensor(self, other: "ChainComplex") -> "ChainComplex":
         """Tensor product with the Koszul sign on the second factor."""
@@ -148,7 +144,7 @@ class ChainComplex:
                     col[(a, r)] = s * sign_a
                 if col:
                     d[(a, b)] = col
-        return ChainComplex(self.field, degrees, d, check=False)
+        return ChainComplex(self.field, degrees, d)
 
 
 def direct_sum(parts: dict[Name, "ChainComplex"]) -> "ChainComplex":
@@ -167,7 +163,7 @@ def direct_sum(parts: dict[Name, "ChainComplex"]) -> "ChainComplex":
             d[(tag, c)] = {(tag, r): s for r, s in col.items()}
     if field is None:
         raise ComplexError("direct sum needs at least one part")
-    return ChainComplex(field, degrees, d, check=False)
+    return ChainComplex(field, degrees, d)
 
 
 @dataclass
@@ -187,7 +183,6 @@ class ChainMap:
         target: ChainComplex,
         entries: dict[Name, Vec],
         degree: int = 0,
-        check: bool = True,
     ) -> None:
         if source.field != target.field:
             raise ComplexError("chain map endpoints must share a field")
@@ -196,8 +191,7 @@ class ChainMap:
         self.degree = degree
         self.entries = {c: {k: s for k, s in v.items() if not s.is_zero()} for c, v in entries.items()}
         self.entries = {c: v for c, v in self.entries.items() if v}
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         for c, v in self.entries.items():

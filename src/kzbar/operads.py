@@ -202,7 +202,9 @@ class Operad:
     # -------------------------------------------------------------- gamma
 
     def gamma_basis(self, y_sig: Sig, y_name, xs: tuple) -> tuple[Sig, Vec]:
-        """Structure constants on a basis tuple; xs = ((sig, name), ...)."""
+        """Structure constants on a basis tuple; xs = ((sig, name), ...).
+        Zero past a declared arity bound; otherwise CapExceeded past the
+        cap, since the components there are not materialised."""
         yins, yout = y_sig
         if len(xs) != len(yins):
             raise OperadError(f"gamma arity mismatch: {len(xs)} inputs for {y_sig}")
@@ -210,11 +212,13 @@ class Operad:
             if x_sig[1] != want:
                 raise OperadError(f"sort mismatch: {x_sig[1]!r} fed into {want!r} slot")
         target_inputs = tuple(s for x_sig, _ in xs for s in x_sig[0])
+        target_sig = (target_inputs, yout)
+        if self.arity_bound is not None and len(target_inputs) > self.arity_bound:
+            return target_sig, {}
         if len(target_inputs) > self.cap:
             raise CapExceeded(
                 f"gamma result arity {len(target_inputs)} exceeds cap {self.cap}"
             )
-        target_sig = (target_inputs, yout)
         key = (y_sig, y_name, xs)
         hit = self._gamma_memo.get(key)
         if hit is None:

@@ -5,6 +5,7 @@ import pytest
 
 from kzbar.algebras import (
     AlgebraError,
+    FreeAlgebra,
     free,
     free_as_algebra,
     free_map,
@@ -23,7 +24,7 @@ from kzbar.catalog import (
 )
 from kzbar.complexes import ChainComplex, ChainMap
 from kzbar.fields import GF, QQ
-from kzbar.operads import single_sig
+from kzbar.operads import Operad, single_sig
 
 F2 = GF(2)
 F3 = GF(3)
@@ -31,6 +32,28 @@ F3 = GF(3)
 
 def kline(field, name="g", deg=0):
     return ChainComplex(field, {name: deg}, {})
+
+
+def recertified(op, certificate):
+    """The same operad rules under another certificate."""
+    return Operad(op.field, op.sorts, op.cap, op.components, op.unit_names,
+                  op._gamma_rule, op._sym_rule, certificate, name=op.name,
+                  arity_bound=op.arity_bound)
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The coinvariant route of every part built, in build order."""
+    taken = []
+    for route in ("elimination", "orbit"):
+        real = getattr(FreeAlgebra, f"_coinvariants_by_{route}")
+
+        def spy(self, *args, _real=real, _route=route):
+            taken.append(_route)
+            return _real(self, *args)
+
+        monkeypatch.setattr(FreeAlgebra, f"_coinvariants_by_{route}", spy)
+    return taken
 
 
 def acyclic_pair(field, low=0):
@@ -173,13 +196,15 @@ def test_free_com_odd_generator_truncates():
 
 
 def test_orbit_method_rejects_a_non_free_action():
+    # Com's trivial action certified as a free module
     with pytest.raises(AlgebraError,
                        match=r"\(\('\*', '\*'\), '\*'\):'mu2' has size 1, want 2"):
-        free(kline(QQ), com_operad(QQ, 3), method="orbit")
+        free(kline(QQ), recertified(com_operad(QQ, 3), "free-module"))
 
 
-def test_auto_resolves_com_to_elimination():
-    assert free(kline(QQ), com_operad(QQ, 3))._resolved_method() == "elimination"
+def test_auto_resolves_com_to_elimination(routes):
+    assert free(kline(QQ), com_operad(QQ, 3)).part(2).reps
+    assert routes == ["elimination"]
 
 
 def test_free_com_even_generator_is_polynomial():
@@ -187,13 +212,14 @@ def test_free_com_even_generator_is_polynomial():
     assert [fa.part(n).complex.dim() for n in (1, 2, 3)] == [1, 1, 1]
 
 
-def test_free_methods_agree_up_to_isomorphism():
+def test_free_methods_agree_up_to_isomorphism(routes):
     x = ChainComplex(F3, {"u": 0, "v": 1}, {"v": {"u": F3.one}})
     op = ass_operad(F3, 3)
-    fa_e = free(x, op, method="elimination")
-    fa_o = free(x, op, method="orbit")
+    fa_e = free(x, recertified(op, "asserted"))
+    fa_o = free(x, op)
     for n in (1, 2, 3):
         pe, po = fa_e.part(n), fa_o.part(n)
+        assert routes[-2:] == ["elimination", "orbit"]
         assert pe.complex.dim() == po.complex.dim()
         entries = {}
         for r in pe.complex.basis():
@@ -213,10 +239,12 @@ def test_free_methods_agree_up_to_isomorphism():
             assert phi.apply(psi.apply({r: F3.one})) == {r: F3.one}
 
 
-@pytest.mark.parametrize("method", ["elimination", "orbit"])
-def test_projection_kills_swaps(method):
+@pytest.mark.parametrize("route,certificate",
+                         [("elimination", "asserted"), ("orbit", "free-module")],
+                         ids=["elimination", "orbit"])
+def test_projection_kills_swaps(route, certificate, routes):
     x = ChainComplex(QQ, {"u": 0, "xi": 1}, {})
-    fa = free(x, ass_operad(QQ, 3), method=method)
+    fa = free(x, recertified(ass_operad(QQ, 3), certificate))
     for n in (2, 3):
         p = fa.part(n)
         for name in p.big_degrees:
@@ -225,6 +253,7 @@ def test_projection_kills_swaps(method):
                 lhs = p.project({name: QQ.one})
                 rhs = p.project(img)
                 assert lhs == rhs, (name, k)
+    assert set(routes) == {route}
 
 
 def test_free_odd_generator_sign_quotient():

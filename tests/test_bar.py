@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kzbar.algebras import Algebra
-from kzbar.bar import BarComplex, BarError
+from kzbar.algebras import Algebra, verify_algebra
+from kzbar.bar import BarComplex, BarError, _is_bare
 from kzbar.catalog import (
     algebra_as_operad,
+    ass_operad,
     augmentation_module_pair,
     com_operad,
     dual_numbers_algebra,
@@ -23,7 +24,7 @@ from kzbar.catalog import (
 from kzbar.complexes import ChainComplex
 from kzbar.fields import GF, QQ
 from kzbar.linalg import vec_acc, vec_iaxpy
-from kzbar.operads import CapExceeded, Operad, single_sig
+from kzbar.operads import CapExceeded, Operad, single_sig, verify_operad
 from kzbar.signs import relabel, word
 from kzbar.trees import Tree, enumerate_trees, is_intertwiner, validate
 
@@ -534,6 +535,30 @@ def test_action_rejects_bare_factors_and_raw_labels():
         B.bar_algebra_action([{ckey(2): QQ.one}], (1, 2))
 
 
+@pytest.mark.parametrize("make", [lambda: exterior_bar(F3),
+                                  lambda: module_bar(QQ)],
+                         ids=["exterior-F3", "module-pair-Q"])
+def test_action_join_matches_the_hand_built_oracle(make):
+    import action_oracle
+
+    B = make()
+    by_root: dict = {}
+    for key in B.enumerate_basis(3):
+        if not _is_bare(key):
+            by_root.setdefault(B._sort_of(key[0], key[0].n), []).append(key)
+    checked = 0
+    for sig in B.operad.signatures():
+        if len(sig[0]) > 2:
+            continue
+        for c_name in B.operad.components[sig].basis():
+            for factors in iproduct(*(by_root.get(s, []) for s in sig[0])):
+                want = action_oracle.action_basis(B, list(factors), sig, c_name)
+                got = B._action_basis(list(factors), sig, c_name, None)
+                assert got == want, (factors, sig, c_name)
+                checked += bool(want)
+    assert checked > 100
+
+
 # ------------------------------------------------------------ hypothesis
 
 
@@ -602,3 +627,53 @@ def test_enumerate_basis_hands_out_a_copy_of_its_memo():
     keys = B.enumerate_basis(3)
     keys.clear()
     assert B.enumerate_basis(3) and B.enumerate_basis(3) is not B.enumerate_basis(3)
+
+
+def test_basis_word_is_memoized_per_key():
+    from pathlib import Path
+
+    from kzbar.manifest import build, parse_manifest
+
+    text = (Path(__file__).parent / "golden" / "bar_w5.kz").read_text()
+    alg = build(parse_manifest(text)).algebras["dual"]
+    fresh = BarComplex(alg)
+    for t, labels in alg.bar.enumerate_basis(5):
+        w = alg.bar.basis_word(t, labels)
+        assert alg.bar.basis_word(t, labels) is w
+        assert fresh.basis_word(t, labels) == w
+
+
+# ------------------------------------------------------ the operad cap
+# The differential drops no term past the cap: gamma is zero past a
+# declared arity bound and raises CapExceeded past the cap otherwise.
+
+
+def square_zero_bar(arity_bound):
+    """Ass cut to arities 1 and 2, acting on a with a.a = b, all other
+    products zero, so that every triple product vanishes."""
+    ass = ass_operad(QQ, 2)
+    op = Operad(QQ, ass.sorts, 2, ass.components, ass.unit_names,
+                ass._gamma_rule, ass._sym_rule, "free-module",
+                name="Ass<=2", arity_bound=arity_bound)
+    alg = word_algebra(QQ, op, degrees={"a": 1, "b": 2},
+                       mult={("a", "a"): {"b": QQ.one}}, unit_name=None,
+                       name="square-zero")
+    return BarComplex(alg)
+
+
+def test_a_bounded_operad_carries_every_window():
+    B = square_zero_bar(arity_bound=2)
+    assert verify_operad(B.operad).ok and verify_algebra(B.algebra).ok
+    keys = B.enumerate_basis(5)
+    # two adjacent binary vertices, whose contraction lands in arity 3
+    assert any(t.valence(t.parent(v)) == t.valence(v) == 2
+               for t, _ in keys for v in t.non_leaves() if v != t.n)
+    for key in keys:
+        assert B.differential(B.differential({key: QQ.one})) == {}, key
+    assert B.bar_quotient(5).dim() == len([k for k in keys if not _is_bare(k)])
+
+
+def test_an_unbounded_operad_stops_at_the_cap():
+    B = square_zero_bar(arity_bound=None)
+    with pytest.raises(CapExceeded, match="gamma result arity 3 exceeds cap 2"):
+        B.bar_quotient(5)

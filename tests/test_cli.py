@@ -128,10 +128,8 @@ def test_bar_unit_window_has_the_ground_field_in_degree_zero(
 def test_bar_report_is_byte_stable_across_workers(capsys, monkeypatch):
     main(["bar", "uass_dual_numbers"])
     first = capsys.readouterr().out
-    monkeypatch.setenv("KZ_THREADS", "4")
     main(["bar", "uass_dual_numbers"])
     assert capsys.readouterr().out == first
-    monkeypatch.delenv("KZ_THREADS")
     main(["bar", "uass_dual_numbers"])
     assert capsys.readouterr().out == first
 
@@ -139,19 +137,27 @@ def test_bar_report_is_byte_stable_across_workers(capsys, monkeypatch):
 def test_benchmark_trace_installs_and_keeps_the_report(capsys, monkeypatch,
                                                        unit_path):
     """perfbench/kztrace.py wraps kzbar functions by name from outside
-    src/, so a rename that breaks the benchmark trace fails here."""
+    src/, so a rename that breaks the benchmark trace fails here.  bar
+    runs the bar layer; dstruct runs the FreeAlgebra.part hook, which
+    reads the attributes of a part."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ stays as is
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     kztrace = importlib.import_module("kztrace")
-    assert main(["bar", unit_path]) == 0
-    plain = capsys.readouterr().out
+    plain = {}
+    for suite in ("bar", "dstruct"):
+        assert main([suite, unit_path]) == 0
+        plain[suite] = capsys.readouterr().out
     tracer = kztrace.Tracer()
     with tracer.installed():
-        assert main(["bar", unit_path]) == 0
-    assert capsys.readouterr().out == plain
+        for suite in ("bar", "dstruct"):
+            assert main([suite, unit_path]) == 0
+            assert capsys.readouterr().out == plain[suite]
     stats = tracer.summary()["stats"]
-    assert stats["cli.run"]["calls"] == 1
+    assert stats["cli.run"]["calls"] == 2
     assert stats["bar.BarComplex.differential_key"]["calls"] > 0
+    part = stats["algebras.FreeAlgebra.part"]
+    assert part["calls"] > 0
+    assert part["big_words"] >= part["reps"] > 0
 
 
 def test_window_beyond_the_enumeration_cap_exits_two(capsys, tmp_path):
@@ -212,6 +218,27 @@ def test_validate_builds_no_dstructure(capsys, tmp_path):
     code, rep = _json_run(capsys, ["validate", str(p)])
     assert code == 0
     assert all(c["outcome"] == "pass" for c in rep["checks"])
+
+
+@pytest.mark.parametrize("with_dstructure,code", [(True, 2), (False, 3)])
+def test_a_window_past_the_cap_fails_naming_the_cap(
+        capsys, tmp_path, with_dstructure, code):
+    # cap 4 carries windows up to 6: at window 7 an edge contraction
+    # composes two labels into arity 5, which the bar differential may not
+    # drop, so the run stops on the cap instead of failing d*d
+    text = load_builtin("uass_dual_numbers").replace(
+        "window 3 : -1 .. 3", "window 7")
+    if not with_dstructure:
+        text = text[:text.index("dstructure bardual")]
+    p = tmp_path / "w7.kz"
+    p.write_text(text)
+    assert main(["bar", str(p)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gamma result arity 5 exceeds cap 4" in captured.err
+    assert ("dstructure section 'bardual' could not be built"
+            in captured.err) == with_dstructure
+    assert "d*d" not in captured.err
 
 
 def test_dstruct_builtin_surfaces_the_window_overflow(capsys):
@@ -338,13 +365,6 @@ def test_internal_error_exits_three_without_a_traceback(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("uass_dual_numbers: mu lives on the quotient; "
                             "bare term given\n")
-
-
-def test_bad_thread_env_exits_two(capsys, monkeypatch):
-    monkeypatch.setenv("KZ_THREADS", "many")
-    code = main(["validate", "uass_dual_numbers"])
-    assert code == 2
-    assert "KZ_THREADS" in capsys.readouterr().err
 
 
 def test_unknown_command_is_an_argparse_error():

@@ -44,7 +44,7 @@ def parts(fa):
 @pytest.mark.parametrize("op_name,field_name,parity", CASES)
 def test_transversal_matches_orbit_walk(op_name, field_name, parity):
     fa = free_algebra(op_name, field_name, parity)
-    assert fa._resolved_method() == "orbit"
+    assert fa.operad.certificate == "free-module"
     one = fa.field.one
     for n, out_sort in parts(fa):
         part = fa.part(n, out_sort)

@@ -41,7 +41,6 @@ CASES = [(name, suite) for name, (_, _, suites) in sorted(MANIFESTS.items())
 @pytest.mark.parametrize("name,suite", CASES)
 def test_report_matches_golden_bytes(name, suite, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("KZ_SEED", raising=False)
-    monkeypatch.delenv("KZ_THREADS", raising=False)
     manifest, workload, _ = MANIFESTS[name]
     out = tmp_path / "report.json"
     assert main([suite, manifest, "--out", str(out)]) == 0
