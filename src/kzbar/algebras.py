@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 from kzbar.complexes import ChainComplex, ChainMap
 from kzbar.fields import Scalar
 from kzbar.linalg import Vec, echelon, vec_acc, vec_axpy, vec_iaxpy, vec_scale
-from kzbar.operads import CapExceeded, Operad, OperadElement, Sig, koszul_sign
+from kzbar.operads import CapExceeded, Operad, OperadElement, Sig, _arity_tuples, koszul_sign
 
 if TYPE_CHECKING:
     from kzbar.bar import BarComplex
@@ -94,9 +94,6 @@ class Algebra:
     def carrier_degree(self, sort: str, name) -> int:
         return self.carrier[sort].degrees[name]
 
-    def element(self, sort: str, vec: Vec) -> AlgebraElement:
-        return AlgebraElement(self, sort, dict(vec))
-
     def basis_element(self, sort: str, name) -> AlgebraElement:
         if name not in self.carrier[sort].degrees:
             raise AlgebraError(f"{name!r} is not a basis name of sort {sort!r}")
@@ -120,6 +117,19 @@ class Algebra:
             self._theta_memo[key] = hit
         return hit
 
+    def theta_vec(self, c_sig: Sig, c_vec: Vec, xs: list[Vec]) -> Vec:
+        """theta(x_1..x_n; c) on raw vectors, multilinear in everything;
+        returns a fresh vector over the output sort's carrier."""
+        target: Vec = {}
+        for c_name, cc in c_vec.items():
+            for combo in iproduct(*(x.items() for x in xs)):
+                coeff = cc
+                for _, cx in combo:
+                    coeff = coeff * cx
+                vec = self.theta_basis(c_sig, c_name, tuple(n for n, _ in combo))
+                vec_iaxpy(target, coeff, vec)
+        return target
+
     def theta_eval(self, xs: list[AlgebraElement], c: OperadElement) -> AlgebraElement:
         ins, out = c.sig
         if len(xs) != len(ins):
@@ -127,15 +137,7 @@ class Algebra:
         for x, srt in zip(xs, ins):
             if x.sort != srt:
                 raise AlgebraError(f"sort mismatch: {x.sort!r} fed into {srt!r} slot")
-        target: Vec = {}
-        for c_name, cc in c.vec.items():
-            for combo in iproduct(*(x.vec.items() for x in xs)):
-                coeff = cc
-                for _, cx in combo:
-                    coeff = coeff * cx
-                vec = self.theta_basis(c.sig, c_name, tuple(n for n, _ in combo))
-                vec_iaxpy(target, coeff, vec)
-        return AlgebraElement(self, out, target)
+        return AlgebraElement(self, out, self.theta_vec(c.sig, c.vec, [x.vec for x in xs]))
 
 
 # ------------------------------------------------------------------ report
@@ -193,16 +195,15 @@ def verify_algebra(alg: Algebra) -> AlgebraReport:
                             f"equivariance fails: c={c_sig}:{c_name!r} xs={list(xs)} s_{k}"
                         )
 
-    # composition against gamma
-    from kzbar.operads import _arity_tuples
+    # composition against gamma, with gamma(cs; c) looked up once per
+    # (c, cs); every carrier tuple xs is still compared.
     for c_sig in op.signatures():
-        ins, _ = c_sig
         for c_name in op.components[c_sig].basis():
-            for cs, _tot in _arity_tuples(op, op.cap, ins):
-                flat_sorts = tuple(s for ci_sig, _ in cs for s in ci_sig[0])
-                for xs in _carrier_tuples(alg, flat_sorts):
+            for cs, _ in _arity_tuples(op, op.cap, c_sig[0]):
+                comp = op.gamma_basis(c_sig, c_name, cs)
+                for xs in _carrier_tuples(alg, comp[0][0]):
                     try:
-                        ok = _check_action_composition(alg, c_sig, c_name, cs, xs)
+                        ok = _check_action_composition(alg, c_sig, c_name, cs, comp, xs)
                     except CapExceeded:
                         continue
                     rep.checks_run += 1
@@ -247,31 +248,28 @@ def _check_action_equivariance(alg: Algebra, c_sig: Sig, c_name, xs, k: int) -> 
     return lhs == rhs
 
 
-def _check_action_composition(alg: Algebra, c_sig: Sig, c_name, cs, xs) -> bool:
+def _check_action_composition(alg: Algebra, c_sig: Sig, c_name, cs, comp, xs) -> bool:
+    """theta(theta(blocks; cs); c) against theta(xs; comp), where comp =
+    (sig, Vec) is gamma(cs; c), up to the Koszul sign of the labels."""
     op = alg.operad
     F = alg.field
-    c = op.basis_element(c_sig, c_name)
-    c_els = [op.basis_element(s, n) for s, n in cs]
     blocks = []
     pos = 0
     for ci_sig, _ in cs:
         w = len(ci_sig[0])
         blocks.append(xs[pos:pos + w])
         pos += w
-    inner = [
-        alg.element(ci_sig[1], alg.theta_basis(ci_sig, ci_name, tuple(blk)))
-        for (ci_sig, ci_name), blk in zip(cs, blocks)
-    ]
-    lhs = alg.theta_eval(inner, c)
-    comp = op.gamma(c_els, c)
-    flat_sorts = tuple(s for ci_sig, _ in cs for s in ci_sig[0])
-    flat_x = [alg.basis_element(s, n) for s, n in zip(flat_sorts, xs)]
-    rhs = alg.theta_eval(flat_x, comp)
+    inner = [alg.theta_basis(ci_sig, ci_name, blk) for (ci_sig, ci_name), blk in zip(cs, blocks)]
+    lhs = alg.theta_vec(c_sig, {c_name: F.one}, inner)
+    comp_sig, comp_vec = comp
+    rhs: Vec = {}
+    for m, cm in comp_vec.items():
+        vec_iaxpy(rhs, cm, alg.theta_basis(comp_sig, m, xs))
     sgn = _labels_past_words(F, [
         (op.degree_of(ci_sig, ci_name),
          sum(alg.carrier_degree(s, n) for s, n in zip(ci_sig[0], blk)))
         for (ci_sig, ci_name), blk in zip(cs, blocks)])
-    return lhs.vec == {n: sgn * c0 for n, c0 in rhs.vec.items()}
+    return lhs == {n: sgn * c0 for n, c0 in rhs.items()}
 
 
 def _labels_past_words(field, degs) -> Scalar:

@@ -512,6 +512,17 @@ def _env_int(var: str, default: int) -> int:
         raise ManifestError(f"{var} must be an integer, not {raw!r}") from None
 
 
+def _positive_int(raw: str) -> int:
+    """argparse type for a bound that must be at least 1."""
+    try:
+        value = int(raw, 10)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("manifest", help="manifest file or builtin name")
@@ -523,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     sp = sub.add_parser("validate", parents=[common],
                         help="operad and algebra axioms")
-    sp.add_argument("--verify-cap", type=int, default=DEFAULT_VERIFY_CAP,
+    sp.add_argument("--verify-cap", type=_positive_int, default=DEFAULT_VERIFY_CAP,
                     help="arity cap for the exhaustive pass")
     tp = sub.add_parser("trees", parents=[common], help="tree counts")
     tp.add_argument("n", type=int, help="largest vertex count")

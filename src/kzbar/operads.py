@@ -156,9 +156,11 @@ class Operad:
         # None: the operad may be nonzero in arities beyond the cap, so the
         # materialised components are a window, not the whole thing.
         self.arity_bound = arity_bound
+        self._signatures = tuple(sorted(self.components, key=str))
         self._gamma_memo: dict = {}
         self._perm_memo: dict = {}
         self._orbit_memo: dict[int, LabelOrbits] = {}
+        self._tuple_memo: dict = {}
         for sig, comp in self.components.items():
             if comp.field != field:
                 raise OperadError(f"component {sig} over wrong field")
@@ -196,15 +198,23 @@ class Operad:
     def zero(self, sig: Sig) -> OperadElement:
         return OperadElement(self, sig, {})
 
-    def signatures(self):
-        return sorted(self.components.keys(), key=str)
+    def signatures(self) -> tuple[Sig, ...]:
+        """The component signatures in str order, sorted once: the
+        components are fixed after construction."""
+        return self._signatures
 
     # -------------------------------------------------------------- gamma
 
     def gamma_basis(self, y_sig: Sig, y_name, xs: tuple) -> tuple[Sig, Vec]:
         """Structure constants on a basis tuple; xs = ((sig, name), ...).
-        Zero past a declared arity bound; otherwise CapExceeded past the
-        cap, since the components there are not materialised."""
+        Returns the target signature with the vector, both memoized; the
+        sorts and arity are checked on a miss only.  Zero past a declared
+        arity bound; otherwise CapExceeded past the cap, since the
+        components there are not materialised, and that is never memoized."""
+        key = (y_sig, y_name, xs)
+        hit = self._gamma_memo.get(key)
+        if hit is not None:
+            return hit
         yins, yout = y_sig
         if len(xs) != len(yins):
             raise OperadError(f"gamma arity mismatch: {len(xs)} inputs for {y_sig}")
@@ -214,35 +224,37 @@ class Operad:
         target_inputs = tuple(s for x_sig, _ in xs for s in x_sig[0])
         target_sig = (target_inputs, yout)
         if self.arity_bound is not None and len(target_inputs) > self.arity_bound:
-            return target_sig, {}
-        if len(target_inputs) > self.cap:
+            hit = (target_sig, {})
+        elif len(target_inputs) > self.cap:
             raise CapExceeded(
                 f"gamma result arity {len(target_inputs)} exceeds cap {self.cap}"
             )
-        key = (y_sig, y_name, xs)
-        hit = self._gamma_memo.get(key)
-        if hit is None:
-            hit = self._gamma_rule(y_sig, y_name, xs)
-            self._gamma_memo[key] = hit
-        return target_sig, hit
+        else:
+            hit = (target_sig, self._gamma_rule(y_sig, y_name, xs))
+        self._gamma_memo[key] = hit
+        return hit
 
-    def gamma(self, xs: list[OperadElement], y: OperadElement) -> OperadElement:
-        """Full composition gamma(x_1,...,x_k; y), multilinear in everything."""
+    def gamma_vec(self, y_sig: Sig, y_vec: Vec, xs: list[tuple[Sig, Vec]]) -> tuple[Sig, Vec]:
+        """gamma(x_1,...,x_k; y) on raw vectors, multilinear in everything;
+        xs = [(sig, Vec), ...].  Returns the target signature and a fresh
+        vector."""
         target: Vec = {}
-        target_sig = None
-        for y_name, cy in y.vec.items():
-            for combo in iproduct(*(x.vec.items() for x in xs)):
+        x_sigs = [x_sig for x_sig, _ in xs]
+        for y_name, cy in y_vec.items():
+            for combo in iproduct(*(x_vec.items() for _, x_vec in xs)):
                 coeff = cy
                 for _, cx in combo:
                     coeff = coeff * cx
-                sig_res, vec = self.gamma_basis(
-                    y.sig, y_name, tuple((x.sig, nm) for x, (nm, _) in zip(xs, combo))
+                _, vec = self.gamma_basis(
+                    y_sig, y_name, tuple(zip(x_sigs, [nm for nm, _ in combo]))
                 )
-                target_sig = sig_res
                 vec_iaxpy(target, coeff, vec)
-        if target_sig is None:
-            target_sig = (tuple(s for x in xs for s in x.sig[0]), y.sig[1])
-        return OperadElement(self, target_sig, target)
+        return (tuple(s for x_sig in x_sigs for s in x_sig[0]), y_sig[1]), target
+
+    def gamma(self, xs: list[OperadElement], y: OperadElement) -> OperadElement:
+        """Full composition gamma(x_1,...,x_k; y), multilinear in everything."""
+        sig, vec = self.gamma_vec(y.sig, y.vec, [(x.sig, x.vec) for x in xs])
+        return OperadElement(self, sig, vec)
 
     def gamma_j(self, j: int, x: OperadElement, y: OperadElement) -> OperadElement:
         """Partial composition: x into slot j of y, units elsewhere."""
@@ -349,7 +361,7 @@ class Operad:
         return max((len(sig[0]) for sig in self.components), default=0)
 
     def arity_signatures(self, n: int) -> list[Sig]:
-        return sorted((sig for sig in self.components if len(sig[0]) == n), key=str)
+        return [sig for sig in self._signatures if len(sig[0]) == n]
 
     def d_element(self, el: OperadElement) -> OperadElement:
         comp = self.components[el.sig]
@@ -376,23 +388,29 @@ def koszul_sign(field: FieldSpec, deg_a: int, deg_b: int) -> Scalar:
     return -field.one if (deg_a % 2 and deg_b % 2) else field.one
 
 
-def _arity_tuples(op: Operad, total_max: int, slots_sorts: tuple[str, ...]):
+def _arity_tuples(op: Operad, total_max: int, slots_sorts: tuple[str, ...]) -> tuple:
     """All tuples of (sig, name) basis choices matching the sorts, with
-    total resulting arity at most total_max."""
+    total resulting arity at most total_max, each paired with that arity;
+    memoized per operad."""
+    key = (total_max, slots_sorts)
+    hit = op._tuple_memo.get(key)
+    if hit is not None:
+        return hit
     if not slots_sorts:
-        yield (), 0
-        return
-    first, rest = slots_sorts[0], slots_sorts[1:]
-    for sig in op.signatures():
-        if sig[1] != first:
-            continue
-        a = len(sig[0])
-        if a > total_max:
-            continue
-        for tail, tail_a in _arity_tuples(op, total_max - a, rest):
-            comp = op.components[sig]
-            for name in comp.basis():
-                yield ((sig, name),) + tail, a + tail_a
+        hit = (((), 0),)
+    else:
+        first, rest = slots_sorts[0], slots_sorts[1:]
+        out = []
+        for sig in op.signatures():
+            a = len(sig[0])
+            if sig[1] != first or a > total_max:
+                continue
+            names = op.components[sig].basis()
+            for tail, tail_a in _arity_tuples(op, total_max - a, rest):
+                out.extend((((sig, name),) + tail, a + tail_a) for name in names)
+        hit = tuple(out)
+    op._tuple_memo[key] = hit
+    return hit
 
 
 def verify_operad(op: Operad) -> OperadReport:
@@ -459,17 +477,34 @@ def verify_operad(op: Operad) -> OperadReport:
                             f"equivariance fails: y={y_sig}:{y_name!r} xs={[n for _, n in xs]} s_{k}"
                         )
 
-    # associativity
+    # associativity: gamma(zs; gamma(xs; y)) against gamma(gamma(block_i;
+    # x_i)...; y).  gamma(xs; y) is looked up once per (y, xs) and each
+    # block composition once per (x, block); every (y, xs, zs) is still
+    # compared.
+    inner: dict = {}
     for y_sig in op.signatures():
-        yins = y_sig[0]
-        ycomp = op.components[y_sig]
-        for y_name in ycomp.basis():
-            for xs, _mid in _arity_tuples(op, op.cap, yins):
-                mid_sorts = tuple(s for x_sig, _ in xs for s in x_sig[0])
-                for zs, _fin in _arity_tuples(op, op.cap, mid_sorts):
-                    ok = _check_associativity(op, y_sig, y_name, xs, zs)
+        for y_name in op.components[y_sig].basis():
+            y_vec = {y_name: F.one}
+            for xs, _ in _arity_tuples(op, op.cap, y_sig[0]):
+                mid_sig, mid = op.gamma_basis(y_sig, y_name, xs)
+                widths = [len(x_sig[0]) for x_sig, _ in xs]
+                for zs, _ in _arity_tuples(op, op.cap, mid_sig[0]):
+                    lhs: Vec = {}
+                    for m, c in mid.items():
+                        vec_iaxpy(lhs, c, op.gamma_basis(mid_sig, m, zs)[1])
+                    lhs_sig = (tuple(s for z_sig, _ in zs for s in z_sig[0]), mid_sig[1])
+                    blocks = []
+                    pos = 0
+                    for x, w in zip(xs, widths):
+                        key = (x, zs[pos:pos + w])
+                        pos += w
+                        hit = inner.get(key)
+                        if hit is None:
+                            hit = inner[key] = op.gamma_basis(x[0], x[1], key[1])
+                        blocks.append(hit)
+                    rhs_sig, rhs = op.gamma_vec(y_sig, y_vec, blocks)
                     rep.checks_run += 1
-                    if not ok:
+                    if lhs_sig != rhs_sig or lhs != rhs:
                         rep.failures.append(
                             f"associativity fails: y={y_sig}:{y_name!r} "
                             f"xs={[n for _, n in xs]} zs={[n for _, n in zs]}"
@@ -525,23 +560,6 @@ def _check_equivariance(op: Operad, y_sig: Sig, y_name, xs: tuple, k: int) -> bo
     da = op.degree_of(xs[k - 1][0], xs[k - 1][1])
     db = op.degree_of(xs[k][0], xs[k][1])
     rhs = rhs.scale(koszul_sign(F, da, db))
-    return lhs.sig == rhs.sig and lhs.vec == rhs.vec
-
-
-def _check_associativity(op: Operad, y_sig: Sig, y_name, xs: tuple, zs: tuple) -> bool:
-    y = op.basis_element(y_sig, y_name)
-    x_els = [op.basis_element(s, n) for s, n in xs]
-    z_els = [op.basis_element(s, n) for s, n in zs]
-    mid = op.gamma(x_els, y)
-    lhs = op.gamma(z_els, mid)
-    # regroup z's into blocks per x arities
-    blocks = []
-    pos = 0
-    for x in x_els:
-        blocks.append(z_els[pos : pos + x.arity])
-        pos += x.arity
-    inner = [op.gamma(blk, x) for blk, x in zip(blocks, x_els)]
-    rhs = op.gamma(inner, y)
     return lhs.sig == rhs.sig and lhs.vec == rhs.vec
 
 

@@ -77,22 +77,20 @@ def exterior_exact(field, operad):
 # ------------------------------------------------------------ verification
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: ground_algebra(QQ, unit_operad(QQ)),
-        lambda: ground_algebra(F2, uass_operad(F2, 3)),
-        lambda: dual_numbers_algebra(QQ, uass_operad(QQ, 3)),
-        lambda: dual_numbers_algebra(F2, uass_operad(F2, 3)),
-        lambda: dual_numbers_algebra(F3, uass_operad(F3, 3)),
-        lambda: exterior_exact(QQ, uass_operad(QQ, 3)),
-        lambda: exterior_exact(F3, uass_operad(F3, 3)),
-        lambda: augmentation_module_pair(QQ, module_operad(QQ, 3)),
-        lambda: augmentation_module_pair(F2, module_operad(F2, 3)),
-    ],
-    ids=["ground-unit", "ground-uAss", "dual-Q", "dual-F2", "dual-F3",
-         "ext-Q", "ext-F3", "pair-Q", "pair-F2"],
-)
+STOCK_ALGEBRAS = {
+    "ground-unit": lambda: ground_algebra(QQ, unit_operad(QQ)),
+    "ground-uAss": lambda: ground_algebra(F2, uass_operad(F2, 3)),
+    "dual-Q": lambda: dual_numbers_algebra(QQ, uass_operad(QQ, 3)),
+    "dual-F2": lambda: dual_numbers_algebra(F2, uass_operad(F2, 3)),
+    "dual-F3": lambda: dual_numbers_algebra(F3, uass_operad(F3, 3)),
+    "ext-Q": lambda: exterior_exact(QQ, uass_operad(QQ, 3)),
+    "ext-F3": lambda: exterior_exact(F3, uass_operad(F3, 3)),
+    "pair-Q": lambda: augmentation_module_pair(QQ, module_operad(QQ, 3)),
+    "pair-F2": lambda: augmentation_module_pair(F2, module_operad(F2, 3)),
+}
+
+
+@pytest.mark.parametrize("make", list(STOCK_ALGEBRAS.values()), ids=list(STOCK_ALGEBRAS))
 def test_verify_stock_algebras(make):
     rep = verify_algebra(make())
     assert rep.ok, rep.failures[:5]

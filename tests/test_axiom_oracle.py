@@ -1,0 +1,129 @@
+"""The axiom certificates against their one-composition-per-instance
+oracle: equal check counts and identical failure lists, text and order,
+on the stock operads and algebras and on deliberately broken ones."""
+
+import pytest
+
+import axiom_oracle
+from kzbar.algebras import Algebra, free, free_as_algebra, verify_algebra
+from kzbar.catalog import algebra_as_operad, ass_operad, uass_operad, word_algebra
+from kzbar.complexes import ChainComplex
+from kzbar.fields import GF, QQ
+from kzbar.operads import verify_operad
+
+from test_algebras import STOCK_ALGEBRAS
+from test_operads import STOCK_OPERADS, crooked_ass, dg_operad, lazy_sym_ass
+
+
+GOLDEN_MULT = {("1", "1"): {"1": QQ.one}, ("1", "x"): {"x": QQ.one},
+               ("x", "1"): {"x": QQ.one}, ("x", "x"): {"1": QQ.one, "x": QQ.one}}
+
+
+def golden_operad():
+    """Q[x]/(x^2 - x - 1) in arity 1, whose composites x.x have two terms."""
+    return algebra_as_operad(QQ, degrees={"1": 0, "x": 0}, mult=GOLDEN_MULT,
+                             unit_name="1")
+
+
+def golden_module():
+    """Q[x]/(x^2 - x - 1) acting on itself from the right."""
+    return Algebra(golden_operad(), {"*": ChainComplex(QQ, {"1": 0, "x": 0}, {})},
+                   lambda c_sig, c_name, xs: GOLDEN_MULT[(xs[0], c_name)])
+
+
+def wrong_d_operad():
+    """x idempotent with x.e = e but e.x = 0, and d(e) = x: associative,
+    but d is not a derivation, since d(e.x) = 0 while d(e).x = x."""
+    one = QQ.one
+    return algebra_as_operad(
+        QQ, degrees={"1": 0, "e": 1, "x": 0},
+        mult={("1", "1"): {"1": one}, ("1", "e"): {"e": one},
+              ("e", "1"): {"e": one}, ("1", "x"): {"x": one},
+              ("x", "1"): {"x": one}, ("x", "x"): {"x": one},
+              ("x", "e"): {"e": one}},
+        unit_name="1", d={"e": {"x": one}})
+
+
+def crooked_block():
+    """uAss whose gamma((1,), (1, 2); (2, 1)) is doubled.  In the
+    associativity triple y = (1, 2), xs = ((2, 1), (1,)),
+    zs = ((1,), (1, 2), ()) it is the block composition of the first
+    slot, and nothing else in that triple reads it."""
+    op = uass_operad(QQ, 3)
+    honest = op._gamma_rule
+
+    def crooked(y_sig, y_name, xs):
+        vec = honest(y_sig, y_name, xs)
+        if y_name == (2, 1) and tuple(n for _, n in xs) == ((1,), (1, 2)):
+            return {k: c.scaled(2) for k, c in vec.items()}
+        return vec
+
+    op._gamma_rule = crooked
+    return op
+
+
+BROKEN_OPERADS = {
+    "crooked-mid": lambda: crooked_ass(4),
+    "crooked-block": crooked_block,
+    "lazy-sym": lazy_sym_ass,
+    "wrong-d": wrong_d_operad,
+}
+
+
+@pytest.mark.parametrize(
+    "make",
+    list(STOCK_OPERADS.values()) + [dg_operad, golden_operad] + list(BROKEN_OPERADS.values()),
+    ids=list(STOCK_OPERADS) + ["dg-Q", "golden-Q"] + list(BROKEN_OPERADS))
+def test_verify_operad_matches_the_oracle(make):
+    # each side gets its own operad, so neither reads the other's memos
+    got, want = verify_operad(make()), axiom_oracle.verify_operad(make())
+    assert got.checks_run == want.checks_run
+    assert got.failures == want.failures
+    assert got.certificate_note == want.certificate_note
+
+
+@pytest.mark.parametrize("name", list(BROKEN_OPERADS))
+def test_every_broken_operad_fails(name):
+    assert not verify_operad(BROKEN_OPERADS[name]()).ok
+
+
+def test_a_crooked_block_composition_fails_associativity():
+    failures = verify_operad(crooked_block()).failures
+    assert ("associativity fails: y=(('*', '*'), '*'):(1, 2) "
+            "xs=[(2, 1), (1,)] zs=[(1,), (1, 2), ()]") in failures
+
+
+def broken_product():
+    op = uass_operad(QQ, 3)
+    return word_algebra(
+        QQ, op, degrees={"1": 0, "x": 0},
+        mult={("1", "1"): {"1": QQ.one}, ("1", "x"): {"x": QQ.scalar(2)},
+              ("x", "1"): {"x": QQ.one}},
+        unit_name="1")
+
+
+EXTRA_ALGEBRAS = {
+    "free-uAss-Q": lambda: free_as_algebra(
+        free(ChainComplex(QQ, {"g": 0}, {}), uass_operad(QQ, 3))),
+    # theta past arity 2 raises CapExceeded, which skips the instance
+    "free-uAss-Q-parts2": lambda: free_as_algebra(
+        free(ChainComplex(QQ, {"g": 1}, {}), uass_operad(QQ, 3)), parts_cap=2),
+    "free-Ass-F2": lambda: free_as_algebra(
+        free(ChainComplex(GF(2), {"u": 0, "v": 0}, {}), ass_operad(GF(2), 2))),
+    "golden-module": golden_module,
+    "broken-product": broken_product,
+}
+
+
+@pytest.mark.parametrize(
+    "make", list(STOCK_ALGEBRAS.values()) + list(EXTRA_ALGEBRAS.values()),
+    ids=list(STOCK_ALGEBRAS) + list(EXTRA_ALGEBRAS))
+def test_verify_algebra_matches_the_oracle(make):
+    got, want = verify_algebra(make()), axiom_oracle.verify_algebra(make())
+    assert got.checks_run == want.checks_run
+    assert got.failures == want.failures
+
+
+def test_a_broken_product_fails_composition():
+    assert any(f.startswith("composition fails")
+               for f in verify_algebra(broken_product()).failures)

@@ -112,6 +112,17 @@ def test_validate_honors_the_seed_env(capsys, monkeypatch):
     assert rep["seed"] == 7
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_validate_refuses_a_verify_cap_below_one(capsys, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "uass_dual_numbers", f"--verify-cap={cap}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument --verify-cap: must be at least 1, not {cap}\n")
+
+
 def test_bar_unit_window_has_the_ground_field_in_degree_zero(
         capsys, unit_path):
     code, rep = _json_run(capsys, ["bar", unit_path])

@@ -174,6 +174,41 @@ def test_gamma_sort_mismatch():
         op.gamma([m_id, a_id], y)
 
 
+def test_gamma_basis_past_the_cap_raises_on_every_call():
+    op = uass_operad(QQ, 3)
+    y_sig, x2 = single_sig(2), (single_sig(2), idw(2))
+    # an earlier composite of the same y is memoized
+    assert op.gamma_basis(y_sig, idw(2), (x2, (single_sig(1), (1,))))[0] == single_sig(3)
+    for _ in range(3):
+        with pytest.raises(CapExceeded, match="gamma result arity 4 exceeds cap 3"):
+            op.gamma_basis(y_sig, idw(2), (x2, x2))
+    assert (y_sig, idw(2), (x2, x2)) not in op._gamma_memo
+
+
+def test_gamma_basis_sort_mismatch_raises_on_every_call():
+    op = module_operad(QQ, 3)
+    xs = (((("m",), "m"), ()), ((("a",), "a"), (1,)))
+    for _ in range(3):
+        with pytest.raises(OperadError, match="sort mismatch: 'm' fed into 'a' slot"):
+            op.gamma_basis((("a", "a"), "a"), (1, 2), xs)
+
+
+def test_gamma_basis_is_zero_past_the_arity_bound_on_every_call():
+    ass = ass_operad(QQ, 2)
+    calls = []
+
+    def rule(y_sig, y_name, xs):
+        calls.append(xs)
+        return ass._gamma_rule(y_sig, y_name, xs)
+
+    op = Operad(QQ, ass.sorts, 2, ass.components, ass.unit_names, rule,
+                ass._sym_rule, "free-module", arity_bound=2)
+    x2 = (single_sig(2), idw(2))
+    for _ in range(3):
+        assert op.gamma_basis(single_sig(2), idw(2), (x2, x2)) == (single_sig(4), {})
+    assert calls == []
+
+
 # ------------------------------------------------------------- symmetry
 
 
@@ -212,30 +247,29 @@ def test_equivariance_concrete_instance():
 # ------------------------------------------------------------- verification
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: unit_operad(QQ),
-        lambda: unit_operad(F2),
-        lambda: ass_operad(QQ, 3),
-        lambda: ass_operad(F2, 3),
-        lambda: uass_operad(QQ, 3),
-        lambda: uass_operad(F3, 3),
-        lambda: com_operad(QQ, 4),
-        lambda: module_operad(QQ, 3),
-        lambda: module_operad(F2, 3),
-    ],
-    ids=["unit-Q", "unit-F2", "Ass-Q", "Ass-F2", "uAss-Q", "uAss-F3", "Com-Q", "uMod-Q", "uMod-F2"],
-)
+STOCK_OPERADS = {
+    "unit-Q": lambda: unit_operad(QQ),
+    "unit-F2": lambda: unit_operad(F2),
+    "Ass-Q": lambda: ass_operad(QQ, 3),
+    "Ass-F2": lambda: ass_operad(F2, 3),
+    "uAss-Q": lambda: uass_operad(QQ, 3),
+    "uAss-F3": lambda: uass_operad(F3, 3),
+    "Com-Q": lambda: com_operad(QQ, 4),
+    "uMod-Q": lambda: module_operad(QQ, 3),
+    "uMod-F2": lambda: module_operad(F2, 3),
+}
+
+
+@pytest.mark.parametrize("make", list(STOCK_OPERADS.values()), ids=list(STOCK_OPERADS))
 def test_verify_stock_operads(make):
     rep = verify_operad(make())
     assert rep.ok, rep.failures[:5]
     assert rep.checks_run > 0
 
 
-def test_verify_dg_algebra_operad():
-    # dual numbers with exact differential: d(e) = 1
-    op = algebra_as_operad(
+def dg_operad():
+    """Dual numbers with exact differential, d(e) = 1."""
+    return algebra_as_operad(
         QQ,
         degrees={"1": 0, "e": 1},
         mult={("1", "1"): {"1": QQ.one}, ("1", "e"): {"e": QQ.one},
@@ -243,12 +277,16 @@ def test_verify_dg_algebra_operad():
         unit_name="1",
         d={"e": {"1": QQ.one}},
     )
-    rep = verify_operad(op)
+
+
+def test_verify_dg_algebra_operad():
+    rep = verify_operad(dg_operad())
     assert rep.ok, rep.failures[:5]
 
 
-def test_verify_names_corrupted_gamma_triple():
-    op = ass_operad(QQ, 3)
+def crooked_ass(cap: int):
+    """Ass whose gamma((1, 2), (1,); (1, 2)) is the word (2, 1, 3)."""
+    op = ass_operad(QQ, cap)
     honest = op._gamma_rule
 
     def crooked(y_sig, y_name, xs):
@@ -257,23 +295,31 @@ def test_verify_names_corrupted_gamma_triple():
         return honest(y_sig, y_name, xs)
 
     op._gamma_rule = crooked
-    op._gamma_memo.clear()
-    rep = verify_operad(op)
-    assert not rep.ok
-    assert any("(1, 2)" in f and ("associativity" in f or "equivariance" in f
-               or "derivation" in f or "unit" in f or "gamma" in f)
-               for f in rep.failures)
+    return op
 
 
-def test_verify_catches_broken_symmetry():
+def test_verify_names_corrupted_gamma_triple():
+    # at cap 4 the corrupted composite is fed a binary z, so the two
+    # groupings of (y, xs, zs) disagree
+    rep = verify_operad(crooked_ass(4))
+    first = next(f for f in rep.failures if f.startswith("associativity"))
+    assert first == ("associativity fails: y=(('*', '*'), '*'):(1, 2) "
+                     "xs=[(1, 2), (1,)] zs=[(1, 2), (1,), (1,)]")
+
+
+def lazy_sym_ass():
+    """Ass whose transpositions all act as the identity."""
     op = ass_operad(QQ, 3)
 
     def lazy_sym(sig, k, w):
         return {w: QQ.one}
 
     op._sym_rule = lazy_sym
-    op._perm_memo.clear()
-    rep = verify_operad(op)
+    return op
+
+
+def test_verify_catches_broken_symmetry():
+    rep = verify_operad(lazy_sym_ass())
     assert not rep.ok
     assert any("equivariance" in f or "free-module" in f for f in rep.failures)
 
