@@ -11,13 +11,14 @@ action.  ``FreeAlgebra`` owns the arithmetic of the words (sig, generator
 word, label) of that space and their Koszul signs: ``word_d`` is the
 internal differential of one word and ``compose`` composes word vectors
 through a label.  An arity part is its classes and the projection onto
-them; only a caller that reads the part's differential builds its
-certified complex.  The operad's certificate picks the route.  A
-free-module operad, on whose labels of C(n) Sigma_n acts freely and
-monomially, takes the orbit route, which reads the quotient off a
-transversal of the label orbits: each class is one pair (root label,
-generator word), and projecting a word is a lookup plus the Koszul sign
-of the permutation that carries its label to the root.  Every other
+them; only a caller that reads the part's classes or differential
+builds them.  The operad's certificate picks the route.  A free-module
+operad, on whose labels of C(n) Sigma_n acts freely and monomially,
+takes the orbit route, which reads the quotient off a transversal of
+the label orbits: each class is named by its root word, the one word of
+its diagonal orbit whose label is the root of its label orbit, and
+projecting a word is a lookup plus the Koszul sign of the permutation
+that carries its label to the root.  Every other
 operad takes the elimination route, which computes the quotient as a
 cokernel by exact elimination.  An operad certified as a free module
 whose action is not free raises AlgebraError.
@@ -28,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import product as iproduct
-from math import factorial
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -306,18 +306,34 @@ def _check_action_leibniz(alg: Algebra, c_sig: Sig, c_name, xs) -> bool:
 # ------------------------------------------------------------- free algebras
 
 
-@dataclass
 class FreePart:
-    """One arity part of a free algebra, as its classes: representatives in
-    str order with their degrees, the degree of every word of the
-    un-quotiented space, and the projection from it.  Representatives are
-    words of that space; the complex is built and certified on first read."""
+    """One arity part of a free algebra: the projection of the words of
+    the un-quotiented space onto its classes, built with the part.  The
+    class representatives in str order, their degrees, the degree of
+    every word of the un-quotiented space and the certified complex are
+    built on first read."""
 
-    free: "FreeAlgebra"
-    reps: list
-    degrees: dict
-    big_degrees: dict
-    project: object  # Vec over big names -> Vec over representatives
+    def __init__(self, free: "FreeAlgebra", n: int, out_sort: str) -> None:
+        self.free = free
+        self.n = n
+        self.out_sort = out_sort
+        route = (free._coinvariants_by_orbit if free.operad.certificate == "free-module"
+                 else free._coinvariants_by_elimination)
+        # project: Vec over words -> Vec over representatives;
+        # classes: () -> {representative: degree} in str order
+        self.project, self._classes = route(self)
+
+    @cached_property
+    def degrees(self) -> dict:
+        return self._classes()
+
+    @cached_property
+    def reps(self) -> list:
+        return list(self.degrees)
+
+    @cached_property
+    def big_degrees(self) -> dict:
+        return self.free._words(self.n, self.out_sort)
 
     @cached_property
     def complex(self) -> ChainComplex:
@@ -346,40 +362,33 @@ class FreeAlgebra:
         walk = self.operad.label_orbits(n)
         if walk.fault is not None:
             raise AlgebraError(f"orbit route needs a free monomial action: {walk.fault}")
-        want = factorial(n)
-        for (sig, name), size in walk.sizes.items():
-            if size != want:
-                raise AlgebraError(
-                    f"orbit route needs a free action: orbit of {sig}:{name!r} "
-                    f"has size {size}, want {want}"
-                )
+        bad = walk.size_faults(n)
+        if bad:
+            raise AlgebraError(f"orbit route needs a free action: {bad[0]}")
         return walk
 
-    def _big_basis(self, n: int, out_sort: str) -> tuple[dict, list[str]]:
-        """Words (sig, generator word, c name) of the pre-quotient space:
-        their degrees, and their str() in the same order, built from
-        cached reprs."""
+    def _words(self, n: int, out_sort: str, labels=None) -> dict:
+        """Degrees of the words (sig, generator word, c name) of the
+        pre-quotient space, or of those whose label (sig, c name) is in
+        labels."""
         degs: dict = {}
-        keys: list[str] = []
         for sig in self.operad.arity_signatures(n):
             ins = sig[0]
             if sig[1] != out_sort or any(s not in self.generators for s in ins):
                 continue
             comp = self.operad.components[sig]
-            labels = [(c, comp.degrees[c], f"({sig!r}, ", f", {c!r})")
-                      for c in comp.basis()]
-            pools = [[(x, g.degrees[x], repr(x)) for x in g.basis()]
+            cs = [(c, comp.degrees[c]) for c in comp.basis()
+                  if labels is None or (sig, c) in labels]
+            if not cs:
+                continue
+            pools = [[(x, g.degrees[x]) for x in g.basis()]
                      for g in (self.generators[s] for s in ins)]
             for combo in iproduct(*pools):
-                xw = tuple(x for x, _, _ in combo)
-                dx = sum(d for _, d, _ in combo)
-                xr = ("(" + ", ".join(r for _, _, r in combo)
-                      + ("," if n == 1 else "") + ")")
-                for c, dc, head, tail in labels:
-                    w = (sig, xw, c)
-                    degs[w] = dx + dc
-                    keys.append(head + xr + tail)
-        return degs, keys
+                xw = tuple(x for x, _ in combo)
+                dx = sum(d for _, d in combo)
+                for c, dc in cs:
+                    degs[(sig, xw, c)] = dx + dc
+        return degs
 
     def _diagonal_swap(self, name, k: int) -> Vec:
         """Image of a big basis element under s_k, with Koszul sign."""
@@ -396,16 +405,9 @@ class FreeAlgebra:
     def part(self, n: int, out_sort: str = "*") -> FreePart:
         key = (n, out_sort)
         hit = self._parts.get(key)
-        if hit is not None:
-            return hit
-        big_degs, str_keys = self._big_basis(n, out_sort)
-        if self.operad.certificate == "free-module":
-            reps, project = self._coinvariants_by_orbit(n, out_sort, big_degs, str_keys)
-        else:
-            reps, project = self._coinvariants_by_elimination(n, big_degs, str_keys)
-        part = self._parts[key] = FreePart(
-            self, reps, {r: big_degs[r] for r in reps}, big_degs, project)
-        return part
+        if hit is None:
+            hit = self._parts[key] = FreePart(self, n, out_sort)
+        return hit
 
     def word_d(self, big) -> Vec:
         """Internal differential of one word: each generator's d under the
@@ -448,86 +450,71 @@ class FreeAlgebra:
                 vec_acc(out, (comp.sig, xw_all, nm), coeff * sgn * cf)
         return out
 
-    def _coinvariants_by_elimination(self, n: int, big_degs, str_keys):
+    def _coinvariants_by_elimination(self, part: FreePart):
         relations = []
         one = self.field.one
-        words = list(big_degs)
-        for name in words:
-            for k in range(1, n):
+        big_degs = part.big_degrees
+        for name in big_degs:
+            for k in range(1, part.n):
                 img = self._diagonal_swap(name, k)
                 rel = vec_axpy({name: one}, -one, img)
                 if rel:
                     relations.append(rel)
         ech = echelon(relations, self.field)
         pivots = set(ech.pivots)
-        order = sorted(range(len(words)), key=str_keys.__getitem__)
-        reps = [words[i] for i in order if words[i] not in pivots]
+        reps = sorted((w for w in big_degs if w not in pivots), key=str)
 
         def project(vec: Vec) -> Vec:
             rem, _ = ech.reduce(vec)
             return rem
 
-        return reps, project
+        return project, lambda: {r: big_degs[r] for r in reps}
 
-    def _coinvariants_by_orbit(self, n: int, out_sort: str, big_degs, str_keys):
+    def _coinvariants_by_orbit(self, part: FreePart):
         """Coinvariants of a free monomial action through a label transversal.
 
         Every diagonal orbit holds exactly one word whose label is the root
-        of its label orbit, so a class is a pair (root label, x-word) and
-        projecting a word is a lookup.  A class is named by its str-least
-        word, as a walk over the whole orbit would name it.
+        of its label orbit, and that root word names the class, so
+        projecting a word is a lookup plus a sign.  The classes are the
+        root labels times the generator words, enumerated only when read.
         """
-        orbits = self._free_orbits(n).members
+        n, out_sort = part.n, part.out_sort
+        walk = self._free_orbits(n)
         gen_degs = {s: g.degrees for s, g in self.generators.items()}
         table = {}
-        for label, (root, sign, sigma) in orbits.items():
+        for label, ((root_sig, root_name), sign, sigma) in walk.members.items():
             ins, out = label[0]
             if out != out_sort or any(s not in gen_degs for s in ins):
                 continue
             pairs = tuple((sigma[a], sigma[b]) for a in range(n) for b in range(a + 1, n)
                           if sigma[a] > sigma[b])
-            table[label] = (root, sign, itemgetter(*sigma) if pairs else None, pairs)
-
-        def to_class(word):
-            """(root label, x-word) of a word, and the sign s with
-            [word] = s [root word]; None off the table."""
-            sig, xw, c_name = word
-            hit = table.get((sig, c_name))
-            if hit is None:
-                return None
-            root, sign, permute, pairs = hit
-            if permute is None:
-                return (root, xw), sign
-            # Koszul sign of the permutation on the odd letters it crosses
-            ins = sig[0]
-            for i, j in pairs:
-                if gen_degs[ins[i]].get(xw[i], 0) % 2 and gen_degs[ins[j]].get(xw[j], 0) % 2:
-                    sign = -sign
-            return (root, permute(xw)), sign
-
-        # class -> (str key, representative, s_r) with [rep] = s_r [class]
-        rep_of: dict = {}
-        for word, key in zip(big_degs, str_keys):
-            cls, sign = to_class(word)
-            cur = rep_of.get(cls)
-            if cur is None or key < cur[0]:
-                rep_of[cls] = (key, word, sign)
-        reps = [word for _, word, _ in sorted(rep_of.values(), key=itemgetter(0))]
+            table[label] = (root_sig, root_name, sign,
+                            itemgetter(*sigma) if pairs else None, pairs)
 
         def project(vec: Vec) -> Vec:
+            """[word] = sign [root word], where the sign is the label's
+            times the Koszul sign of the odd letters the permutation
+            crosses."""
             out: Vec = {}
-            for word, cf in vec.items():
-                hit = to_class(word)
+            for (sig, xw, c_name), cf in vec.items():
+                hit = table.get((sig, c_name))
                 if hit is None:
                     continue
-                rep = rep_of.get(hit[0])
-                if rep is None:
-                    continue
-                # [word] = s [class] = s s_r [rep]
-                vec_acc(out, rep[1], cf if hit[1] == rep[2] else -cf)
+                root_sig, root_name, sign, permute, pairs = hit
+                if permute is not None:
+                    ins = sig[0]
+                    for i, j in pairs:
+                        if gen_degs[ins[i]][xw[i]] % 2 and gen_degs[ins[j]][xw[j]] % 2:
+                            sign = -sign
+                    xw = permute(xw)
+                vec_acc(out, (root_sig, xw, root_name), cf if sign == 1 else -cf)
             return out
 
-        return reps, project
+        def classes() -> dict:
+            degs = self._words(n, out_sort, walk.sizes)
+            return {w: degs[w] for w in sorted(degs, key=str)}
+
+        return project, classes
 
 
 def free(generators, operad: Operad) -> FreeAlgebra:

@@ -86,6 +86,13 @@ class LabelOrbits:
     sizes: dict[Label, int] = dc_field(default_factory=dict)
     fault: str | None = None
 
+    def size_faults(self, n: int) -> list[str]:
+        """One line per finished orbit of arity n whose size is not n!,
+        the size of a free orbit."""
+        want = factorial(n)
+        return [f"orbit of {sig}:{name!r} has size {size}, want {want}"
+                for (sig, name), size in self.sizes.items() if size != want]
+
 
 @dataclass
 class OperadElement:
@@ -591,12 +598,7 @@ def _verify_free_module(op: Operad) -> list[str]:
         if n < 2:
             continue
         walk = op.label_orbits(n)
-        want = factorial(n)
-        for (sig, name), size in walk.sizes.items():
-            if size != want:
-                failures.append(
-                    f"free-module: orbit of {sig}:{name!r} has size {size}, want {want}"
-                )
+        failures.extend(f"free-module: {bad}" for bad in walk.size_faults(n))
         if walk.fault is not None:
             failures.append(f"free-module: {walk.fault}")
         if failures:

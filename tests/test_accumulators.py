@@ -180,6 +180,20 @@ def test_dstruct_and_roundtrip_build_no_part_complex():
     assert [key for key, part in parts.items() if "complex" in vars(part)] == []
 
 
+def test_projecting_builds_no_class_list():
+    """dstruct on the dual numbers at window 4 only projects words onto
+    the parts above arity one, so none of those parts enumerates its
+    classes, its pre-quotient words or its complex."""
+    m = parse_manifest((GOLDEN / "dual_w4.kz").read_text())
+    built = build(m)
+    got = _report(_run_dstruct, "dstruct", m, built)
+    assert got.encode() == (GOLDEN / "dual_w4.dstruct.json").read_bytes()
+    parts = built.dstructures["bardual"].free._parts
+    assert [n for n, _ in parts if n >= 2]
+    assert [key for key, part in parts.items() if key[0] >= 2
+            and {"degrees", "big_degrees", "complex"} & set(vars(part))] == []
+
+
 class _Recorder(dict):
     """The differential memo, recording each key it was asked for and
     each of those it did not hold."""

@@ -41,21 +41,48 @@ def parts(fa):
             yield n, out_sort
 
 
+def _transport(phi, vec):
+    """An oracle vector carried to the part's classes: oracle
+    representative r goes to sign * q when phi[r] = (q, sign)."""
+    out = {}
+    for r, c in vec.items():
+        q, sign = phi[r]
+        out[q] = sign * c
+    return out
+
+
 @pytest.mark.parametrize("op_name,field_name,parity", CASES)
 def test_transversal_matches_orbit_walk(op_name, field_name, parity):
+    """The part and the oracle have the same classes, projection and
+    differential, matched through the bijection that projects each oracle
+    representative (its str-least word) onto one of the part's root words
+    with sign +-1."""
     fa = free_algebra(op_name, field_name, parity)
     assert fa.operad.certificate == "free-module"
     one = fa.field.one
     for n, out_sort in parts(fa):
         part = fa.part(n, out_sort)
         reps, project, d = orbit_part(fa, n, out_sort)
-        assert part.complex.basis() == reps, (n, out_sort)
-        assert list(part.complex.degrees) == reps
-        assert part.complex.d == d, (n, out_sort)
-        assert part.reps == part.complex.basis()
-        assert part.degrees == part.complex.degrees
+        phi = {}
+        for r in reps:
+            ((q, sign),) = part.project({r: one}).items()
+            assert sign in (one, -one), (r, sign)
+            phi[r] = (q, sign)
+        assert sorted((q for q, _ in phi.values()), key=str) == part.reps, (n, out_sort)
+        for r, (q, _) in phi.items():
+            assert part.degrees[q] == part.big_degrees[r]
         for word in part.big_degrees:
-            assert part.project({word: one}) == project({word: one}), word
+            assert part.project({word: one}) == _transport(phi, project({word: one})), word
+        assert part.complex.d == {
+            q: _transport(phi, {r2: sign * c for r2, c in d[r].items()})
+            for r, (q, sign) in phi.items() if r in d}, (n, out_sort)
+        roots = fa.operad.label_orbits(n).members
+        for sig, _, c_name in part.reps:
+            assert roots[(sig, c_name)][0] == (sig, c_name)
+        assert part.reps == sorted(part.reps, key=str)
+        assert part.reps == part.complex.basis()
+        assert list(part.complex.degrees) == part.reps
+        assert part.degrees == part.complex.degrees
 
 
 def _sampled_word(data):
