@@ -1,9 +1,9 @@
 """Golden reports, frozen byte for byte: the validate, dstruct and
 roundtrip reports on the shipped manifest and on the two-sorted pair over
 Q, the bar and homology reports on the shipped dual numbers at window 5,
-and the dstruct and roundtrip reports on the dual numbers at window 4,
-where roundtrip skips the coinvariant parts of the D-structure as too
-large.
+the bar report on the dual numbers at window 6 with cap 4, and the
+dstruct and roundtrip reports on the dual numbers at window 4, where
+roundtrip skips the coinvariant parts of the D-structure as too large.
 
 A golden file that a benchmark workload pins must also hash to the
 report digest in ``perfbench/pins.json``, so the lock and the benchmark
@@ -33,6 +33,7 @@ MANIFESTS = {
     "pair_q_w3": (str(GOLDEN / "pair_q_w3.kz"), "pair-q-w3",
                   ("validate", "dstruct", "roundtrip")),
     "bar_w5": (str(GOLDEN / "bar_w5.kz"), "bar-w5", ("bar", "homology")),
+    "bar_w6": (str(GOLDEN / "bar_w6.kz"), None, ("bar",)),
     "dual_w4": (str(GOLDEN / "dual_w4.kz"), None, ("dstruct", "roundtrip")),
 }
 CASES = [(name, suite) for name, (_, _, suites) in sorted(MANIFESTS.items())
