@@ -35,7 +35,15 @@ from typing import TYPE_CHECKING
 from kzbar.complexes import ChainComplex, ChainMap
 from kzbar.fields import Scalar
 from kzbar.linalg import Vec, echelon, vec_acc, vec_axpy, vec_iaxpy, vec_scale
-from kzbar.operads import CapExceeded, Operad, OperadElement, Sig, _arity_tuples, koszul_sign
+from kzbar.operads import (
+    CapExceeded,
+    Operad,
+    OperadElement,
+    Sig,
+    _arity_tuples,
+    _labels_past_words,
+    koszul_sign,
+)
 
 if TYPE_CHECKING:
     from kzbar.bar import BarComplex
@@ -270,16 +278,6 @@ def _check_action_composition(alg: Algebra, c_sig: Sig, c_name, cs, comp, xs) ->
          sum(alg.carrier_degree(s, n) for s, n in zip(ci_sig[0], blk)))
         for (ci_sig, ci_name), blk in zip(cs, blocks)])
     return lhs == {n: sgn * c0 for n, c0 in rhs.items()}
-
-
-def _labels_past_words(field, degs) -> Scalar:
-    """Koszul sign of moving each factor's label right, past the factor
-    words after it; degs holds (label degree, word degree) per factor."""
-    sgn, later = field.one, 0
-    for c_deg, w_deg in reversed(degs):
-        sgn = sgn * koszul_sign(field, c_deg, later)
-        later += w_deg
-    return sgn
 
 
 def _check_action_leibniz(alg: Algebra, c_sig: Sig, c_name, xs) -> bool:

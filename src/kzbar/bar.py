@@ -18,6 +18,7 @@ certified by d.d = 0 and dh + hd = Id elementwise in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, groupby
 from itertools import product as iproduct
 
 from kzbar.algebras import Algebra
@@ -77,6 +78,11 @@ class BarComplex:
         self.field = algebra.field
         self.name = name
         self._d_memo: dict = {}
+        self._h_memo: dict = {}
+        self._normal_memo: dict = {}  # (t, labels, es, fs) -> (key, c) or ()
+        self._orbit_memo: dict = {}  # (sig, gens, label) -> (name, c) or ()
+        self._witness_memo: dict = {}  # tree -> (edges, leaves)
+        self._plan_memo: dict = {}  # (tree, word) -> (edges, leaves)
         self._basis_memo: dict[int, list[BarKey]] = {}
         self._word_memo: dict[BarKey, SignWord] = {}
         self._unit = {1: self.field.one, -1: -self.field.one}  # word signs
@@ -210,16 +216,35 @@ class BarComplex:
         """Transport to the canonical labeled representative.
 
         The result does not depend on how the raw term was produced; a
-        term fixed by a label-preserving symmetry of sign -1 is zero.
+        term fixed by a label-preserving symmetry of sign -1 is zero.  It
+        is linear in coeff and in the sign of w, so the normal form of the
+        sign +1 term is memoized per (t, labels, es, fs).  Every call gets
+        a fresh vector, and a failed parity check is never memoized, so it
+        raises on every call.
         """
         if w.sign == 0 or coeff.is_zero():
             return {}
+        memo_key = (t, labels, w.es, w.fs)
+        hit = self._normal_memo.get(memo_key)
+        if hit is None:
+            hit = self._normal_memo[memo_key] = self._normal_form(
+                t, labels, SignWord(1, w.es, w.fs))
+        if not hit:
+            return {}
+        key, c = hit
+        c = coeff * c
+        return {key: c if w.sign == 1 else -c}
+
+    def _normal_form(self, t: Tree, labels: tuple, w: SignWord):
+        """(canonical key, coefficient) of the term (t, w, labels, 1), or
+        () when it is zero."""
+        coeff = self.field.one
         t_c, sigma1 = canonical_form(t)
         if t_c != t or sigma1 != tuple(range(1, t.n + 1)):
             labels, w, coeff = self._transport(t, t_c, sigma1, labels, w, coeff)
             t = t_c
             if w.sign == 0:
-                return {}
+                return ()
 
         for v in range(1, t.n + 1):
             if t.is_leaf(v):
@@ -234,7 +259,7 @@ class BarComplex:
                 sigma = self._block_perm_at(t, v, order)
                 labels, w, coeff = self._transport(t, t, sigma, labels, w, coeff)
                 if w.sign == 0:
-                    return {}
+                    return ()
 
             # minimize this vertex's label over swaps of equal siblings
             encs = [self._labeled_enc(t, labels, c) for c in cs]
@@ -250,25 +275,11 @@ class BarComplex:
                     gens.append((tuple(pi), moved.sign * w.sign))
             if not gens:
                 continue
-            sig = self._component_sig(t, v)
-            start = labels[v - 1]
-            best_name, best_sign = start, self.field.one
-            seen = {start: self.field.one}
-            frontier = [(start, self.field.one)]
-            while frontier:
-                cur, csgn = frontier.pop()
-                for pi, ws in gens:
-                    nm, cf = self._monomial_perm(sig, pi, cur)
-                    nsgn = csgn * cf * self._unit[ws]
-                    prev = seen.get(nm)
-                    if prev is None:
-                        seen[nm] = nsgn
-                        frontier.append((nm, nsgn))
-                        if str(nm) < str(best_name):
-                            best_name, best_sign = nm, nsgn
-                    elif prev != nsgn:
-                        # one label reached with both signs: torsion, zero
-                        return {}
+            best = self._orbit_min(self._component_sig(t, v), tuple(gens),
+                                   labels[v - 1])
+            if not best:
+                return ()
+            best_name, best_sign = best
             if best_name != labels[v - 1]:
                 lab2 = list(labels)
                 lab2[v - 1] = best_name
@@ -280,14 +291,69 @@ class BarComplex:
         if base.es != w.es or base.fs != w.fs:
             raise BarError(f"normalized word {w} disagrees with parities on {t}")
         if coeff.is_zero():
-            return {}
-        return {(t, labels): coeff}
+            return ()
+        return (t, labels), coeff
+
+    def _orbit_min(self, sig, gens: tuple, start):
+        """The str-least label in the orbit of start under the swaps gens
+        = ((pi, word sign), ...), with the sign carrying start to it, or
+        () when the orbit reaches one label with both signs (torsion);
+        memoized per (sig, gens, start)."""
+        memo_key = (sig, gens, start)
+        hit = self._orbit_memo.get(memo_key)
+        if hit is not None:
+            return hit
+        best_name, best_sign = start, self.field.one
+        seen = {start: self.field.one}
+        frontier = [(start, self.field.one)]
+        while frontier:
+            cur, csgn = frontier.pop()
+            for pi, ws in gens:
+                nm, cf = self._monomial_perm(sig, pi, cur)
+                nsgn = csgn * cf * self._unit[ws]
+                prev = seen.get(nm)
+                if prev is None:
+                    seen[nm] = nsgn
+                    frontier.append((nm, nsgn))
+                    if str(nm) < str(best_name):
+                        best_name, best_sign = nm, nsgn
+                elif prev != nsgn:
+                    self._orbit_memo[memo_key] = ()
+                    return ()
+        hit = self._orbit_memo[memo_key] = (best_name, best_sign)
+        return hit
 
     def basis_vector(self, t: Tree, labels: tuple) -> BarVec:
         return self.normalize_term(t, self.basis_word(t, labels), labels,
                                    self.field.one)
 
     # ------------------------------------------------------------ operations
+
+    def _contraction_plan(self, t: Tree, w: SignWord):
+        """The contraction summands of d on a tree with word w, memoized
+        per (t, w): (q, parent, witness, contracted word) for the edge
+        above each non-root vertex q, and (j, j, witness, contracted word)
+        for each fully-leafed vertex j, with the zero words dropped.  The
+        second entry is the vertex whose e the summand removes.  The
+        witnesses are memoized per tree."""
+        plan = self._plan_memo.get((t, w))
+        if plan is not None:
+            return plan
+        wits = self._witness_memo.get(t)
+        if wits is None:
+            nl = t.non_leaves()
+            wits = self._witness_memo[t] = (
+                [(q, t.parent(q), edge_contract(t, q)) for q in nl if q != t.n],
+                [(j, j, leaf_contract(t, j - len(t.kids[j]), j)) for j in nl
+                 if all(c in t.L for c in t.kids[j])],
+            )
+        plan = self._plan_memo[(t, w)] = tuple(
+            [(q, v, wit, dw) for q, v, wit in group
+             for dw in (relabel(partial_e(v, w), lambda k: wit.rho[k - 1],
+                                target=wit.result),)
+             if dw.sign != 0]
+            for group in wits)
+        return plan
 
     def differential_key(self, key: BarKey) -> BarVec:
         """d of one basis key, memoized per key; callers only read it."""
@@ -297,18 +363,10 @@ class BarComplex:
         t, labels = key
         w = self.basis_word(t, labels)
         out: BarVec = {}
-        nl = set(t.non_leaves())
+        edges, leaves = self._contraction_plan(t, w)
 
         # contract the edge above q, composing q into its parent's slot
-        for q in sorted(nl):
-            if q == t.n:
-                continue
-            parent = t.parent(q)
-            wit = edge_contract(t, q)
-            dw = partial_e(parent, w)
-            dw = relabel(dw, lambda k: wit.rho[k - 1], target=wit.result)
-            if dw.sign == 0:
-                continue
+        for q, parent, wit, dw in edges:
             x_q = self.operad.basis_element(
                 self._component_sig(t, q), labels[q - 1])
             x_p = self.operad.basis_element(
@@ -322,16 +380,9 @@ class BarComplex:
                     wit.result, dw, tuple(lab2), self.field.one))
 
         # contract a fully-leafed vertex into a new leaf via the action
-        for j in sorted(nl):
+        for j, _, wit, dw in leaves:
             cs = t.kids[j]
-            if any(c not in t.L for c in cs):
-                continue
             i = j - len(cs)
-            wit = leaf_contract(t, i, j)
-            dw = partial_e(j, w)
-            dw = relabel(dw, lambda k: wit.rho[k - 1], target=wit.result)
-            if dw.sign == 0:
-                continue
             c_el = self.operad.basis_element(
                 self._component_sig(t, j), labels[j - 1])
             xs = [self.algebra.basis_element(self._sort_of(t, c), labels[c - 1])
@@ -374,12 +425,16 @@ class BarComplex:
                 if not _is_bare(k)}
 
     def homotopy_key(self, key: BarKey) -> BarVec:
-        t, labels = key
-        w = self.basis_word(t, labels)
-        t2 = graft(t)
-        unit = self.operad.unit_names[self._sort_of(t, t.n)]
-        w2 = multiply(word((t2.n,), ()), w)
-        return self.normalize_term(t2, w2, labels + (unit,), self.field.one)
+        """h of one basis key, memoized per key; callers only read it."""
+        hit = self._h_memo.get(key)
+        if hit is None:
+            t, labels = key
+            t2 = graft(t)
+            unit = self.operad.unit_names[self._sort_of(t, t.n)]
+            w2 = multiply(word((t2.n,), ()), self.basis_word(t, labels))
+            hit = self._h_memo[key] = self.normalize_term(
+                t2, w2, labels + (unit,), self.field.one)
+        return hit
 
     def homotopy(self, vec: BarVec) -> BarVec:
         out: BarVec = {}
@@ -414,29 +469,55 @@ class BarComplex:
         return [k for k in keys if lo <= self.degree_of(*k) <= hi]
 
     def _full_basis(self, n_max: int) -> list[BarKey]:
+        """Every canonical labeled tree on at most n_max vertices.
+
+        Normalizing sorts each run of equal-shape siblings by their
+        labeled encodings, then moves the parent's label to the least of
+        its orbit under swaps of equal labeled siblings.  So only the
+        labelings whose sibling runs are nondecreasing are generated.  One
+        without equal labeled siblings is its own normal form; any other
+        is kept only if normalizing leaves it in place.
+        """
         sorts = self.operad.sorts if len(self.operad.sorts) > 1 else None
         cap_val = self.operad.max_nonzero_arity()
-        seen: set = set()
+        keys = []
         for n in range(1, n_max + 1):
             for t in enumerate_trees(n, True, sorts):
                 if any(t.valence(v) > cap_val for v in t.non_leaves()):
                     continue
-                pools = []
-                for v in range(1, n + 1):
-                    if t.is_leaf(v):
-                        comp = self.algebra.carrier.get(self._sort_of(t, v))
-                    else:
-                        comp = self.operad.component(self._component_sig(t, v))
-                    if comp is None or not comp.degrees:
-                        pools = None
-                        break
-                    pools.append(sorted(comp.degrees, key=str))
-                if pools is None:
-                    continue
-                for combo in iproduct(*pools):
-                    for key in self.basis_vector(t, combo):
-                        seen.add(key)
-        return sorted(seen, key=_key_order)
+                for labels, _, tied in self._sorted_labelings(t, t.n):
+                    if not tied or (t, labels) in self.basis_vector(t, labels):
+                        keys.append((t, labels))
+        return sorted(keys, key=_key_order)
+
+    def _sorted_labelings(self, t: Tree, v: int) -> list:
+        """The labelings of the subtree at v whose runs of equal-shape
+        siblings are nondecreasing in _labeled_enc order, as (labels in
+        vertex order, labeled encoding, whether some vertex has equal
+        labeled siblings)."""
+        srt = self._sort_of(t, v)
+        if t.is_leaf(v):
+            comp = self.algebra.carrier.get(srt)
+        else:
+            comp = self.operad.component(self._component_sig(t, v))
+        names = sorted(comp.degrees, key=str) if comp is not None else []
+        if t.is_leaf(v):
+            return [((nm,), (0, srt, str(nm)), False) for nm in names]
+        runs = []
+        for _, run in groupby(t.kids[v], key=lambda c: self._shape_enc(t, c)):
+            run = list(run)
+            subs = sorted(self._sorted_labelings(t, run[0]), key=lambda s: s[1])
+            runs.append(combinations_with_replacement(subs, len(run)))
+        out = []
+        for combo in iproduct(*runs):
+            parts = [sub for run in combo for sub in run]
+            labels = tuple(nm for sub_labels, _, _ in parts for nm in sub_labels)
+            encs = tuple(enc for _, enc, _ in parts)
+            tied = any(tie for _, _, tie in parts) or any(
+                a[1] == b[1] for run in combo for a, b in zip(run, run[1:]))
+            out.extend((labels + (nm,), (1, srt, str(nm), encs), tied)
+                       for nm in names)
+        return out
 
     def stable_degrees(self, n_max: int) -> list[int]:
         """Quotient degrees whose homology the n_max window reports

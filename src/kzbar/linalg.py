@@ -24,12 +24,19 @@ def vec_scale(v: Vec, s: Scalar) -> Vec:
 
 
 def vec_iaxpy(u: Vec, s: Scalar, v: Vec) -> None:
-    """u += s*v in place, dropping entries that cancel; v is only read."""
-    if s.is_zero():
+    """u += s*v in place, dropping entries that cancel; v is only read.
+    A factor of one multiplies nothing, but its field is still checked
+    against v's."""
+    if s.is_zero() or not v:
         return
+    unit = s.val == 1
+    if unit:
+        s._check(next(iter(v.values())))
     for k, c in v.items():
+        if not unit:
+            c = c * s
         w = u.get(k)
-        nc = c * s if w is None else w + c * s
+        nc = c if w is None else w + c
         if nc.is_zero():
             u.pop(k, None)
         else:

@@ -15,7 +15,7 @@ Conventions, fixed once and verified by verify_operad:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 from math import factorial
 
 from kzbar.complexes import ChainComplex
@@ -247,11 +247,15 @@ class Operad:
         vector."""
         target: Vec = {}
         x_sigs = [x_sig for x_sig, _ in xs]
+        for _, x_vec in xs:  # a factor of one is skipped below, not its field
+            for cx in x_vec.values():
+                self.field.one._check(cx)
         for y_name, cy in y_vec.items():
             for combo in iproduct(*(x_vec.items() for _, x_vec in xs)):
                 coeff = cy
                 for _, cx in combo:
-                    coeff = coeff * cx
+                    if cx.val != 1:
+                        coeff = coeff * cx
                 _, vec = self.gamma_basis(
                     y_sig, y_name, tuple(zip(x_sigs, [nm for nm, _ in combo]))
                 )
@@ -395,6 +399,16 @@ def koszul_sign(field: FieldSpec, deg_a: int, deg_b: int) -> Scalar:
     return -field.one if (deg_a % 2 and deg_b % 2) else field.one
 
 
+def _labels_past_words(field: FieldSpec, degs) -> Scalar:
+    """Koszul sign of moving each factor's label right, past the factor
+    words after it; degs holds (label degree, word degree) per factor."""
+    sgn, later = field.one, 0
+    for c_deg, w_deg in reversed(degs):
+        sgn = sgn * koszul_sign(field, c_deg, later)
+        later += w_deg
+    return sgn
+
+
 def _arity_tuples(op: Operad, total_max: int, slots_sorts: tuple[str, ...]) -> tuple:
     """All tuples of (sig, name) basis choices matching the sorts, with
     total resulting arity at most total_max, each paired with that arity;
@@ -485,7 +499,8 @@ def verify_operad(op: Operad) -> OperadReport:
                         )
 
     # associativity: gamma(zs; gamma(xs; y)) against gamma(gamma(block_i;
-    # x_i)...; y).  gamma(xs; y) is looked up once per (y, xs) and each
+    # x_i)...; y), up to the Koszul sign of moving each x_i right past the
+    # later blocks.  gamma(xs; y) is looked up once per (y, xs) and each
     # block composition once per (x, block); every (y, xs, zs) is still
     # compared.
     inner: dict = {}
@@ -495,6 +510,8 @@ def verify_operad(op: Operad) -> OperadReport:
             for xs, _ in _arity_tuples(op, op.cap, y_sig[0]):
                 mid_sig, mid = op.gamma_basis(y_sig, y_name, xs)
                 widths = [len(x_sig[0]) for x_sig, _ in xs]
+                x_degs = [op.degree_of(*x) for x in xs]
+                any_odd = any(d % 2 for d in x_degs)
                 for zs, _ in _arity_tuples(op, op.cap, mid_sig[0]):
                     lhs: Vec = {}
                     for m, c in mid.items():
@@ -510,6 +527,11 @@ def verify_operad(op: Operad) -> OperadReport:
                             hit = inner[key] = op.gamma_basis(x[0], x[1], key[1])
                         blocks.append(hit)
                     rhs_sig, rhs = op.gamma_vec(y_sig, y_vec, blocks)
+                    if any_odd:
+                        sgn = _labels_past_words(F, [
+                            (x_deg, sum(op.degree_of(*z) for z in zs[pos - w:pos]))
+                            for x_deg, w, pos in zip(x_degs, widths, accumulate(widths))])
+                        rhs = vec_scale(rhs, sgn)
                     rep.checks_run += 1
                     if lhs_sig != rhs_sig or lhs != rhs:
                         rep.failures.append(

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from kzbar.algebras import AlgebraElement, AlgebraReport, _labels_past_words
+from kzbar.algebras import AlgebraElement, AlgebraReport
 from kzbar.linalg import vec_iaxpy
 from kzbar.operads import (
     CapExceeded,
     OperadElement,
     OperadReport,
+    _labels_past_words,
     _verify_free_module,
     block_perm,
     koszul_sign,
@@ -196,6 +197,11 @@ def _check_associativity(op, y_sig, y_name, xs, zs) -> bool:
         pos += x.arity
     inner = [op.gamma(blk, x) for blk, x in zip(blocks, x_els)]
     rhs = op.gamma(inner, y)
+    # x_i moves right past every z of a later block
+    odd = sum(op.degree_of(*xs[i]) * op.degree_of(z.sig, name)
+              for i in range(len(xs)) for blk in blocks[i + 1:]
+              for z in blk for name in z.vec)
+    rhs = rhs.scale(koszul_sign(op.field, odd, 1))
     return lhs.sig == rhs.sig and lhs.vec == rhs.vec
 
 

@@ -1,11 +1,16 @@
-"""Reference windowed bar basis: enumerate straight into the window.
+"""Reference bar bases, built by normalizing every label combination.
 
-This is ``BarComplex.enumerate_basis`` as ``kzbar.bar`` first wrote it:
-the degree window prunes tree shapes by their non-leaf count and filters
-each label combination by its degree before it is normalized, with no
-memo.  Canonicity is decided by the oracle's unmemoized canonical form.
-The tests compare it with the route that enumerates the whole basis
-once and filters it by degree.
+``enumerate_basis`` is ``BarComplex.enumerate_basis`` as ``kzbar.bar``
+first wrote it: the degree window prunes tree shapes by their non-leaf
+count and filters each label combination by its degree before it is
+normalized, with no memo.  Canonicity is decided by the oracle's
+unmemoized canonical form.  The tests compare it with the route that
+enumerates the whole basis once and filters it by degree.
+
+``full_basis`` is the whole basis the way ``BarComplex._full_basis``
+built it before it generated only sibling-sorted labelings: every label
+combination of every canonical tree is normalized and the set of results
+is kept.
 """
 
 from __future__ import annotations
@@ -41,16 +46,7 @@ def enumerate_basis(B, n_max: int, deg_lo: int | None = None,
                     if canonical_form(st)[0] == st
                 ]
             for t in cands:
-                pools = []
-                for v in range(1, n + 1):
-                    if t.is_leaf(v):
-                        comp = B.algebra.carrier.get(B._sort_of(t, v))
-                    else:
-                        comp = B.operad.component(B._component_sig(t, v))
-                    if comp is None or not comp.degrees:
-                        pools = None
-                        break
-                    pools.append(sorted(comp.degrees, key=str))
+                pools = _pools(B, t)
                 if pools is None:
                     continue
                 for combo in iproduct(*pools):
@@ -62,3 +58,34 @@ def enumerate_basis(B, n_max: int, deg_lo: int | None = None,
                     for key in B.basis_vector(t, combo):
                         seen.add(key)
     return sorted(seen, key=_key_order)
+
+
+def full_basis(B, n_max: int) -> list:
+    sorts = B.operad.sorts if len(B.operad.sorts) > 1 else None
+    cap_val = B.operad.max_nonzero_arity()
+    seen: set = set()
+    for n in range(1, n_max + 1):
+        for t in enumerate_trees(n, True, sorts):
+            if any(t.valence(v) > cap_val for v in t.non_leaves()):
+                continue
+            pools = _pools(B, t)
+            if pools is None:
+                continue
+            for combo in iproduct(*pools):
+                for key in B.basis_vector(t, combo):
+                    seen.add(key)
+    return sorted(seen, key=_key_order)
+
+
+def _pools(B, t) -> list | None:
+    """Each vertex's labels in str order, or None if one has none."""
+    pools = []
+    for v in range(1, t.n + 1):
+        if t.is_leaf(v):
+            comp = B.algebra.carrier.get(B._sort_of(t, v))
+        else:
+            comp = B.operad.component(B._component_sig(t, v))
+        if comp is None or not comp.degrees:
+            return None
+        pools.append(sorted(comp.degrees, key=str))
+    return pools

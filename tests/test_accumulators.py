@@ -47,6 +47,7 @@ def _state(alg, ds, B) -> dict[str, dict]:
         "operad perm memo": op._perm_memo,
         "algebra theta memo": alg._theta_memo,
         "bar differential memo": B._d_memo,
+        "bar normal-form memo": B._normal_memo,
         "algebra carrier d": {s: c.d for s, c in alg.carrier.items()},
         "dstructure carrier d": {s: c.d for s, c in ds.carrier.items()},
         "free-algebra part columns": {

@@ -1,6 +1,7 @@
 """The axiom certificates against their one-composition-per-instance
 oracle: equal check counts and identical failure lists, text and order,
-on the stock operads and algebras and on deliberately broken ones."""
+on the stock operads and algebras, on the suspension of uAss with its
+odd labels, and on deliberately broken ones."""
 
 import pytest
 
@@ -11,9 +12,12 @@ from kzbar.complexes import ChainComplex
 from kzbar.fields import GF, QQ
 from kzbar.operads import verify_operad
 
+from suspension import suspended_dual_numbers, suspended_uass
 from test_algebras import STOCK_ALGEBRAS
 from test_operads import STOCK_OPERADS, crooked_ass, dg_operad, lazy_sym_ass
 
+
+F3 = GF(3)
 
 GOLDEN_MULT = {("1", "1"): {"1": QQ.one}, ("1", "x"): {"x": QQ.one},
                ("x", "1"): {"x": QQ.one}, ("x", "x"): {"1": QQ.one, "x": QQ.one}}
@@ -62,18 +66,31 @@ def crooked_block():
     return op
 
 
+def unsigned_suspension():
+    """The suspension of uAss over F3 composing by the bare splice, which
+    breaks associativity once odd labels cross."""
+    op = suspended_uass(F3, 3)
+    op._gamma_rule = uass_operad(F3, 3)._gamma_rule
+    return op
+
+
 BROKEN_OPERADS = {
     "crooked-mid": lambda: crooked_ass(4),
     "crooked-block": crooked_block,
     "lazy-sym": lazy_sym_ass,
     "wrong-d": wrong_d_operad,
+    "unsigned-suspension": unsigned_suspension,
 }
+SUSPENDED_OPERADS = {"suspended-uAss-F3": lambda: suspended_uass(F3, 3),
+                     "suspended-uAss-Q": lambda: suspended_uass(QQ, 3)}
 
 
 @pytest.mark.parametrize(
     "make",
-    list(STOCK_OPERADS.values()) + [dg_operad, golden_operad] + list(BROKEN_OPERADS.values()),
-    ids=list(STOCK_OPERADS) + ["dg-Q", "golden-Q"] + list(BROKEN_OPERADS))
+    list(STOCK_OPERADS.values()) + [dg_operad, golden_operad]
+    + list(SUSPENDED_OPERADS.values()) + list(BROKEN_OPERADS.values()),
+    ids=list(STOCK_OPERADS) + ["dg-Q", "golden-Q"] + list(SUSPENDED_OPERADS)
+    + list(BROKEN_OPERADS))
 def test_verify_operad_matches_the_oracle(make):
     # each side gets its own operad, so neither reads the other's memos
     got, want = verify_operad(make()), axiom_oracle.verify_operad(make())
@@ -102,6 +119,15 @@ def broken_product():
         unit_name="1")
 
 
+def unsigned_suspended_dual():
+    """The suspended dual numbers over F3 acting by the bare product, which
+    breaks the composition axiom's Koszul sign."""
+    alg = suspended_dual_numbers(F3)
+    alg._theta_rule = lambda c_sig, c_name, xs: (
+        {} if xs.count("x") > 1 else {"x" if "x" in xs else "1": F3.one})
+    return alg
+
+
 EXTRA_ALGEBRAS = {
     "free-uAss-Q": lambda: free_as_algebra(
         free(ChainComplex(QQ, {"g": 0}, {}), uass_operad(QQ, 3))),
@@ -112,6 +138,9 @@ EXTRA_ALGEBRAS = {
         free(ChainComplex(GF(2), {"u": 0, "v": 0}, {}), ass_operad(GF(2), 2))),
     "golden-module": golden_module,
     "broken-product": broken_product,
+    "suspended-dual-F3": lambda: suspended_dual_numbers(F3),
+    "suspended-dual-Q": lambda: suspended_dual_numbers(QQ),
+    "unsigned-suspended-dual": unsigned_suspended_dual,
 }
 
 
@@ -127,3 +156,20 @@ def test_verify_algebra_matches_the_oracle(make):
 def test_a_broken_product_fails_composition():
     assert any(f.startswith("composition fails")
                for f in verify_algebra(broken_product()).failures)
+
+
+@pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "Q"])
+def test_the_suspension_passes_both_certificates(field):
+    """Binary labels are odd and the carrier is odd, so the composition
+    axiom needs the Koszul sign of moving each label past the later
+    factors, and associativity the sign of moving each x past the later
+    blocks."""
+    assert verify_operad(suspended_uass(field, 3)).ok
+    assert verify_algebra(suspended_dual_numbers(field)).ok
+
+
+def test_dropping_a_suspension_sign_fails():
+    assert any(f.startswith("associativity fails")
+               for f in verify_operad(unsigned_suspension()).failures)
+    assert any(f.startswith("composition fails")
+               for f in verify_algebra(unsigned_suspended_dual()).failures)

@@ -1,5 +1,6 @@
 """Free-algebra parts by label transversal against the per-word orbit
-walk of ``orbit_oracle``, on every stock free-module operad."""
+walk of ``orbit_oracle``, on every stock free-module operad and on the
+suspension of uAss, whose transpositions act by -1."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +11,11 @@ from kzbar.complexes import ChainComplex
 from kzbar.fields import GF, QQ
 
 from orbit_oracle import orbit_part
+from suspension import suspended_uass
 
 FIELDS = {"F2": GF(2), "F3": GF(3), "Q": QQ}
-OPERADS = {"Ass": ass_operad, "uAss": uass_operad, "module": module_operad}
+OPERADS = {"Ass": ass_operad, "uAss": uass_operad, "module": module_operad,
+           "suspended uAss": suspended_uass}
 
 
 def generators(field, parity: str):
