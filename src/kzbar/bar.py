@@ -498,11 +498,10 @@ class BarComplex:
         srt = self._sort_of(t, v)
         if t.is_leaf(v):
             comp = self.algebra.carrier.get(srt)
-        else:
-            comp = self.operad.component(self._component_sig(t, v))
-        names = sorted(comp.degrees, key=str) if comp is not None else []
-        if t.is_leaf(v):
-            return [((nm,), (0, srt, str(nm)), False) for nm in names]
+            return [((nm,), (0, srt, str(nm)), False)
+                    for nm in sorted(comp.degrees if comp else (), key=str)]
+        comp = self.operad.component(self._component_sig(t, v))
+        names = sorted(comp.degrees if comp else (), key=str)
         runs = []
         for _, run in groupby(t.kids[v], key=lambda c: self._shape_enc(t, c)):
             run = list(run)
