@@ -35,15 +35,8 @@ from typing import TYPE_CHECKING
 from kzbar.complexes import ChainComplex, ChainMap
 from kzbar.fields import Scalar
 from kzbar.linalg import Vec, echelon, vec_acc, vec_axpy, vec_iaxpy, vec_scale
-from kzbar.operads import (
-    CapExceeded,
-    Operad,
-    OperadElement,
-    Sig,
-    _arity_tuples,
-    _labels_past_words,
-    koszul_sign,
-)
+from kzbar.operads import (CapExceeded, Operad, OperadElement, Sig, _arity_tuples,
+                            _labels_past_words, koszul_sign)
 
 if TYPE_CHECKING:
     from kzbar.bar import BarComplex
