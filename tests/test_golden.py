@@ -1,9 +1,13 @@
 """Golden reports, frozen byte for byte: the validate, dstruct and
 roundtrip reports on the shipped manifest and on the two-sorted pair over
 Q, the bar and homology reports on the shipped dual numbers at window 5,
-the bar report on the dual numbers at window 6 with cap 4, and the
+the bar report on the dual numbers at window 6 with cap 4, the
 dstruct and roundtrip reports on the dual numbers at window 4, where
-roundtrip skips the coinvariant parts of the D-structure as too large.
+roundtrip skips the coinvariant parts of the D-structure as too large,
+and the dstruct and roundtrip reports on the two-sorted pair over F3 at
+window 2, the one golden window whose induced differential closes, so
+that every free-algebra part of the window is walked to its end.
+Every file under ``golden/`` belongs to one entry of ``MANIFESTS``.
 
 A golden file that a benchmark workload pins must also hash to the
 report digest in ``perfbench/pins.json``, so the lock and the benchmark
@@ -35,6 +39,7 @@ MANIFESTS = {
     "bar_w5": (str(GOLDEN / "bar_w5.kz"), "bar-w5", ("bar", "homology")),
     "bar_w6": (str(GOLDEN / "bar_w6.kz"), None, ("bar",)),
     "dual_w4": (str(GOLDEN / "dual_w4.kz"), None, ("dstruct", "roundtrip")),
+    "pair_f3_w2": (str(GOLDEN / "pair_f3_w2.kz"), None, ("dstruct", "roundtrip")),
 }
 CASES = [(name, suite) for name, (_, _, suites) in sorted(MANIFESTS.items())
          for suite in suites]
@@ -53,3 +58,12 @@ def test_report_matches_golden_bytes(name, suite, tmp_path, monkeypatch, capsys)
         return
     pins = json.loads(PINS.read_text())
     assert hashlib.sha256(golden).hexdigest() == pins[workload]["reports"][suite]
+
+
+def test_every_golden_file_is_checked():
+    """A file under golden/ is a report of a MANIFESTS case or the
+    manifest file one of them reads, so no golden sits there unchecked."""
+    expected = {f"{name}.{suite}.json" for name, suite in CASES}
+    expected |= {Path(manifest).name for manifest, _, _ in MANIFESTS.values()
+                 if Path(manifest).parent == GOLDEN}
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(expected)
