@@ -7,21 +7,23 @@ label last: theta is evaluated on x_1 (x) ... (x) x_n (x) c, and every
 axiom's sign is the Koszul cost of reshuffling that tensor order.
 
 Free algebras quotient X^{(x)n} (x) C(n) by the diagonal symmetric group
-action.  ``FreeAlgebra`` owns the arithmetic of the words (sig, generator
-word, label) of that space and their Koszul signs: ``word_d`` is the
-internal differential of one word and ``compose`` composes word vectors
-through a label.  An arity part is its classes and the projection onto
-them; only a caller that reads the part's classes or differential
-builds them.  The operad's certificate picks the route.  A free-module
-operad, on whose labels of C(n) Sigma_n acts freely and monomially,
-takes the orbit route, which reads the quotient off a transversal of
-the label orbits: each class is named by its root word, the one word of
-its diagonal orbit whose label is the root of its label orbit, and
-projecting a word is a lookup plus the Koszul sign of the permutation
-that carries its label to the root.  Every other
-operad takes the elimination route, which computes the quotient as a
-cokernel by exact elimination.  An operad certified as a free module
-whose action is not free raises AlgebraError.
+action.  ``FreeAlgebra`` owns the arithmetic of the words (sig,
+generator word, label) of that space and their Koszul signs: ``word_d``
+is the internal differential of one word and ``compose`` composes word
+vectors through a label.  An arity part is its classes and the
+projection onto them; only a caller that reads the part's classes or
+differential builds them, and a caller that walks the classes builds
+them one at a time, already in str order, so it can stop at any class
+without enumerating the rest.  The operad's certificate picks the route.
+A free-module operad, on whose labels of C(n) Sigma_n acts freely and
+monomially, takes the orbit route, which reads the quotient off a
+transversal of the label orbits: each class is named by its root word,
+the one word of its diagonal orbit whose label is the root of its label
+orbit, and projecting a word is a lookup plus the Koszul sign of the
+permutation that carries its label to the root.  Every other operad
+takes the elimination route, which computes the quotient as a cokernel
+by exact elimination.  An operad certified as a free module whose action
+is not free raises AlgebraError.
 """
 
 from __future__ import annotations
@@ -302,7 +304,10 @@ class FreePart:
     the un-quotiented space onto its classes, built with the part.  The
     class representatives in str order, their degrees, the degree of
     every word of the un-quotiented space and the certified complex are
-    built on first read."""
+    built on first read.  ``walk`` hands the representatives out in the
+    same order as they are built, so a reader that stops early builds
+    only what it read; a walk that runs to the end leaves them cached as
+    ``degrees``, so no part is enumerated twice."""
 
     def __init__(self, free: "FreeAlgebra", n: int, out_sort: str) -> None:
         self.free = free
@@ -311,12 +316,23 @@ class FreePart:
         route = (free._coinvariants_by_orbit if free.operad.certificate == "free-module"
                  else free._coinvariants_by_elimination)
         # project: Vec over words -> Vec over representatives;
-        # classes: () -> {representative: degree} in str order
+        # classes: () -> iterator of (representative, degree) in str order
         self.project, self._classes = route(self)
+
+    def walk(self):
+        """Yield (representative, degree) in str order as they are built."""
+        if "degrees" in vars(self):
+            yield from self.degrees.items()
+            return
+        degs = {}
+        for rep, deg in self._classes():
+            degs[rep] = deg
+            yield rep, deg
+        self.degrees = degs
 
     @cached_property
     def degrees(self) -> dict:
-        return self._classes()
+        return dict(self._classes())
 
     @cached_property
     def reps(self) -> list:
@@ -324,7 +340,7 @@ class FreePart:
 
     @cached_property
     def big_degrees(self) -> dict:
-        return self.free._words(self.n, self.out_sort)
+        return dict(self.free._iter_words(self.n, self.out_sort))
 
     @cached_property
     def complex(self) -> ChainComplex:
@@ -358,28 +374,44 @@ class FreeAlgebra:
             raise AlgebraError(f"orbit route needs a free action: {bad[0]}")
         return walk
 
-    def _words(self, n: int, out_sort: str, labels=None) -> dict:
-        """Degrees of the words (sig, generator word, c name) of the
-        pre-quotient space, or of those whose label (sig, c name) is in
-        labels."""
-        degs: dict = {}
+    @cached_property
+    def _pools(self) -> dict:
+        """Per sort, the generators with their degrees in repr order."""
+        return {s: sorted(g.degrees.items(), key=lambda kv: repr(kv[0]))
+                for s, g in self.generators.items()}
+
+    def _iter_words(self, n: int, out_sort: str, labels=None):
+        """Yield (word, degree) for the words (sig, generator word, c name)
+        of the pre-quotient space, or for those whose label (sig, c name)
+        is in labels, in str order of the words, with no sort.
+
+        str(word) is repr(sig), repr(x_1) .. repr(x_n) and repr(c) joined
+        by fixed separators, each starting with ", ", ")" or ",)".  These
+        reprs are prefix-free (tuples balance their parentheses, strings
+        end at their closing quote, bar keys are tuples), except that an
+        int's repr may continue another's with a digit, and a digit sorts
+        after both "," and ")".  So two words first differ inside their
+        first differing component, and str order is the lexicographic
+        order of the component reprs.  The signatures come in str order,
+        which for a tuple is repr order, and the generator pools and the
+        labels are sorted by repr; the product of the pools, labels
+        innermost, then runs in str order.
+        """
+        pools = self._pools
         for sig in self.operad.arity_signatures(n):
             ins = sig[0]
-            if sig[1] != out_sort or any(s not in self.generators for s in ins):
+            if sig[1] != out_sort or any(s not in pools for s in ins):
                 continue
-            comp = self.operad.components[sig]
-            cs = [(c, comp.degrees[c]) for c in comp.basis()
-                  if labels is None or (sig, c) in labels]
+            cs = sorted(((c, dc) for c, dc in self.operad.components[sig].degrees.items()
+                         if labels is None or (sig, c) in labels),
+                        key=lambda kv: repr(kv[0]))
             if not cs:
                 continue
-            pools = [[(x, g.degrees[x]) for x in g.basis()]
-                     for g in (self.generators[s] for s in ins)]
-            for combo in iproduct(*pools):
+            for combo in iproduct(*(pools[s] for s in ins)):
                 xw = tuple(x for x, _ in combo)
                 dx = sum(d for _, d in combo)
                 for c, dc in cs:
-                    degs[(sig, xw, c)] = dx + dc
-        return degs
+                    yield (sig, xw, c), dx + dc
 
     def _diagonal_swap(self, name, k: int) -> Vec:
         """Image of a big basis element under s_k, with Koszul sign."""
@@ -459,7 +491,7 @@ class FreeAlgebra:
             rem, _ = ech.reduce(vec)
             return rem
 
-        return project, lambda: {r: big_degs[r] for r in reps}
+        return project, lambda: ((r, big_degs[r]) for r in reps)
 
     def _coinvariants_by_orbit(self, part: FreePart):
         """Coinvariants of a free monomial action through a label transversal.
@@ -467,7 +499,8 @@ class FreeAlgebra:
         Every diagonal orbit holds exactly one word whose label is the root
         of its label orbit, and that root word names the class, so
         projecting a word is a lookup plus a sign.  The classes are the
-        root labels times the generator words, enumerated only when read.
+        root labels times the generator words, walked in str order only
+        when read.
         """
         n, out_sort = part.n, part.out_sort
         walk = self._free_orbits(n)
@@ -501,11 +534,7 @@ class FreeAlgebra:
                 vec_acc(out, (root_sig, xw, root_name), cf if sign == 1 else -cf)
             return out
 
-        def classes() -> dict:
-            degs = self._words(n, out_sort, walk.sizes)
-            return {w: degs[w] for w in sorted(degs, key=str)}
-
-        return project, classes
+        return project, lambda: self._iter_words(n, out_sort, walk.sizes)
 
 
 def free(generators, operad: Operad) -> FreeAlgebra:

@@ -18,6 +18,7 @@ certified by d.d = 0 and dh + hd = Id elementwise in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations_with_replacement, groupby
 from itertools import product as iproduct
 
@@ -54,7 +55,9 @@ def _is_bare(key: BarKey) -> bool:
     return t.n == 1 and 1 in t.L
 
 
+@cache
 def _key_order(key: BarKey):
+    """The sort key of bar keys, memoized per key value like ``encode``."""
     t, labels = key
     return (t.n, str(encode(t)), str(t.s), str(sorted(t.L)), str(labels))
 

@@ -193,6 +193,10 @@ def build_delta_differential(ds: DStructure, n_max: int) -> DeltaWindow:
 
     An element whose image reaches beyond the window raises; truncating
     silently would manufacture a complex the structure does not have.
+    The parts are walked in arity order and each representative's column
+    is built as soon as the walk hands it out, so a window that does not
+    close stops at its first overflowing word, before the rest of its
+    part is enumerated; only a window that closes builds every part.
     The returned complexes validate d.d = 0 on construction.
     """
     carrier: dict[str, ChainComplex] = {}
@@ -200,30 +204,35 @@ def build_delta_differential(ds: DStructure, n_max: int) -> DeltaWindow:
         degs: dict = {}
         cols: dict = {}
         for n in range(0, n_max + 1):
-            for rep, deg in ds.free.part(n, srt).degrees.items():
+            for rep, deg in ds.free.part(n, srt).walk():
                 degs[(n, rep)] = deg
-        for name in degs:
-            raw = ds.delta_terms(name[1])
-            # projection keeps the arity, so raw terms decide overflow and
-            # the big out-of-window parts are never enumerated
-            over = sorted({len(b[1]) for b in raw if len(b[1]) > n_max})
-            if over:
-                raise DStructureError(
-                    f"window arity {n_max} too small: the differential "
-                    f"of {name!r} (sort {srt!r}) reaches arity {over[0]}"
-                )
-            col: Vec = {}
-            for tgt_srt, vec in ds.project(raw).items():
-                if tgt_srt != srt:
-                    raise DStructureError(
-                        f"differential of {name!r} changed sort to {tgt_srt!r}"
-                    )
-                for (n2, rep2), c in vec.items():
-                    vec_acc(col, (n2, rep2), c)
-            if col:
-                cols[name] = col
+                col = _window_column(ds, n_max, srt, (n, rep))
+                if col:
+                    cols[(n, rep)] = col
         carrier[srt] = ChainComplex(ds.field, degs, cols)
     return DeltaWindow(ds, n_max, carrier, _stable_for(ds, n_max, carrier))
+
+
+def _window_column(ds: DStructure, n_max: int, srt: str, name) -> Vec:
+    """The induced differential of the window word name = (arity, rep)."""
+    raw = ds.delta_terms(name[1])
+    # projection keeps the arity, so raw terms decide overflow and
+    # the big out-of-window parts are never enumerated
+    over = sorted({len(b[1]) for b in raw if len(b[1]) > n_max})
+    if over:
+        raise DStructureError(
+            f"window arity {n_max} too small: the differential "
+            f"of {name!r} (sort {srt!r}) reaches arity {over[0]}"
+        )
+    col: Vec = {}
+    for tgt_srt, vec in ds.project(raw).items():
+        if tgt_srt != srt:
+            raise DStructureError(
+                f"differential of {name!r} changed sort to {tgt_srt!r}"
+            )
+        for (n2, rep2), c in vec.items():
+            vec_acc(col, (n2, rep2), c)
+    return col
 
 
 def _stable_for(ds: DStructure, n_max: int,

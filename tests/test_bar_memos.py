@@ -93,6 +93,22 @@ def test_memoized_results_equal_a_fresh_bar_complex(name, monkeypatch):
             B.algebra).normalize_term(t, w, labels, coeff), (t, w, labels)
 
 
+@pytest.mark.parametrize("name", list(BARS))
+def test_the_key_order_memo_keeps_every_sorted_order(name):
+    """Sorting by the memoized key order gives the order the key built
+    afresh gives, on the basis, on each d and h column and on a shuffle."""
+    B = BARS[name]()
+    fresh = bar._key_order.__wrapped__
+    keys = B.enumerate_basis(5)
+    columns = [list(keys), list(reversed(keys))]
+    for key in keys:
+        columns.append(list(B.differential_key(key)))
+        columns.append(list(B.homotopy_key(key)))
+    for column in columns:
+        assert sorted(column, key=bar._key_order) == sorted(column, key=fresh)
+    assert all(bar._key_order(k) == fresh(k) for k in keys)
+
+
 def test_the_normal_form_is_a_fresh_vector():
     B = dual_bar(F3)
     key = B.enumerate_basis(3)[-1]
