@@ -6,7 +6,10 @@ dstruct and roundtrip reports on the dual numbers at window 4, where
 roundtrip skips the coinvariant parts of the D-structure as too large,
 and the dstruct and roundtrip reports on the two-sorted pair over F3 at
 window 2, the one golden window whose induced differential closes, so
-that every free-algebra part of the window is walked to its end.
+that every free-algebra part of the window is walked to its end, and
+the bar, homology and roundtrip reports on the unit operad over Q at
+window 5, the one golden whose evaluation rows cover stable degrees, so
+that their source and target dimensions and induced ranks are locked.
 Every file under ``golden/`` belongs to one entry of ``MANIFESTS``.
 
 A golden file that a benchmark workload pins must also hash to the
@@ -40,6 +43,7 @@ MANIFESTS = {
     "bar_w6": (str(GOLDEN / "bar_w6.kz"), None, ("bar",)),
     "dual_w4": (str(GOLDEN / "dual_w4.kz"), None, ("dstruct", "roundtrip")),
     "pair_f3_w2": (str(GOLDEN / "pair_f3_w2.kz"), None, ("dstruct", "roundtrip")),
+    "unit_w5": (str(GOLDEN / "unit_w5.kz"), None, ("bar", "homology", "roundtrip")),
 }
 CASES = [(name, suite) for name, (_, _, suites) in sorted(MANIFESTS.items())
          for suite in suites]
