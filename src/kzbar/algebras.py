@@ -486,12 +486,7 @@ class FreeAlgebra:
         ech = echelon(relations, self.field)
         pivots = set(ech.pivots)
         reps = sorted((w for w in big_degs if w not in pivots), key=str)
-
-        def project(vec: Vec) -> Vec:
-            rem, _ = ech.reduce(vec)
-            return rem
-
-        return project, lambda: ((r, big_degs[r]) for r in reps)
+        return ech.reduce, lambda: ((r, big_degs[r]) for r in reps)
 
     def _coinvariants_by_orbit(self, part: FreePart):
         """Coinvariants of a free monomial action through a label transversal.

@@ -6,6 +6,8 @@ from kzbar.complexes import ChainComplex, ChainMap, ComplexError
 from kzbar.fields import GF, QQ
 from kzbar.linalg import echelon, kernel_of_map, rank, vec_axpy, vec_iaxpy
 
+from homology_oracle import rank as oracle_rank
+
 
 def interval(F):
     # e in degree 1 maps to v: acyclic
@@ -18,19 +20,25 @@ def test_rank_over_f2():
     assert rank(rows, F) == 1
 
 
-def test_echelon_express():
-    F = QQ
-    E = echelon([{"x": F.scalar(2)}, {"x": F.one, "y": F.one}], F, track=True)
-    coords = E.express({"y": F.scalar(3)})
-    # y = 3*(row1) - 3/2*(row0)
-    assert coords is not None
-    total = {}
-    for i, c in coords.items():
-        src = [{"x": F.scalar(2)}, {"x": F.one, "y": F.one}][i]
-        for k, s in src.items():
-            total[k] = total.get(k, F.zero) + s * c
-    total = {k: v for k, v in total.items() if not v.is_zero()}
-    assert total == {"y": F.scalar(3)}
+_SUPPORT = st.dictionaries(st.sampled_from("abcde"), st.integers(-3, 3), max_size=5)
+
+
+@given(st.sampled_from([GF(2), GF(3), QQ]), st.lists(_SUPPORT, max_size=5), _SUPPORT)
+def test_echelon_reduce_leaves_the_remainder_off_the_span(F, raw_rows, raw_v):
+    """The remainder of v has no support on a pivot, is zero exactly when v
+    lies in the row span, and differs from v by an element of the span.
+    Span membership is decided by the oracle's own elimination."""
+    def vec(raw):
+        return {k: F.scalar(c) for k, c in raw.items() if not F.scalar(c).is_zero()}
+
+    rows = [vec(r) for r in raw_rows]
+    v = vec(raw_v)
+    E = echelon(rows, F)
+    rem = E.reduce(v)
+    r0 = oracle_rank(rows, F)
+    assert not set(rem) & set(E.pivots)
+    assert (rem == {}) == (oracle_rank(rows + [v], F) == r0)
+    assert oracle_rank(rows + [vec_axpy(v, -F.one, rem)], F) == r0
 
 
 def test_kernel_of_map():

@@ -121,7 +121,7 @@ def _com_by_str_sorted_pools(fa, n: int):
     ech = echelon(relations, fa.field)
     pivots = set(ech.pivots)
     reps = sorted((w for w in words if w not in pivots), key=str)
-    return words, reps, lambda vec: ech.reduce(vec)[0]
+    return words, reps, ech.reduce
 
 
 def test_com_keeps_its_reps_and_projection():
