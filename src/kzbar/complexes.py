@@ -2,9 +2,7 @@
 
 A complex is a finitely supported graded basis plus a degree-lowering
 differential stored as sparse columns. d*d = 0 is checked at construction,
-so a ChainComplex that exists is a chain complex. Homology is read off
-ranks, and a complex is never changed after construction, so the rank of
-each differential is eliminated once and memoized.
+so a ChainComplex that exists is a chain complex.
 """
 
 from __future__ import annotations
@@ -96,7 +94,8 @@ class ChainComplex:
         return {n: self.d.get(n, {}) for n in self.basis(degree)}
 
     def d_rank(self, k: int) -> int:
-        """Rank of d out of degree k, eliminated on first use and memoized."""
+        """Rank of d out of degree k, eliminated on first use and memoized:
+        a complex is never changed after construction."""
         r = self._d_ranks.get(k)
         if r is None:
             r = self._d_ranks[k] = rank(self.d_columns(k).values(), self.field)
