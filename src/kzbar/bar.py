@@ -301,12 +301,13 @@ class BarComplex:
         """The str-least label in the orbit of start under the swaps gens
         = ((pi, word sign), ...), with the sign carrying start to it, or
         () when the orbit reaches one label with both signs (torsion);
-        memoized per (sig, gens, start)."""
-        memo_key = (sig, gens, start)
-        hit = self._orbit_memo.get(memo_key)
+        memoized per (sig, gens, label).  One walk memoizes every label it
+        saw: u with sign s_u from start goes to the least one with
+        s_best * s_u^-1, and in a torsion orbit every label is zero."""
+        hit = self._orbit_memo.get((sig, gens, start))
         if hit is not None:
             return hit
-        best_name, best_sign = start, self.field.one
+        best_name = start
         seen = {start: self.field.one}
         frontier = [(start, self.field.one)]
         while frontier:
@@ -319,12 +320,15 @@ class BarComplex:
                     seen[nm] = nsgn
                     frontier.append((nm, nsgn))
                     if str(nm) < str(best_name):
-                        best_name, best_sign = nm, nsgn
+                        best_name = nm
                 elif prev != nsgn:
-                    self._orbit_memo[memo_key] = ()
+                    for u in seen:
+                        self._orbit_memo[(sig, gens, u)] = ()
                     return ()
-        hit = self._orbit_memo[memo_key] = (best_name, best_sign)
-        return hit
+        best_sign = seen[best_name]
+        for u, s_u in seen.items():
+            self._orbit_memo[(sig, gens, u)] = (best_name, best_sign * s_u.inv())
+        return self._orbit_memo[(sig, gens, start)]
 
     def basis_vector(self, t: Tree, labels: tuple) -> BarVec:
         return self.normalize_term(t, self.basis_word(t, labels), labels,

@@ -19,9 +19,11 @@ failed check, 2 when the manifest cannot be read at all, and 3 on an
 internal error: one of kzbar's own errors escaped a suite, which is not
 a verdict on the manifest.  Exits 2 and 3 print one ``manifest:
 message`` line to stderr and no traceback.  A window whose bar
-differential composes past the operad cap is one of these: building
-its D-structure fails (exit 2), and without one the suite stops with
-the cap in the message (exit 3).
+differential composes past the operad cap is one of these.  ``dstruct``
+and ``roundtrip`` read the manifest's D-structures, each built on first
+read, so one that cannot be built exits 2; ``bar`` and ``homology`` read
+only the bar complex and stop with the cap in the message (exit 3),
+whether or not the manifest declares a D-structure.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from random import Random
 
@@ -164,7 +166,6 @@ def _sample_probe(alg: Algebra, rng: Random) -> str | None:
 
 
 def _run_validate(m: Manifest, rep: Report, verify_cap: int, seed: int) -> None:
-    m = replace(m, dstructures=())  # the axioms read no D-structure
     clipped = build(m, cap=verify_cap)
     eff = min(m.cap, verify_cap)
     for name, op in clipped.operads.items():
@@ -382,6 +383,9 @@ def _run_dstruct(m: Manifest, built: Build, rep: Report) -> None:
 
 def _run_roundtrip(m: Manifest, built: Build, rep: Report) -> None:
     n_max = m.window.n_max
+    # read every section first, so one that cannot be built stops the
+    # suite before the algebra roundtrips run
+    dstructures = dict(built.dstructures)
     for name, alg in built.algebras.items():
         r = roundtrip_algebra(alg, n_max)
         rep.record(f"roundtrip {name}: split words match the tree basis",
@@ -400,7 +404,7 @@ def _run_roundtrip(m: Manifest, built: Build, rep: Report) -> None:
             "stable_degrees": r.stable_degrees,
             "evaluation": _verdict_rows(r.evaluation),
         }
-    for name, ds in built.dstructures.items():
+    for name, ds in dstructures.items():
         if not _parts_fit(_carrier_size(ds), n_max):
             rep.tables.setdefault("roundtrip", {})[name] = {
                 "note": "skipped: coinvariant parts too large at this window"}

@@ -227,15 +227,23 @@ class ChainMap:
             induced_rank = rk(B + f(Z)) - rk B.
 
         Ranks depend on no choice of kernel basis or pivot, so neither can
-        move a verdict.  Every f(z) is checked to be a cycle.
+        move a verdict.  Every f(z) is checked to be a cycle.  The
+        elimination that gives Z also gives rk d_k = #C_k - #Z, which
+        seeds a cold rank memo of the source; the degrees run from the
+        top down, so the summary at k - 1 finds rk d_k seeded.
         """
+        degrees = list(degrees)
         out = {}
         field = self.target.field
-        for k in degrees:
+        src = self.source
+        for k in sorted(degrees, reverse=True):
             kt = k + self.degree
-            hs = self.source._homology_at(k)
+            columns = src.d_columns(k)
+            cycles = kernel_of_map(columns, field)
+            src._d_ranks.setdefault(k, len(columns) - len(cycles))
+            hs = src._homology_at(k)
             ht = self.target._homology_at(kt)
-            images = [self.apply(z) for z in kernel_of_map(self.source.d_columns(k), field)]
+            images = [self.apply(z) for z in cycles]
             if any(self.target.apply_d(fz) for fz in images):
                 raise ComplexError("image of a cycle escaped the cycle space")
             boundaries = list(self.target.d_columns(kt + 1).values())
@@ -247,7 +255,7 @@ class ChainMap:
                 induced_rank=r,
                 isomorphism=(hs.dim == ht.dim == r),
             )
-        return out
+        return {k: out[k] for k in degrees}
 
 
 @dataclass

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from importlib import resources
 
@@ -359,21 +360,63 @@ def manifest_digest(m: Manifest) -> str:
     return "sha256:" + hashlib.sha256(serialize(m).encode()).hexdigest()
 
 
+class _LazyDStructures(Mapping):
+    """The D-structure sections of a build by name, in manifest order.
+
+    Each one is built, with all its certificates, the first time it is
+    read and kept; ``len`` and iteration build nothing.  Parsing already
+    checked every section's kind and references, so laziness only defers
+    construction.
+    """
+
+    def __init__(self, m: Manifest, algebras: dict[str, Algebra]) -> None:
+        self._sections = {d.name: d for d in m.dstructures}
+        self._algebras = algebras
+        self._n_max = m.window.n_max
+        self._built: dict[str, DStructure] = {}
+
+    def __getitem__(self, name: str) -> DStructure:
+        ds = self._built.get(name)
+        if ds is None:
+            d = self._sections[name]
+            try:
+                ds = bar_dstructure(self._algebras[d.algebra], self._n_max,
+                                    name=d.name)
+            except (KeyError, ValueError) as e:
+                raise ManifestError(
+                    f"dstructure section {d.name!r} could not be built: {e}"
+                ) from e
+            self._built[name] = ds
+        return ds
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._sections
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._sections)
+
+    def __len__(self) -> int:
+        return len(self._sections)
+
+
 @dataclass
 class Build:
+    """The operads and algebras of a manifest, built, and its D-structures,
+    each built on first read: only ``dstruct`` and ``roundtrip`` read one."""
+
     manifest: Manifest
     operads: dict[str, Operad]
     algebras: dict[str, Algebra]
-    dstructures: dict[str, DStructure]
+    dstructures: Mapping[str, DStructure]
 
 
 def build(m: Manifest, cap: int | None = None) -> Build:
-    """Instantiate every section; ``cap`` clips the arity cap for cheaper
-    exhaustive verification and never raises it."""
+    """Instantiate the operad and algebra sections and wrap the D-structure
+    sections to build on first read; ``cap`` clips the arity cap for
+    cheaper exhaustive verification and never raises it."""
     eff = m.cap if cap is None else min(cap, m.cap)
     operads: dict[str, Operad] = {}
     algebras: dict[str, Algebra] = {}
-    dstructures: dict[str, DStructure] = {}
     for o in m.operads:
         operads[o.name] = builtin(o.use, m.field, eff)
     if operads:
@@ -394,14 +437,7 @@ def build(m: Manifest, cap: int | None = None) -> Build:
             raise ManifestError(
                 f"algebra section {a.name!r} carries sorts {got}, "
                 f"the operad {a.operad!r} needs {want}")
-    for d in m.dstructures:
-        try:
-            dstructures[d.name] = bar_dstructure(
-                algebras[d.algebra], m.window.n_max, name=d.name)
-        except (KeyError, ValueError) as e:
-            raise ManifestError(
-                f"dstructure section {d.name!r} could not be built: {e}") from e
-    return Build(m, operads, algebras, dstructures)
+    return Build(m, operads, algebras, _LazyDStructures(m, algebras))
 
 
 def builtin_manifests() -> tuple[str, ...]:

@@ -9,8 +9,8 @@ change them.
 
 Each algebra carries one bar complex, which ``build`` and every suite
 share; the suites run here on one build must give the golden reports,
-only add to the shared differential memo, and find the whole n_max
-basis already in it.
+only add to the shared differential memo, and, once the build's bar
+D-structure has been read, find the whole n_max basis already in it.
 """
 
 from pathlib import Path
@@ -132,7 +132,7 @@ def test_build_and_the_bar_suites_share_one_bar_complex():
     alg = built.algebras["dual"]
     B = alg.bar
     assert B is alg.bar and built.dstructures["bardual"].operad is alg.operad
-    # build's bar D-structure already filled the differential memo for the
+    # reading the bar D-structure filled the differential memo for the
     # whole n_max basis, so the suites miss only on keys outside it
     basis = set(B.enumerate_basis(m.window.n_max))
     assert basis <= set(B._d_memo)
@@ -150,6 +150,7 @@ def test_dstruct_and_roundtrip_share_the_algebras_bar_complex():
     m = parse_manifest(load_builtin("uass_dual_numbers"))
     built = build(m)
     B = built.algebras["dual"].bar
+    built.dstructures["bardual"]  # read first, as _run_dstruct does
     basis = set(B.enumerate_basis(m.window.n_max))
     assert basis <= set(B._d_memo)
     for suite, run_suite in (("dstruct", _run_dstruct),

@@ -325,9 +325,11 @@ def test_odd_leaf_swap_freezes_the_sign():
     assert vec_eq(got, {(bush, ("e", "e", (1, 2))): -QQ.one})
 
 
-def test_torsion_symmetry_kills_the_term_over_q():
+def com_line_bar(cap=3):
+    """An odd line xi over Com over Q: swapping two xi leaves under the
+    fixed label mu2 has sign -1, a torsion symmetry."""
     one = QQ.one
-    op = com_operad(QQ, 3)
+    op = com_operad(QQ, cap)
     carrier = {"*": ChainComplex(QQ, {"1": 0, "xi": 1}, {})}
 
     def theta_rule(c_sig, c_name, xs):
@@ -336,7 +338,12 @@ def test_torsion_symmetry_kills_the_term_over_q():
             return {}
         return {names[0] if names else "1": one}
 
-    B = BarComplex(Algebra(op, carrier, theta_rule, name="com-line"))
+    return BarComplex(Algebra(op, carrier, theta_rule, name="com-line"))
+
+
+def test_torsion_symmetry_kills_the_term_over_q():
+    one = QQ.one
+    B = com_line_bar()
     bush = validate(3, (3, 3), frozenset({1, 2}))
     dead = B.normalize_term(bush, B.basis_word(bush, ("xi", "xi", "mu2")),
                             ("xi", "xi", "mu2"), one)

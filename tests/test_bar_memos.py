@@ -26,7 +26,7 @@ from kzbar.signs import SignWord
 from kzbar.trees import enumerate_trees
 
 from suspension import suspended_dual_numbers
-from test_bar import dual_bar, exterior_bar, module_bar
+from test_bar import com_line_bar, dual_bar, exterior_bar, module_bar
 
 F2, F3 = GF(2), GF(3)
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -109,6 +109,68 @@ def test_the_key_order_memo_keeps_every_sorted_order(name):
     assert all(bar._key_order(k) == fresh(k) for k in keys)
 
 
+def _orbit_walk(B, sig, gens, start):
+    """The orbit minimum of start by one walk from start, with no memo:
+    (least label, coefficient carrying start to it), or () on torsion."""
+    best, seen, frontier = start, {start: B.field.one}, [start]
+    while frontier:
+        cur = frontier.pop()
+        for pi, ws in gens:
+            nm, cf = B._monomial_perm(sig, pi, cur)
+            sgn = seen[cur] * cf * B._unit[ws]
+            if nm not in seen:
+                seen[nm] = sgn
+                frontier.append(nm)
+                if str(nm) < str(best):
+                    best = nm
+            elif seen[nm] != sgn:
+                return ()
+    return best, seen[best]
+
+
+@pytest.mark.parametrize("name", list(BARS) + ["com-line-Q"])
+def test_every_orbit_memo_entry_equals_a_walk_from_its_own_label(name):
+    """One walk memoizes every label it saw; each entry must be what a
+    walk started at that label gives, torsion orbits included."""
+    B = com_line_bar(4) if name == "com-line-Q" else BARS[name]()
+    B.enumerate_basis(5)
+    assert B._orbit_memo
+    if name == "com-line-Q":
+        assert () in B._orbit_memo.values()
+    for (sig, gens, label), hit in B._orbit_memo.items():
+        assert hit == _orbit_walk(B, sig, gens, label), (sig, gens, label)
+
+
+def test_each_orbit_is_walked_once(monkeypatch):
+    """On the window-6 basis of the dual numbers, the 328 labels asked
+    for lie in 94 orbits, and each orbit is walked once."""
+    m = parse_manifest((GOLDEN / "bar_w6.kz").read_text())
+    B = BarComplex(build(m).algebras["dual"])
+    walks = []
+    walk = B._orbit_min
+
+    def counted(sig, gens, start):
+        if (sig, gens, start) not in B._orbit_memo:
+            walks.append((sig, gens, start))
+        return walk(sig, gens, start)
+
+    monkeypatch.setattr(B, "_orbit_min", counted)
+    B.enumerate_basis(m.window.n_max)
+    orbits = set()
+    for sig, gens, label in B._orbit_memo:
+        members, frontier = {label}, [label]
+        while frontier:
+            cur = frontier.pop()
+            for pi, _ in gens:
+                nm = B._monomial_perm(sig, pi, cur)[0]
+                if nm not in members:
+                    members.add(nm)
+                    frontier.append(nm)
+        orbits.add((sig, gens, frozenset(members)))
+    assert len(B._orbit_memo) > len(orbits)
+    assert len(walks) <= len(orbits)
+
+
 def test_the_normal_form_is_a_fresh_vector():
     B = dual_bar(F3)
     key = B.enumerate_basis(3)[-1]
@@ -187,8 +249,8 @@ def _once_each(calls: dict) -> bool:
 
 
 def test_each_contraction_is_computed_once_per_tree(monkeypatch):
-    """Across the build and a whole bar suite on the dual numbers at
-    window 5, every edge and leaf contraction runs once per tree."""
+    """Across a whole bar suite on the dual numbers at window 5, every
+    edge and leaf contraction runs once per tree."""
     calls = _count_contractions(monkeypatch)
     m = parse_manifest((GOLDEN / "bar_w5.kz").read_text())
     built = build(m)

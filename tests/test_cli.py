@@ -231,9 +231,7 @@ def test_validate_builds_no_dstructure(capsys, tmp_path):
     assert all(c["outcome"] == "pass" for c in rep["checks"])
 
 
-@pytest.mark.parametrize("with_dstructure,code", [(True, 2), (False, 3)])
-def test_a_window_past_the_cap_fails_naming_the_cap(
-        capsys, tmp_path, with_dstructure, code):
+def _past_the_cap(tmp_path, with_dstructure: bool) -> str:
     # cap 4 carries windows up to 6: at window 7 an edge contraction
     # composes two labels into arity 5, which the bar differential may not
     # drop, so the run stops on the cap instead of failing d*d
@@ -243,13 +241,44 @@ def test_a_window_past_the_cap_fails_naming_the_cap(
         text = text[:text.index("dstructure bardual")]
     p = tmp_path / "w7.kz"
     p.write_text(text)
-    assert main(["bar", str(p)]) == code
+    return str(p)
+
+
+@pytest.mark.parametrize("with_dstructure,code", [(True, 2), (False, 3)])
+def test_a_window_past_the_cap_fails_naming_the_cap(
+        capsys, tmp_path, with_dstructure, code):
+    # dstruct reads the section, which cannot be built (exit 2); without
+    # one, bar stops on the cap itself (exit 3)
+    suite = "dstruct" if with_dstructure else "bar"
+    assert main([suite, _past_the_cap(tmp_path, with_dstructure)]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "gamma result arity 5 exceeds cap 4" in captured.err
     assert ("dstructure section 'bardual' could not be built"
             in captured.err) == with_dstructure
     assert "d*d" not in captured.err
+
+
+@pytest.mark.parametrize("suite,with_dstructure", [
+    ("bar", True), ("homology", True), ("homology", False)])
+def test_bar_and_homology_past_the_cap_stop_on_the_bar_complex(
+        capsys, tmp_path, suite, with_dstructure):
+    """bar and homology read no D-structure, so a section that cannot be
+    built changes nothing: they stop on the cap with exit 3."""
+    assert main([suite, _past_the_cap(tmp_path, with_dstructure)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gamma result arity 5 exceeds cap 4" in captured.err
+    assert "could not be built" not in captured.err
+
+
+def test_roundtrip_reads_a_section_that_cannot_be_built_first(
+        capsys, tmp_path):
+    assert main(["roundtrip", _past_the_cap(tmp_path, True)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("dstructure section 'bardual' could not be built: gamma result "
+            "arity 5 exceeds cap 4") in captured.err
 
 
 def test_dstruct_builtin_surfaces_the_window_overflow(capsys):

@@ -9,7 +9,6 @@ parts, on random complexes and on chain maps of degree 0 and -1.  The
 count tests show each differential eliminated once per complex.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,11 +31,11 @@ MANIFESTS = ("uass_dual_numbers", "pair_q_w3", "pair_f3_w2", "dual_w4",
 
 
 def _algebras(name):
-    """(manifest, algebras) of a golden manifest, its D-structures left
-    out: the bar windows need only the algebras."""
+    """(manifest, algebras) of a golden manifest; the bar windows need
+    only the algebras, and build constructs no D-structure unread."""
     path = GOLDEN / f"{name}.kz"
     m = parse_manifest(path.read_text() if path.exists() else load_builtin(name))
-    return m, build(replace(m, dstructures=())).algebras
+    return m, build(m).algebras
 
 
 def _quotient(m, alg):
@@ -242,3 +241,22 @@ def test_a_verdict_after_homology_eliminates_twice_per_degree(eliminations):
     eliminations.clear()
     mu.is_quasi_iso(stable)
     assert len(eliminations) <= 2 * len(stable)
+
+
+def test_a_cold_verdict_eliminates_each_source_differential_once(eliminations):
+    """The kernel elimination at k seeds rk d_k, so a verdict on a cold
+    source eliminates d_k once per degree: a kernel and the combined rank
+    per degree, plus rk d_{top+1}, with the target's ranks warm."""
+    m, alg = _unit()
+    quotient = _quotient(m, alg)
+    stable = alg.bar.stable_degrees(m.window.n_max)
+    mu = alg.bar.mu_chain_map(quotient)
+    mu.target.homology(stable)
+    eliminations.clear()
+    verdicts = mu.is_quasi_iso(stable)
+    assert len(eliminations) == 2 * len(stable) + 1
+    assert list(verdicts) == stable
+    assert verdicts == oracle.is_quasi_iso(mu, stable)
+    fresh = _quotient(m, _unit()[1])
+    for k in stable:
+        assert quotient.d_rank(k) == fresh.d_rank(k), k

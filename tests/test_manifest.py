@@ -2,13 +2,16 @@
 the objects each section builds."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kzbar.manifest
 from kzbar.algebras import Algebra
 from kzbar.catalog import builtin_names
+from kzbar.cli import DEFAULT_SEED, Report, _run_bar, _run_homology, to_json
 from kzbar.dstructures import DStructure
 from kzbar.fields import GF, QQ
 from kzbar.manifest import (
@@ -27,6 +30,8 @@ from kzbar.manifest import (
     serialize,
 )
 from kzbar.operads import Operad
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SCRUFFY = """\
 field F3   # characteristic three
@@ -179,6 +184,58 @@ def test_build_builtin_instantiates_every_section():
     assert isinstance(b.dstructures["bardual"], DStructure)
     assert b.dstructures["bardual"].name == "bardual"
     assert b.manifest is m
+
+
+@pytest.fixture
+def dstructure_builds(monkeypatch):
+    """Calls to ``bar_dstructure`` made through the manifest module."""
+    calls = []
+    orig = kzbar.manifest.bar_dstructure
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("name"))
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(kzbar.manifest, "bar_dstructure", counted)
+    return calls
+
+
+def test_build_constructs_no_dstructure_until_one_is_read(dstructure_builds):
+    m = parse_manifest((GOLDEN / "bar_w5.kz").read_text())
+    b = build(m)
+    B = b.algebras["dual"].bar
+    assert len(b.dstructures) == 1 and list(b.dstructures) == ["bardual"]
+    assert "bardual" in b.dstructures and "other" not in b.dstructures
+    assert dstructure_builds == []
+    assert B._d_memo == {} and B._basis_memo == {}
+    ds = b.dstructures["bardual"]
+    assert b.dstructures["bardual"] is ds
+    assert dstructure_builds == ["bardual"]
+    assert B._d_memo and B._basis_memo
+    with pytest.raises(KeyError):
+        b.dstructures["other"]
+
+
+def test_bar_and_homology_never_construct_the_dstructure(dstructure_builds):
+    m = parse_manifest((GOLDEN / "bar_w5.kz").read_text())
+    b = build(m)
+    for suite, run_suite in (("bar", _run_bar), ("homology", _run_homology)):
+        rep = Report(suite, manifest_digest(m), DEFAULT_SEED)
+        run_suite(m, b, rep)
+        golden = GOLDEN / f"bar_w5.{suite}.json"
+        assert to_json(rep).encode() == golden.read_bytes(), suite
+    assert dstructure_builds == []
+
+
+def test_a_section_past_the_cap_fails_when_read_not_when_built():
+    text = load_builtin("uass_dual_numbers").replace(
+        "window 3 : -1 .. 3", "window 7")
+    b = build(parse_manifest(text))
+    assert len(b.dstructures) == 1
+    with pytest.raises(ManifestError, match=(
+            "dstructure section 'bardual' could not be built: "
+            "gamma result arity 5 exceeds cap 4")):
+        b.dstructures["bardual"]
 
 
 def test_build_clips_the_cap_but_never_raises_it():
