@@ -29,16 +29,17 @@ is not free raises AlgebraError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product as iproduct
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from kzbar.complexes import ChainComplex, ChainMap
 from kzbar.fields import Scalar
-from kzbar.linalg import Vec, echelon, vec_acc, vec_axpy, vec_iaxpy, vec_scale
+from kzbar.linalg import Vec, echelon, raw_iaxpy, vec_acc, vec_axpy, vec_scale
 from kzbar.operads import (CapExceeded, Operad, OperadElement, Sig, _arity_tuples,
-                            _labels_past_words, koszul_sign)
+                            _labels_past_words, _past_parity, _raw_neg, _raw_tables,
+                            koszul_sign)
 
 if TYPE_CHECKING:
     from kzbar.bar import BarComplex
@@ -72,6 +73,13 @@ class Algebra:
 
     theta_rule(c_sig, c_name, xs) -> Vec over the output sort's carrier,
     xs a tuple of carrier basis names matching c's input sorts.
+
+    The structure constants live in one table, ``_theta_memo``, filled
+    from theta_rule on first read: it maps (label id of c in the operad,
+    carrier-name tuple) to {carrier name: raw value}, a raw value being a
+    residue mod p or a Fraction.  A miss checks the argument names and
+    the field of every coefficient theta_rule returns; ``theta_basis``
+    and ``theta_vec`` box and unbox at the edge.
     """
 
     def __init__(self, operad: Operad, carrier: dict[str, ChainComplex],
@@ -102,8 +110,17 @@ class Algebra:
             raise AlgebraError(f"{name!r} is not a basis name of sort {sort!r}")
         return AlgebraElement(self, sort, {name: self.field.one})
 
-    def theta_basis(self, c_sig: Sig, c_name, xs: tuple) -> Vec:
-        ins, _ = c_sig
+    def _theta_ids(self, c: int, xs: tuple) -> dict:
+        """The table entry of theta(xs; c) for the label id c.  A miss
+        checks the arity and every argument name, reads theta_rule and
+        checks the field of every coefficient; a CapExceeded from the
+        rule is not memoized."""
+        key = (c, xs)
+        hit = self._theta_memo.get(key)
+        if hit is not None:
+            return hit
+        c_sig, c_name = self.operad._labels[c]
+        ins = c_sig[0]
         if len(xs) != len(ins):
             raise AlgebraError(
                 f"theta arity mismatch: {len(xs)} arguments for {c_sig}"
@@ -113,25 +130,47 @@ class Algebra:
                 raise AlgebraError(
                     f"{x_name!r} is not a basis name of sort {srt!r}"
                 )
-        key = (c_sig, c_name, xs)
-        hit = self._theta_memo.get(key)
-        if hit is None:
-            hit = self._theta_rule(c_sig, c_name, xs)
-            self._theta_memo[key] = hit
+        raw = self.field.raw
+        hit = {}
+        for nm, cf in self._theta_rule(c_sig, c_name, xs).items():
+            v = raw(cf)
+            if v:
+                hit[nm] = v
+        self._theta_memo[key] = hit
         return hit
 
-    def theta_vec(self, c_sig: Sig, c_vec: Vec, xs: list[Vec]) -> Vec:
-        """theta(x_1..x_n; c) on raw vectors, multilinear in everything;
-        returns a fresh vector over the output sort's carrier."""
-        target: Vec = {}
-        for c_name, cc in c_vec.items():
+    def _theta_raw(self, c_vec: dict, xs: list[dict]) -> dict:
+        """theta(x_1..x_n; c) on raw vectors, c's over label ids, multilinear
+        in everything, read off the table; a fresh vector."""
+        p = self.field.p
+        target: dict = {}
+        for c, cc in c_vec.items():
             for combo in iproduct(*(x.items() for x in xs)):
                 coeff = cc
                 for _, cx in combo:
-                    coeff = coeff * cx
-                vec = self.theta_basis(c_sig, c_name, tuple(n for n, _ in combo))
-                vec_iaxpy(target, coeff, vec)
+                    if cx != 1:
+                        coeff = coeff * cx % p if p else coeff * cx
+                raw_iaxpy(target, coeff, self._theta_ids(c, tuple(n for n, _ in combo)), p)
         return target
+
+    def theta_basis(self, c_sig: Sig, c_name, xs: tuple) -> Vec:
+        """Structure constants on a basis tuple; xs = carrier names.  A
+        boxed reader of the table: a fresh vector of Scalars.  The
+        argument names are checked when the entry is filled, and a c
+        that is not a label of the operad raises OperadError."""
+        F = self.field
+        hit = self._theta_ids(self.operad._label_id(c_sig, c_name), tuple(xs))
+        return {nm: Scalar(F, v) for nm, v in hit.items()}
+
+    def theta_vec(self, c_sig: Sig, c_vec: Vec, xs: list[Vec]) -> Vec:
+        """theta(x_1..x_n; c) on boxed vectors, multilinear in everything.
+        The inputs are unboxed once, every coefficient's field checked;
+        returns a fresh vector over the output sort's carrier."""
+        F = self.field
+        raw = F.raw
+        out = self._theta_raw(self.operad._unbox(c_sig, c_vec),
+                              [{nm: raw(cf) for nm, cf in x.items()} for x in xs])
+        return {nm: Scalar(F, v) for nm, v in out.items()}
 
     def theta_eval(self, xs: list[AlgebraElement], c: OperadElement) -> AlgebraElement:
         ins, out = c.sig
@@ -163,137 +202,120 @@ def _carrier_tuples(alg: Algebra, sorts: tuple[str, ...]):
 
 
 def verify_algebra(alg: Algebra) -> AlgebraReport:
-    """Exhaustive check of the action axioms on basis tuples in cap."""
+    """Exhaustive check of the action axioms on basis tuples in cap, run on
+    the structure-constant tables of the algebra and its operad: labels
+    are ids and coefficients raw values, and an id is named only to
+    format a failure.  An instance whose theta raises CapExceeded is
+    skipped."""
     rep = AlgebraReport(algebra=alg.name)
     op = alg.operad
-    F = alg.field
+    p, one, raw = alg.field.p, alg.field.one.val, alg.field.raw
+    ids, labels = op._ids, op._labels
+    deg = [op.degree_of(*label) for label in labels]
+    cdeg = {s: c.degrees for s, c in alg.carrier.items()}
+    theta = alg._theta_ids
+    swap, d_op = _raw_tables(op)
+
+    @cache
+    def d_car(srt: str, name) -> dict:
+        return {nm: raw(cf) for nm, cf in alg.carrier[srt].d.get(name, {}).items()}
 
     # unit law
     for srt, comp in sorted(alg.carrier.items()):
         if srt not in op.unit_names:
             continue
-        u = op.unit(srt)
+        u = ids[(((srt,), srt), op.unit_names[srt])]
         for name in comp.basis():
-            got = alg.theta_eval([alg.basis_element(srt, name)], u)
             rep.checks_run += 1
-            if got.vec != {name: F.one}:
+            if theta(u, (name,)) != {name: one}:
                 rep.failures.append(f"theta(x; 1) != x at sort {srt!r} {name!r}")
 
     # equivariance on adjacent transpositions
     for c_sig in op.signatures():
-        ins, _ = c_sig
+        ins = c_sig[0]
         n = len(ins)
         if n < 2:
             continue
         for c_name in op.components[c_sig].basis():
+            c = ids[(c_sig, c_name)]
             for xs in _carrier_tuples(alg, ins):
                 for k in range(1, n):
+                    swapped = xs[:k - 1] + (xs[k], xs[k - 1]) + xs[k + 1:]
                     try:
-                        ok = _check_action_equivariance(alg, c_sig, c_name, xs, k)
+                        lhs: dict = {}
+                        for j, cf in swap(c, k).items():
+                            raw_iaxpy(lhs, cf, theta(j, swapped), p)
+                        rhs = theta(c, xs)
                     except CapExceeded:
                         continue
+                    if cdeg[ins[k - 1]][xs[k - 1]] % 2 and cdeg[ins[k]][xs[k]] % 2:
+                        rhs = _raw_neg(rhs, p)
                     rep.checks_run += 1
-                    if not ok:
+                    if lhs != rhs:
                         rep.failures.append(
                             f"equivariance fails: c={c_sig}:{c_name!r} xs={list(xs)} s_{k}"
                         )
 
-    # composition against gamma, with gamma(cs; c) looked up once per
-    # (c, cs); every carrier tuple xs is still compared.
+    # composition: theta(theta(block_i; c_i)...; c) against theta(xs;
+    # gamma(cs; c)), up to the Koszul sign of moving each label c_i right
+    # past the later blocks; every carrier tuple xs is compared
     for c_sig in op.signatures():
         for c_name in op.components[c_sig].basis():
+            c = ids[(c_sig, c_name)]
+            c_vec = {c: one}
             for cs, _ in _arity_tuples(op, op.cap, c_sig[0]):
-                comp = op.gamma_basis(c_sig, c_name, cs)
-                for xs in _carrier_tuples(alg, comp[0][0]):
+                comp_sig, comp = op._gamma_ids(c, cs)
+                cuts, pos = [], 0
+                for ci in cs:
+                    w = len(labels[ci][0][0])
+                    cuts.append((ci, pos, pos + w))
+                    pos += w
+                any_odd = any(deg[ci] % 2 for ci in cs)
+                for xs in _carrier_tuples(alg, comp_sig[0]):
                     try:
-                        ok = _check_action_composition(alg, c_sig, c_name, cs, comp, xs)
+                        lhs = alg._theta_raw(c_vec, [theta(ci, xs[a:b]) for ci, a, b in cuts])
+                        rhs = {}
+                        for m, cm in comp.items():
+                            raw_iaxpy(rhs, cm, theta(m, xs), p)
                     except CapExceeded:
                         continue
+                    if any_odd and _past_parity([
+                            (deg[ci], sum(cdeg[s][x] for s, x in zip(labels[ci][0][0], xs[a:b])))
+                            for ci, a, b in cuts]):
+                        rhs = _raw_neg(rhs, p)
                     rep.checks_run += 1
-                    if not ok:
+                    if lhs != rhs:
                         rep.failures.append(
                             f"composition fails: c={c_sig}:{c_name!r} "
-                            f"cs={[n for _, n in cs]} xs={list(xs)}"
+                            f"cs={[labels[ci][1] for ci in cs]} xs={list(xs)}"
                         )
 
     # Leibniz
     for c_sig in op.signatures():
-        ins, _ = c_sig
+        ins, out = c_sig
         for c_name in op.components[c_sig].basis():
+            c = ids[(c_sig, c_name)]
             for xs in _carrier_tuples(alg, ins):
                 try:
-                    ok = _check_action_leibniz(alg, c_sig, c_name, xs)
+                    lhs = {}
+                    for nm, v in theta(c, xs).items():
+                        raw_iaxpy(lhs, v, d_car(out, nm), p)
+                    rhs, sgn = {}, 1
+                    for i, x in enumerate(xs):
+                        for nm, cf in d_car(ins[i], x).items():
+                            raw_iaxpy(rhs, sgn * cf, theta(c, xs[:i] + (nm,) + xs[i + 1:]), p)
+                        if cdeg[ins[i]][x] % 2:
+                            sgn = -sgn
+                    for m, cf in d_op(c).items():
+                        raw_iaxpy(rhs, sgn * cf, theta(m, xs), p)
                 except CapExceeded:
                     continue
                 rep.checks_run += 1
-                if not ok:
+                if lhs != rhs:
                     rep.failures.append(
                         f"Leibniz fails: c={c_sig}:{c_name!r} xs={list(xs)}"
                     )
     return rep
-
-
-def _check_action_equivariance(alg: Algebra, c_sig: Sig, c_name, xs, k: int) -> bool:
-    op = alg.operad
-    F = alg.field
-    ins, _ = c_sig
-    sc_sig, sc_vec = op.apply_transposition(c_sig, k, {c_name: F.one})
-    swapped = list(xs)
-    swapped[k - 1], swapped[k] = swapped[k], swapped[k - 1]
-    lhs: Vec = {}
-    for nm, cf in sc_vec.items():
-        vec_iaxpy(lhs, cf, alg.theta_basis(sc_sig, nm, tuple(swapped)))
-    da = alg.carrier_degree(ins[k - 1], xs[k - 1])
-    db = alg.carrier_degree(ins[k], xs[k])
-    sgn = koszul_sign(F, da, db)
-    rhs_vec = alg.theta_basis(c_sig, c_name, tuple(xs))
-    rhs = {n: sgn * c for n, c in rhs_vec.items()}
-    return lhs == rhs
-
-
-def _check_action_composition(alg: Algebra, c_sig: Sig, c_name, cs, comp, xs) -> bool:
-    """theta(theta(blocks; cs); c) against theta(xs; comp), where comp =
-    (sig, Vec) is gamma(cs; c), up to the Koszul sign of the labels."""
-    op = alg.operad
-    F = alg.field
-    blocks = []
-    pos = 0
-    for ci_sig, _ in cs:
-        w = len(ci_sig[0])
-        blocks.append(xs[pos:pos + w])
-        pos += w
-    inner = [alg.theta_basis(ci_sig, ci_name, blk) for (ci_sig, ci_name), blk in zip(cs, blocks)]
-    lhs = alg.theta_vec(c_sig, {c_name: F.one}, inner)
-    comp_sig, comp_vec = comp
-    rhs: Vec = {}
-    for m, cm in comp_vec.items():
-        vec_iaxpy(rhs, cm, alg.theta_basis(comp_sig, m, xs))
-    sgn = _labels_past_words(F, [
-        (op.degree_of(ci_sig, ci_name),
-         sum(alg.carrier_degree(s, n) for s, n in zip(ci_sig[0], blk)))
-        for (ci_sig, ci_name), blk in zip(cs, blocks)])
-    return lhs == {n: sgn * c0 for n, c0 in rhs.items()}
-
-
-def _check_action_leibniz(alg: Algebra, c_sig: Sig, c_name, xs) -> bool:
-    op = alg.operad
-    F = alg.field
-    ins, out = c_sig
-    lhs = alg.carrier[out].apply_d(alg.theta_basis(c_sig, c_name, tuple(xs)))
-    rhs: Vec = {}
-    sgn = F.one
-    for i, x_name in enumerate(xs):
-        dx = alg.carrier[ins[i]].apply_d({x_name: F.one})
-        for nm, cf in dx.items():
-            terms = list(xs)
-            terms[i] = nm
-            vec_iaxpy(rhs, sgn * cf, alg.theta_basis(c_sig, c_name, tuple(terms)))
-        if alg.carrier_degree(ins[i], x_name) % 2:
-            sgn = -sgn
-    dc = op.components[c_sig].apply_d({c_name: F.one})
-    for nm, cf in dc.items():
-        vec_iaxpy(rhs, sgn * cf, alg.theta_basis(c_sig, nm, tuple(xs)))
-    return lhs == rhs
 
 
 # ------------------------------------------------------------- free algebras

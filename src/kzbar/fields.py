@@ -85,6 +85,13 @@ class FieldSpec:
             return Scalar(self, num * pow(value.denominator, -1, self.p) % self.p)
         return Scalar(self, value % self.p)  # type: ignore[operator]
 
+    def raw(self, c: Scalar) -> Fraction | int:
+        """The value of c, for arithmetic outside ``Scalar``; raises
+        FieldMismatch unless c lies in this field."""
+        if c.field is not self and c.field != self:
+            raise FieldMismatch(f"cannot combine {self} with {c.field}")
+        return c.val
+
     def __str__(self) -> str:
         return "Q" if self.kind == "Q" else f"F{self.p}"
 

@@ -4,7 +4,9 @@ Vectors are dicts mapping basis names (arbitrary hashable, deterministically
 sortable via str) to nonzero Scalars. Never store a zero coefficient.
 Sums accumulate in place through ``vec_iaxpy`` and ``vec_acc``, always
 into a dict the accumulating function created: memoized vectors are
-handed out uncopied and must only be read.
+handed out uncopied and must only be read.  ``raw_iaxpy`` is the same
+sum on raw values, residues mod p or Fractions, as the operad and
+algebra structure-constant tables hold them.
 """
 
 from __future__ import annotations
@@ -41,6 +43,24 @@ def vec_iaxpy(u: Vec, s: Scalar, v: Vec) -> None:
             u.pop(k, None)
         else:
             u[k] = nc
+
+
+def raw_iaxpy(u: dict, s, v: dict, p: int | None) -> None:
+    """u += s*v in place on raw values, reduced mod p (None over Q),
+    dropping entries that cancel; v is only read."""
+    unit = s == 1
+    for k, c in v.items():
+        if not unit:
+            c = c * s
+        w = u.get(k)
+        if w is not None:
+            c = c + w
+        if p:
+            c %= p
+        if c:
+            u[k] = c
+        else:
+            u.pop(k, None)
 
 
 def vec_axpy(u: Vec, s: Scalar, v: Vec) -> Vec:
@@ -89,32 +109,38 @@ class Echelon:
 
 
 def echelon(vectors: Iterable[Vec], field: FieldSpec) -> Echelon:
-    """Gauss-Jordan elimination, columns in str order, sparsest-row pivoting."""
-    work = [dict(v) for v in vectors if v]
-    cols = sorted({c for v in work for c in v}, key=str)
+    """Gauss-Jordan elimination, columns in str order, sparsest-row pivoting
+    with ties broken by input order.  An index from each column to the
+    rows that hold it, pivot rows included, names the rows to reduce, so
+    no column scans every row."""
+    rows = [dict(v) for v in vectors if v]
+    where: dict = {}
+    for i, v in enumerate(rows):
+        for col in v:
+            where.setdefault(col, set()).add(i)
+    taken = [False] * len(rows)
     done_rows: list[Vec] = []
     pivots: list[Hashable] = []
-    for col in cols:
-        cand = [i for i, v in enumerate(work) if col in v]
+    for col in sorted(where, key=str):
+        holders = where[col]
+        cand = [i for i in holders if not taken[i]]
         if not cand:
             continue
-        # sparsity-count pivot choice; ties broken by input order
-        pi = min(cand, key=lambda i: len(work[i]))
-        pv = work.pop(pi)
-        pv = vec_scale(pv, pv[col].inv())
-        for v in work:
-            c = v.get(col)
-            if c is None:
+        pi = min(cand, key=lambda i: (len(rows[i]), i))
+        taken[pi] = True
+        pv = rows[pi] = vec_scale(rows[pi], rows[pi][col].inv())
+        for i in list(holders):
+            if i == pi:
                 continue
-            vec_iaxpy(v, -c, pv)
-        for row in done_rows:
-            c = row.get(col)
-            if c is None:
-                continue
-            vec_iaxpy(row, -c, pv)
+            v = rows[i]
+            vec_iaxpy(v, -v[col], pv)
+            for k in pv:
+                if k in v:
+                    where[k].add(i)
+                else:
+                    where[k].discard(i)
         done_rows.append(pv)
         pivots.append(col)
-        work = [v for v in work if v]
     return Echelon(done_rows, pivots)
 
 

@@ -5,7 +5,9 @@ while the operad, algebra, bar-differential and free-algebra memos hand
 out their stored vectors without copying them.  Running the same checks twice must
 therefore leave every memo entry and every stored column exactly as the
 first pass left it; an accumulator seeded with a memo value would
-change them.
+change them.  The operad and algebra memos are their structure-constant
+tables, keyed by label ids and holding raw values; both verifiers read
+them uncopied, and so does every boxed reader.
 
 Each algebra carries one bar complex, which ``build`` and every suite
 share; the suites run here on one build must give the golden reports,
@@ -27,7 +29,7 @@ from kzbar.cli import (
 )
 from kzbar.dstructures import roundtrip_algebra, split_identity_failures
 from kzbar.manifest import build, load_builtin, manifest_digest, parse_manifest
-from kzbar.operads import OperadElement
+from kzbar.operads import OperadElement, verify_operad
 
 
 def _snap(x):
@@ -43,9 +45,9 @@ def _state(alg, ds, B) -> dict[str, dict]:
     """Per store, a snapshot of each entry by key."""
     op = alg.operad
     stores = {
-        "operad gamma memo": op._gamma_memo,
+        "operad gamma table": op._gamma_memo,
         "operad perm memo": op._perm_memo,
-        "algebra theta memo": alg._theta_memo,
+        "algebra theta table": alg._theta_memo,
         "bar differential memo": B._d_memo,
         "bar normal-form memo": B._normal_memo,
         "algebra carrier d": {s: c.d for s, c in alg.carrier.items()},
@@ -82,7 +84,7 @@ def _one_pass(alg, ds, B, n_max: int) -> list[bool]:
     every pass, so the second bar_quotient reads the first one's
     differential memo, and the differential of the sum of all quotient
     keys is accumulated onto the memoized vector of its first key."""
-    verdicts = [verify_algebra(alg).ok]
+    verdicts = [verify_operad(alg.operad).ok, verify_algebra(alg).ok]
     _sums(alg)
     quotient = B.bar_quotient(n_max)
     B.mu_chain_map(quotient)
@@ -103,6 +105,10 @@ def test_a_second_pass_leaves_memos_and_columns_unchanged():
     assert all(_one_pass(alg, ds, B, m.window.n_max))
     before = _state(alg, ds, B)
     assert all(before.values()), [k for k, v in before.items() if not v]
+    # the tables are keyed by label ids
+    assert all(type(y) is int and all(type(x) is int for x in xs)
+               for y, xs in alg.operad._gamma_memo)
+    assert all(type(c) is int for c, _ in alg._theta_memo)
     second = _one_pass(alg, ds, B, m.window.n_max)
     after = _state(alg, ds, B)
     for name, entries in before.items():

@@ -66,6 +66,38 @@ def crooked_block():
     return op
 
 
+def scaled_block_f3():
+    """uAss over F3 whose gamma((1,), (1, 2); (2, 1)) is scaled by 2, so
+    the raw residues differ from the honest ones by a sign mod 3."""
+    op = uass_operad(F3, 3)
+    honest = op._gamma_rule
+
+    def scaled(y_sig, y_name, xs):
+        vec = honest(y_sig, y_name, xs)
+        if y_name == (2, 1) and tuple(n for _, n in xs) == ((1,), (1, 2)):
+            return {k: c.scaled(2) for k, c in vec.items()}
+        return vec
+
+    op._gamma_rule = scaled
+    return op
+
+
+def cancelling_f3():
+    """uAss over F3 whose gamma((1,), (1,); (1, 2)) is (1, 2) + 2 (2, 1).
+    Composing it with zs = ((), (1,)) sends both words to (1,), where the
+    two terms cancel mod 3."""
+    op = uass_operad(F3, 3)
+    honest = op._gamma_rule
+
+    def cancelling(y_sig, y_name, xs):
+        if y_name == (1, 2) and tuple(n for _, n in xs) == ((1,), (1,)):
+            return {(1, 2): F3.one, (2, 1): F3.scalar(2)}
+        return honest(y_sig, y_name, xs)
+
+    op._gamma_rule = cancelling
+    return op
+
+
 def unsigned_suspension():
     """The suspension of uAss over F3 composing by the bare splice, which
     breaks associativity once odd labels cross."""
@@ -80,6 +112,8 @@ BROKEN_OPERADS = {
     "lazy-sym": lazy_sym_ass,
     "wrong-d": wrong_d_operad,
     "unsigned-suspension": unsigned_suspension,
+    "scaled-block-F3": scaled_block_f3,
+    "cancelling-F3": cancelling_f3,
 }
 SUSPENDED_OPERADS = {"suspended-uAss-F3": lambda: suspended_uass(F3, 3),
                      "suspended-uAss-Q": lambda: suspended_uass(QQ, 3)}
@@ -119,6 +153,15 @@ def broken_product():
         unit_name="1")
 
 
+def broken_product_f3():
+    """The dual numbers over uAss and F3 with 1.x = 2x."""
+    return word_algebra(
+        F3, uass_operad(F3, 3), degrees={"1": 0, "x": 0},
+        mult={("1", "1"): {"1": F3.one}, ("1", "x"): {"x": F3.scalar(2)},
+              ("x", "1"): {"x": F3.one}},
+        unit_name="1")
+
+
 def unsigned_suspended_dual():
     """The suspended dual numbers over F3 acting by the bare product, which
     breaks the composition axiom's Koszul sign."""
@@ -138,6 +181,7 @@ EXTRA_ALGEBRAS = {
         free(ChainComplex(GF(2), {"u": 0, "v": 0}, {}), ass_operad(GF(2), 2))),
     "golden-module": golden_module,
     "broken-product": broken_product,
+    "broken-product-F3": broken_product_f3,
     "suspended-dual-F3": lambda: suspended_dual_numbers(F3),
     "suspended-dual-Q": lambda: suspended_dual_numbers(QQ),
     "unsigned-suspended-dual": unsigned_suspended_dual,
@@ -154,8 +198,16 @@ def test_verify_algebra_matches_the_oracle(make):
 
 
 def test_a_broken_product_fails_composition():
-    assert any(f.startswith("composition fails")
-               for f in verify_algebra(broken_product()).failures)
+    for make in (broken_product, broken_product_f3):
+        assert any(f.startswith("composition fails")
+                   for f in verify_algebra(make()).failures), make.__name__
+
+
+def test_the_cancelling_composite_cancels():
+    """The triple y = (1, 2), xs = ((1,), (1,)), zs = ((), (1,)) reads the
+    two-term composite, whose terms cancel mod 3 on one side only."""
+    assert ("associativity fails: y=(('*', '*'), '*'):(1, 2) "
+            "xs=[(1,), (1,)] zs=[(), (1,)]") in verify_operad(cancelling_f3()).failures
 
 
 @pytest.mark.parametrize("field", [F3, QQ], ids=["F3", "Q"])

@@ -176,13 +176,16 @@ def test_gamma_sort_mismatch():
 
 def test_gamma_basis_past_the_cap_raises_on_every_call():
     op = uass_operad(QQ, 3)
-    y_sig, x2 = single_sig(2), (single_sig(2), idw(2))
-    # an earlier composite of the same y is memoized
-    assert op.gamma_basis(y_sig, idw(2), (x2, (single_sig(1), (1,))))[0] == single_sig(3)
+    y_sig, x1, x2 = single_sig(2), (single_sig(1), (1,)), (single_sig(2), idw(2))
+    # the table is keyed by (y id, x ids); an earlier composite of the
+    # same y is in it
+    y, i1, i2 = op._ids[(y_sig, idw(2))], op._ids[x1], op._ids[x2]
+    assert op.gamma_basis(y_sig, idw(2), (x2, x1))[0] == single_sig(3)
+    assert op._gamma_memo[(y, (i2, i1))] == (single_sig(3), {op._ids[(single_sig(3), idw(3))]: 1})
     for _ in range(3):
         with pytest.raises(CapExceeded, match="gamma result arity 4 exceeds cap 3"):
             op.gamma_basis(y_sig, idw(2), (x2, x2))
-    assert (y_sig, idw(2), (x2, x2)) not in op._gamma_memo
+    assert (y, (i2, i2)) not in op._gamma_memo
 
 
 def test_gamma_basis_sort_mismatch_raises_on_every_call():
