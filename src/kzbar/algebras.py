@@ -38,8 +38,7 @@ from kzbar.complexes import ChainComplex, ChainMap
 from kzbar.fields import Scalar
 from kzbar.linalg import Vec, echelon, raw_iaxpy, vec_acc, vec_axpy, vec_scale
 from kzbar.operads import (CapExceeded, Operad, OperadElement, Sig, _arity_tuples,
-                            _labels_past_words, _past_parity, _raw_neg, _raw_tables,
-                            koszul_sign)
+                            _past_parity, _raw_neg, _raw_tables, koszul_sign)
 
 if TYPE_CHECKING:
     from kzbar.bar import BarComplex
@@ -78,8 +77,9 @@ class Algebra:
     from theta_rule on first read: it maps (label id of c in the operad,
     carrier-name tuple) to {carrier name: raw value}, a raw value being a
     residue mod p or a Fraction.  A miss checks the argument names and
-    the field of every coefficient theta_rule returns; ``theta_basis``
-    and ``theta_vec`` box and unbox at the edge.
+    the field of every coefficient theta_rule returns.  Inner layers read
+    it through ``theta_basis``; ``theta_eval`` unboxes and boxes at the
+    public edge only.
     """
 
     def __init__(self, operad: Operad, carrier: dict[str, ChainComplex],
@@ -162,24 +162,19 @@ class Algebra:
         hit = self._theta_ids(self.operad._label_id(c_sig, c_name), tuple(xs))
         return {nm: Scalar(F, v) for nm, v in hit.items()}
 
-    def theta_vec(self, c_sig: Sig, c_vec: Vec, xs: list[Vec]) -> Vec:
-        """theta(x_1..x_n; c) on boxed vectors, multilinear in everything.
-        The inputs are unboxed once, every coefficient's field checked;
-        returns a fresh vector over the output sort's carrier."""
-        F = self.field
-        raw = F.raw
-        out = self._theta_raw(self.operad._unbox(c_sig, c_vec),
-                              [{nm: raw(cf) for nm, cf in x.items()} for x in xs])
-        return {nm: Scalar(F, v) for nm, v in out.items()}
-
     def theta_eval(self, xs: list[AlgebraElement], c: OperadElement) -> AlgebraElement:
+        """theta(x_1..x_n; c) on elements, multilinear in everything.  The
+        inputs are unboxed once, every coefficient's field checked."""
         ins, out = c.sig
         if len(xs) != len(ins):
             raise AlgebraError(f"theta arity mismatch: {len(xs)} arguments for {c.sig}")
         for x, srt in zip(xs, ins):
             if x.sort != srt:
                 raise AlgebraError(f"sort mismatch: {x.sort!r} fed into {srt!r} slot")
-        return AlgebraElement(self, out, self.theta_vec(c.sig, c.vec, [x.vec for x in xs]))
+        F = self.field
+        raw = self._theta_raw(self.operad._unbox(c.sig, c.vec),
+                              [{nm: F.raw(cf) for nm, cf in x.vec.items()} for x in xs])
+        return AlgebraElement(self, out, {nm: Scalar(F, v) for nm, v in raw.items()})
 
 
 # ------------------------------------------------------------------ report
@@ -474,25 +469,27 @@ class FreeAlgebra:
     def compose(self, vecs: list[Vec], c_sig: Sig, c_name) -> Vec:
         """Compose word vectors through the label c_name of c_sig: each
         choice of one word per vector concatenates the generator words
-        and composes the labels into c_name by gamma; each label moves
-        right past the later generator words at the Koszul sign."""
-        F, op = self.field, self.operad
-        c = op.basis_element(c_sig, c_name)
+        and composes the labels into c_name by one read of the operad's
+        table; each label moves right past the later generator words at
+        the Koszul sign.  This is the one place that sign is paid.  The
+        result is an exact sum, so the order the inputs were built in
+        does not change it."""
+        F, op, gens = self.field, self.operad, self.generators
         out: Vec = {}
-        items = [sorted(v.items(), key=lambda kv: str(kv[0])) for v in vecs]
-        for combo in iproduct(*items):
+        for combo in iproduct(*(v.items() for v in vecs)):
             coeff = F.one
             for _, cf in combo:
                 coeff = coeff * cf
             words = [w for w, _ in combo]
-            sgn = _labels_past_words(F, [
-                (op.degree_of(sig, nm),
-                 sum(self.generators[s].degrees[x] for s, x in zip(sig[0], xw)))
-                for sig, xw, nm in words])
-            comp = op.gamma([op.basis_element(sig, nm) for sig, _, nm in words], c)
+            if _past_parity([(op.degree_of(sig, nm),
+                              sum(gens[s].degrees[x] for s, x in zip(sig[0], xw)))
+                             for sig, xw, nm in words]):
+                coeff = -coeff
+            t_sig, comp = op.gamma_basis(c_sig, c_name,
+                                         tuple((sig, nm) for sig, _, nm in words))
             xw_all = tuple(x for _, xw, _ in words for x in xw)
-            for nm, cf in comp.vec.items():
-                vec_acc(out, (comp.sig, xw_all, nm), coeff * sgn * cf)
+            for nm, cf in comp.items():
+                vec_acc(out, (t_sig, xw_all, nm), coeff * cf)
         return out
 
     def _coinvariants_by_elimination(self, part: FreePart):

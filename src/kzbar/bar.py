@@ -362,6 +362,22 @@ class BarComplex:
             for group in wits)
         return plan
 
+    def _place(self, out: BarVec, t: Tree, w: SignWord, labels, spot: int,
+               vec: Vec) -> None:
+        """out += the normal form of each term of vec put at vertex spot + 1
+        of (t, w, labels), times its coefficient; vec maps a label to its
+        coefficient and is walked in str order of the labels."""
+        lab2 = list(labels)
+        for nm, cf in sorted(vec.items(), key=lambda kv: str(kv[0])):
+            lab2[spot] = nm
+            vec_iaxpy(out, cf, self.normalize_term(t, w, tuple(lab2), self.field.one))
+
+    def _theta_at(self, t: Tree, v: int, labels: tuple) -> Vec:
+        """The action of vertex v's label on the labels of its children,
+        all leaves: one read of the algebra's table."""
+        return self.algebra.theta_basis(self._component_sig(t, v), labels[v - 1],
+                                        tuple(labels[c - 1] for c in t.kids[v]))
+
     def differential_key(self, key: BarKey) -> BarVec:
         """d of one basis key, memoized per key; callers only read it."""
         hit = self._d_memo.get(key)
@@ -374,49 +390,26 @@ class BarComplex:
 
         # contract the edge above q, composing q into its parent's slot
         for q, parent, wit, dw in edges:
-            x_q = self.operad.basis_element(
-                self._component_sig(t, q), labels[q - 1])
-            x_p = self.operad.basis_element(
-                self._component_sig(t, parent), labels[parent - 1])
-            merged = self.operad.gamma_j(child_index(t, q), x_q, x_p)
+            p_sig = self._component_sig(t, parent)
+            xs = [self.operad.unit_label(s) for s in p_sig[0]]
+            xs[child_index(t, q) - 1] = (self._component_sig(t, q), labels[q - 1])
+            _, merged = self.operad.gamma_basis(p_sig, labels[parent - 1], tuple(xs))
             lab2 = [labels[wit.tau[r - 1] - 1] for r in range(1, wit.result.n + 1)]
-            spot = wit.rho[q - 1] - 1
-            for nm, cf in sorted(merged.vec.items(), key=lambda kv: str(kv[0])):
-                lab2[spot] = nm
-                vec_iaxpy(out, cf, self.normalize_term(
-                    wit.result, dw, tuple(lab2), self.field.one))
+            self._place(out, wit.result, dw, lab2, wit.rho[q - 1] - 1, merged)
 
         # contract a fully-leafed vertex into a new leaf via the action
         for j, _, wit, dw in leaves:
-            cs = t.kids[j]
-            i = j - len(cs)
-            c_el = self.operad.basis_element(
-                self._component_sig(t, j), labels[j - 1])
-            xs = [self.algebra.basis_element(self._sort_of(t, c), labels[c - 1])
-                  for c in cs]
-            merged = self.algebra.theta_eval(xs, c_el)
             lab2 = [labels[wit.tau[r - 1] - 1] for r in range(1, wit.result.n + 1)]
-            for nm, cf in sorted(merged.vec.items(), key=lambda kv: str(kv[0])):
-                lab2[i - 1] = nm
-                vec_iaxpy(out, cf, self.normalize_term(
-                    wit.result, dw, tuple(lab2), self.field.one))
+            self._place(out, wit.result, dw, lab2, j - len(t.kids[j]) - 1,
+                        self._theta_at(t, j, labels))
 
         # internal differential at one vertex
         for v in range(1, t.n + 1):
-            if t.is_leaf(v):
-                dlab = self.algebra.carrier[self._sort_of(t, v)].apply_d(
-                    {labels[v - 1]: self.field.one})
-            else:
-                dlab = self.operad.components[self._component_sig(t, v)].apply_d(
-                    {labels[v - 1]: self.field.one})
-            if not dlab:
-                continue
-            dw = left_mul_f(v, w)
-            for nm, cf in sorted(dlab.items(), key=lambda kv: str(kv[0])):
-                lab2 = list(labels)
-                lab2[v - 1] = nm
-                vec_iaxpy(out, cf, self.normalize_term(
-                    t, dw, tuple(lab2), self.field.one))
+            comp = (self.algebra.carrier[self._sort_of(t, v)] if t.is_leaf(v)
+                    else self.operad.components[self._component_sig(t, v)])
+            dlab = comp.d.get(labels[v - 1])
+            if dlab:
+                self._place(out, t, left_mul_f(v, w), labels, v - 1, dlab)
         self._d_memo[key] = out
         return out
 
@@ -590,12 +583,7 @@ class BarComplex:
             raise BarError("mu lives on the quotient; bare term given")
         if len(t.non_leaves()) != 1:
             return {}
-        root = t.n
-        c_el = self.operad.basis_element(
-            self._component_sig(t, root), labels[root - 1])
-        xs = [self.algebra.basis_element(self._sort_of(t, c), labels[c - 1])
-              for c in t.kids[root]]
-        out = self.algebra.theta_eval(xs, c_el).vec
+        out = self._theta_at(t, t.n, labels)
         if (self.degree_of(t, labels) - 1) % 2:
             out = {nm: -c for nm, c in out.items()}
         return out
@@ -660,18 +648,15 @@ class BarComplex:
         # assemble keeps each factor's non-root vertices in order and merges
         # the roots into the new one
         maps = []
-        root_labels = []
         offset = 0
-        for t, labels in keys:
+        for t, _ in keys:
             mapping = {v: v + offset for v in range(1, t.n)}
             mapping[t.n] = n_new
             maps.append(mapping)
-            root_labels.append(self.operad.basis_element(
-                self._component_sig(t, t.n), labels[t.n - 1]))
             offset += t.n - 1
 
-        merged = self.operad.gamma(
-            root_labels, self.operad.basis_element(c_sig, c_name))
+        _, merged = self.operad.gamma_basis(c_sig, c_name, tuple(
+            (self._component_sig(t, t.n), labels[t.n - 1]) for t, labels in keys))
 
         c_odd = self.operad.degree_of(c_sig, c_name) % 2 == 1
         w_acc = word((n_new,), (n_new,) if c_odd else ())
@@ -687,8 +672,5 @@ class BarComplex:
             for v in range(1, t.n):
                 lab2[mapping[v] - 1] = labels[v - 1]
         out: BarVec = {}
-        for nm, cf in sorted(merged.vec.items(), key=lambda kv: str(kv[0])):
-            lab2[n_new - 1] = nm
-            vec_iaxpy(out, cf, self.normalize_term(
-                t_new, w_acc, tuple(lab2), self.field.one))
+        self._place(out, t_new, w_acc, lab2, n_new - 1, merged)
         return out

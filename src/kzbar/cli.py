@@ -16,14 +16,15 @@ same inputs give identical bytes on every run.  Elapsed time goes to
 stderr.  ``KZ_SEED`` sets the randomness of sampled probes (default
 fixed).  Exit status is 0 exactly when every check passes, 1 on a
 failed check, 2 when the manifest cannot be read at all, and 3 on an
-internal error: one of kzbar's own errors escaped a suite, which is not
-a verdict on the manifest.  Exits 2 and 3 print one ``manifest:
-message`` line to stderr and no traceback.  A window whose bar
-differential composes past the operad cap is one of these.  ``dstruct``
-and ``roundtrip`` read the manifest's D-structures, each built on first
-read, so one that cannot be built exits 2; ``bar`` and ``homology`` read
-only the bar complex and stop with the cap in the message (exit 3),
-whether or not the manifest declares a D-structure.
+internal error: one of kzbar's own errors escaped a suite, or the run
+ran out of memory, which is not a verdict on the manifest either.
+Exits 2 and 3 print one ``manifest: message`` line to stderr and no
+traceback.  A window whose bar differential composes past the operad
+cap is one of these.  ``dstruct`` and ``roundtrip`` read the manifest's
+D-structures, each built on first read, so one that cannot be built
+exits 2; ``bar`` and ``homology`` read only the bar complex and stop
+with the cap in the message (exit 3), whether or not the manifest
+declares a D-structure.
 """
 
 from __future__ import annotations
@@ -565,6 +566,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OperadError, TreeError, BarError, DStructureError, AlgebraError,
             ComplexError) as e:
         print(f"{args.manifest}: {e}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"{args.manifest}: out of memory in {args.command}; "
+              f"try a smaller window", file=sys.stderr)
         return 3
     print(f"elapsed: {elapsed} ms", file=sys.stderr)
     out = to_json(rep) if args.format == "json" else to_text(rep)

@@ -8,11 +8,13 @@ differential, and delta applied in one slot with the label composed in.
 The words, their internal differential and their composition through
 a label belong to ``FreeAlgebra``, which alone fixes the Koszul signs
 (label last, factors left to right); this module adds only the delta
-terms.  The augmented bar construction is the motivating instance:
-delta cuts a tree at the root into its successor subtrees tensor the
-root label, and the induced differential on the free algebra recovers
-the quotient bar differential exactly, which the roundtrip report
-checks matrix against matrix.
+terms, each a ``compose`` of unit words with one slot's splitting, so
+the sign of a split label crossing the later factors is paid there.
+The augmented bar construction is the motivating instance: delta cuts
+a tree at the root into its successor subtrees tensor the root label,
+and the induced differential on the free algebra recovers the quotient
+bar differential exactly, which the roundtrip report checks matrix
+against matrix.
 
 Degrees are rigid: delta must lower degree by one, the induced
 differential squares to zero on every window (certified at construction
@@ -28,7 +30,7 @@ from kzbar.algebras import Algebra, FreeAlgebra, monad_theta
 from kzbar.bar import BarComplex, _is_bare
 from kzbar.complexes import ChainComplex, ChainMap, QuasiIsoVerdict
 from kzbar.linalg import Vec, vec_acc, vec_iaxpy
-from kzbar.operads import Operad, koszul_sign
+from kzbar.operads import Operad
 from kzbar.signs import multiply, relabel, word
 from kzbar.trees import assemble, root_blocks, subtree_at
 
@@ -119,6 +121,11 @@ class DStructure:
     def delta_of(self, srt: str, x) -> BigVec:
         return self._delta.get((srt, x), {})
 
+    def unit_word(self, srt: str, x) -> BigVec:
+        """x in arity one: the word of x and the unit of its sort."""
+        usig, uname = self.operad.unit_label(srt)
+        return {(usig, (x,), uname): self.field.one}
+
     def support(self, srt: str, x) -> list[int]:
         """Arities of the words delta produces for one basis element."""
         return sorted({len(big[1]) for big in self.delta_of(srt, x)})
@@ -127,25 +134,22 @@ class DStructure:
 
     def delta_terms(self, big: BigName) -> BigVec:
         """The induced differential on one word: the free algebra's word
-        differential, plus each slot's splitting with its label composed
-        into that slot, under the sign of the degrees to the left of the
-        slot and of the label crossing the degrees to its right.
+        differential, plus, for each slot, the sign of the degrees to its
+        left times the composition of the unit words with the slot's
+        splitting in that slot.  ``FreeAlgebra.compose`` pays the sign of
+        the split label crossing the factors to its right.
         """
         sig, xw, c_name = big
-        F, op = self.field, self.operad
-        c = op.basis_element(sig, c_name)
-        out = self.free.word_d(big)
-        sgn = F.one
-        degs = [self.carrier[s].degrees[x] for s, x in zip(sig[0], xw)]
+        free = self.free
+        units = [self.unit_word(s, x) for s, x in zip(sig[0], xw)]
+        out = free.word_d(big)
+        sgn = self.field.one
         for i, (srt, x) in enumerate(zip(sig[0], xw)):
-            tail = sum(degs[i + 1:])
-            for (msig, yw, b_name), cf in self.delta_of(srt, x).items():
-                ssgn = sgn * cf * koszul_sign(F, op.degree_of(msig, b_name), tail)
-                comp = op.gamma_j(i + 1, op.basis_element(msig, b_name), c)
-                w2 = xw[:i] + yw + xw[i + 1:]
-                for nm2, cf2 in comp.vec.items():
-                    vec_acc(out, (comp.sig, w2, nm2), ssgn * cf2)
-            if degs[i] % 2:
+            split = self.delta_of(srt, x)
+            if split:
+                vec_iaxpy(out, sgn, free.compose(units[:i] + [split] + units[i + 1:],
+                                                 sig, c_name))
+            if self.carrier[srt].degrees[x] % 2:
                 sgn = -sgn
         return out
 
@@ -265,13 +269,8 @@ def delta_algebra(ds: DStructure, n_max: int, name: str | None = None) -> Algebr
 
 def eta(ds: DStructure) -> dict[DName, BigVec]:
     """The arity-one inclusion of the carrier into free-algebra words."""
-    out: dict[DName, BigVec] = {}
-    for srt, comp in sorted(ds.carrier.items()):
-        usig = ((srt,), srt)
-        uname = ds.operad.unit_names[srt]
-        for x in comp.basis():
-            out[(srt, x)] = {(usig, (x,), uname): ds.field.one}
-    return out
+    return {(srt, x): ds.unit_word(srt, x)
+            for srt, comp in sorted(ds.carrier.items()) for x in comp.basis()}
 
 
 def split_identity_failures(ds: DStructure) -> list[tuple[DName, dict, dict]]:

@@ -137,8 +137,10 @@ class Operad:
     is interned to an int id at construction, and the table maps
     (y id, x ids) to (target sig, {target id: raw value}), a raw value
     being a residue mod p or a Fraction.  The field of each coefficient
-    gamma_rule returns is checked once, when its entry is filled;
-    ``gamma_basis`` and ``gamma_vec`` box and unbox at the edge.
+    gamma_rule returns is checked once, when its entry is filled.  Inner
+    layers compose basis labels through ``gamma_basis``; the element API
+    (``basis_element``, ``gamma``, ``gamma_j``) unboxes and boxes at the
+    public edge only.
     """
 
     def __init__(
@@ -206,9 +208,12 @@ class Operad:
     def degree_of(self, sig: Sig, name) -> int:
         return self.components[sig].degrees[name]
 
+    def unit_label(self, sort: str = "*") -> Label:
+        return ((sort,), sort), self.unit_names[sort]
+
     def unit(self, sort: str = "*") -> OperadElement:
-        uname = self.unit_names[sort]
-        return OperadElement(self, ((sort,), sort), {uname: self.field.one})
+        sig, uname = self.unit_label(sort)
+        return OperadElement(self, sig, {uname: self.field.one})
 
     def basis_element(self, sig: Sig, name) -> OperadElement:
         if name not in self.components[sig].degrees:
@@ -272,8 +277,12 @@ class Operad:
                 f"gamma result arity {len(target_inputs)} exceeds cap {self.cap}"
             )
         else:
-            vec = self._gamma_rule(y_sig, y_name, x_labels)
-            hit = (target_sig, {i: v for i, v in self._unbox(target_sig, vec).items() if v})
+            raw, out = self.field.raw, {}
+            for name, c in self._gamma_rule(y_sig, y_name, x_labels).items():
+                v = raw(c)
+                if v:
+                    out[self._label_id(target_sig, name)] = v
+            hit = (target_sig, out)
         self._gamma_memo[key] = hit
         return hit
 
@@ -304,19 +313,13 @@ class Operad:
                                    tuple(self._label_id(*x) for x in xs))
         return sig, self._box(raw)
 
-    def gamma_vec(self, y_sig: Sig, y_vec: Vec, xs: list[tuple[Sig, Vec]]) -> tuple[Sig, Vec]:
-        """gamma(x_1,...,x_k; y) on boxed vectors, multilinear in everything;
-        xs = [(sig, Vec), ...].  The inputs are unboxed once, every
-        coefficient's field checked.  Returns the target signature and a
-        fresh vector."""
-        raw = self._gamma_raw(self._unbox(y_sig, y_vec),
-                              [self._unbox(x_sig, x_vec) for x_sig, x_vec in xs])
-        return (tuple(s for x_sig, _ in xs for s in x_sig[0]), y_sig[1]), self._box(raw)
-
     def gamma(self, xs: list[OperadElement], y: OperadElement) -> OperadElement:
-        """Full composition gamma(x_1,...,x_k; y), multilinear in everything."""
-        sig, vec = self.gamma_vec(y.sig, y.vec, [(x.sig, x.vec) for x in xs])
-        return OperadElement(self, sig, vec)
+        """Full composition gamma(x_1,...,x_k; y), multilinear in everything.
+        The inputs are unboxed once, every coefficient's field checked."""
+        raw = self._gamma_raw(self._unbox(y.sig, y.vec),
+                              [self._unbox(x.sig, x.vec) for x in xs])
+        sig = (tuple(s for x in xs for s in x.sig[0]), y.sig[1])
+        return OperadElement(self, sig, self._box(raw))
 
     def gamma_j(self, j: int, x: OperadElement, y: OperadElement) -> OperadElement:
         """Partial composition: x into slot j of y, units elsewhere."""
@@ -361,11 +364,13 @@ class Operad:
         hit = self._perm_memo.get(key)
         if hit is not None:
             return hit
-        comp = self.components[sig]
+        word = adjacent_word(sigma)
         out = {}
-        for name in comp.degrees:
-            img = self.apply_perm(OperadElement(self, sig, {name: self.field.one}), sigma)
-            out[name] = (img.sig, img.vec)
+        for name in self.components[sig].degrees:
+            tsig, vec = sig, {name: self.field.one}
+            for k in word:
+                tsig, vec = self.apply_transposition(tsig, k, vec)
+            out[name] = (tsig, vec)
         self._perm_memo[key] = out
         return out
 
@@ -460,12 +465,6 @@ def _past_parity(degs) -> int:
             odd ^= 1
         later += w_deg
     return odd
-
-
-def _labels_past_words(field: FieldSpec, degs) -> Scalar:
-    """Koszul sign of moving each factor's label right, past the factor
-    words after it; degs holds (label degree, word degree) per factor."""
-    return -field.one if _past_parity(degs) else field.one
 
 
 def _raw_neg(v: dict, p: int | None) -> dict:

@@ -18,11 +18,17 @@ from kzbar.operads import (
     CapExceeded,
     OperadElement,
     OperadReport,
-    _labels_past_words,
+    _past_parity,
     _verify_free_module,
     block_perm,
     koszul_sign,
 )
+
+
+def _labels_past_words(field, degs):
+    """Koszul sign of moving each factor's label right, past the factor
+    words after it; degs holds (label degree, word degree) per factor."""
+    return -field.one if _past_parity(degs) else field.one
 
 
 def signatures(op):

@@ -8,8 +8,12 @@ from pathlib import Path
 
 import pytest
 
+from kzbar.algebras import AlgebraElement
+from kzbar.catalog import uass_operad
 from kzbar.cli import DEFAULT_SEED, main, run, to_json, to_text
+from kzbar.fields import QQ
 from kzbar.manifest import load_builtin, parse_manifest
+from kzbar.operads import Operad, OperadElement, single_sig
 from kzbar.trees import enumerate_trees
 
 UNIT = """\
@@ -166,9 +170,38 @@ def test_benchmark_trace_installs_and_keeps_the_report(capsys, monkeypatch,
     stats = tracer.summary()["stats"]
     assert stats["cli.run"]["calls"] == 2
     assert stats["bar.BarComplex.differential_key"]["calls"] > 0
+    assert stats["operads.Operad.gamma_basis"]["calls"] > 0
     part = stats["algebras.FreeAlgebra.part"]
     assert part["calls"] > 0
     assert part["big_words"] >= part["reps"] > 0
+
+
+def test_suites_compose_without_boxing(monkeypatch, capsys, unit_path):
+    """bar, homology, dstruct and roundtrip build no element and unbox
+    nothing: every composition inside them reads the tables."""
+    counts = {"OperadElement": 0, "AlgebraElement": 0, "Operad._unbox": 0}
+
+    def counting(name, owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counting("OperadElement", OperadElement, "__init__")
+    counting("AlgebraElement", AlgebraElement, "__init__")
+    counting("Operad._unbox", Operad, "_unbox")
+    for manifest in ("uass_dual_numbers", unit_path):
+        for suite in ("bar", "homology", "dstruct", "roundtrip"):
+            assert main([suite, manifest]) == 0
+            capsys.readouterr()
+    assert counts == {"OperadElement": 0, "AlgebraElement": 0, "Operad._unbox": 0}
+    # the wrappers do count: the element API still boxes at the edge
+    op = uass_operad(QQ, 2)
+    op.gamma_j(1, op.unit(), op.basis_element(single_sig(2), (1, 2)))
+    assert counts["OperadElement"] > 0 and counts["Operad._unbox"] > 0
 
 
 def test_window_beyond_the_enumeration_cap_exits_two(capsys, tmp_path):
@@ -405,6 +438,23 @@ def test_internal_error_exits_three_without_a_traceback(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("uass_dual_numbers: mu lives on the quotient; "
                             "bare term given\n")
+
+
+def test_out_of_memory_exits_three_without_a_traceback(capsys, monkeypatch):
+    """Running out of memory is not a failed check (exit 1): it exits 3
+    with one line naming the suite."""
+    import kzbar.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_run_homology", exhausted)
+    code = main(["homology", "uass_dual_numbers"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("uass_dual_numbers: out of memory in homology; "
+                            "try a smaller window\n")
 
 
 def test_unknown_command_is_an_argparse_error():

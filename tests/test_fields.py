@@ -37,11 +37,11 @@ def test_mixed_fields_raise():
 
 
 def test_a_factor_of_one_still_meets_the_field_check():
-    """vec_iaxpy and gamma_vec multiply nothing by one, but a one from
+    """vec_iaxpy and gamma multiply nothing by one, but a one from
     another field still raises."""
     from kzbar.catalog import uass_operad
     from kzbar.linalg import vec_iaxpy
-    from kzbar.operads import single_sig
+    from kzbar.operads import OperadElement, single_sig
 
     F2, F3 = GF(2), GF(3)
     with pytest.raises(FieldMismatch):
@@ -50,12 +50,12 @@ def test_a_factor_of_one_still_meets_the_field_check():
     vec_iaxpy(u, F3.one, {"a": F3.one, "b": F3.scalar(2)})
     assert u == {"a": F3.scalar(2), "b": F3.scalar(2)}
     op = uass_operad(F3, 2)
-    unit = (single_sig(1), {(1,): F3.one})
-    assert op.gamma_vec(single_sig(2), {(2, 1): F3.one}, [unit, unit]) == (
-        single_sig(2), {(2, 1): F3.one})
+    unit = OperadElement(op, single_sig(1), {(1,): F3.one})
+    y = OperadElement(op, single_sig(2), {(2, 1): F3.one})
+    got = op.gamma([unit, unit], y)
+    assert (got.sig, got.vec) == (single_sig(2), {(2, 1): F3.one})
     with pytest.raises(FieldMismatch):
-        op.gamma_vec(single_sig(2), {(2, 1): F3.one},
-                     [unit, (single_sig(1), {(1,): F2.one})])
+        op.gamma([unit, OperadElement(op, single_sig(1), {(1,): F2.one})], y)
 
 
 def test_bad_characteristic():
