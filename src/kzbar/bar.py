@@ -13,6 +13,13 @@ compose the two operad labels, contract a fully-leafed vertex into a new
 leaf through the algebra action, or apply the internal differential at
 one vertex.  The homotopy grafts a unit-labeled root on top.  Both are
 certified by d.d = 0 and dh + hd = Id elementwise in the tests.
+
+Every raw term is brought to its canonical labeled representative
+through a plan built once per tree: the tree's sorts, signatures and
+degree tables, its intertwiner to the canonical tree, and the canonical
+tree's runs of equal-shape siblings.  Moving a term is then an index
+move of its labels, the operad's monomial action at the vertices whose
+child order changes, and the inversion parity of its e's and its f's.
 """
 
 from __future__ import annotations
@@ -21,13 +28,22 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations_with_replacement, groupby
 from itertools import product as iproduct
+from operator import itemgetter
 
 from kzbar.algebras import Algebra
 from kzbar.complexes import ChainComplex, ChainMap, direct_sum
 from kzbar.fields import Scalar
 from kzbar.linalg import Vec, vec_iaxpy
 from kzbar.operads import CapExceeded, OperadElement
-from kzbar.signs import SignWord, left_mul_f, multiply, partial_e, relabel, word
+from kzbar.signs import (
+    SignWord,
+    block_swap_sign,
+    left_mul_f,
+    multiply,
+    partial_e,
+    relabel,
+    word,
+)
 from kzbar.trees import (
     Tree,
     assemble,
@@ -72,6 +88,36 @@ class BarTerm:
     degree: int
 
 
+def _child_perm(order) -> tuple:
+    """The child permutation pi that places child order[i] i-th:
+    pi[order[i]] = i + 1."""
+    pi = [0] * len(order)
+    for new, old in enumerate(order):
+        pi[old] = new + 1
+    return tuple(pi)
+
+
+class _Plan:
+    """Everything about one tree that its labels do not change, built
+    once per tree by ``BarComplex._plan``.
+
+    Per vertex, indexed by vertex - 1: its sort, its component
+    signature, the degree table of its labels ({} when the component is
+    missing) and its shape encoding.  ``canon`` is the plan of the
+    canonical tree.  On any other tree ``sigma`` is the intertwiner to
+    it, and ``moved`` lists (vertex index, signature, pi) for the
+    vertices whose child order sigma changes.  On the canonical tree
+    ``sigma`` is None and ``runs`` lists, bottom-up, the vertices with
+    two equal-shape siblings: (vertex index, signature, children,
+    swaps).  Each child is (run number, first vertex index of its
+    subtree, subtree size, getter of the subtree's labels in preorder),
+    and swaps[i] is the pi exchanging children i and i + 1.
+    """
+
+    __slots__ = ("tree", "sorts", "sigs", "degrees", "shapes", "non_leaves",
+                 "canon", "sigma", "moved", "runs")
+
+
 class BarComplex:
     """The augmented bar construction of an algebra over its operad."""
 
@@ -84,41 +130,94 @@ class BarComplex:
         self._h_memo: dict = {}
         self._normal_memo: dict = {}  # (t, labels, es, fs) -> (key, c) or ()
         self._orbit_memo: dict = {}  # (sig, gens, label) -> (name, c) or ()
+        self._plans: dict[Tree, _Plan] = {}
         self._witness_memo: dict = {}  # tree -> (edges, leaves)
-        self._plan_memo: dict = {}  # (tree, word) -> (edges, leaves)
+        self._contraction_memo: dict = {}  # (tree, word) -> (edges, leaves)
         self._basis_memo: dict[int, list[BarKey]] = {}
         self._word_memo: dict[BarKey, SignWord] = {}
         self._unit = {1: self.field.one, -1: -self.field.one}  # word signs
 
     # ----------------------------------------------------------- structure
 
+    def _plan(self, t: Tree) -> _Plan:
+        p = self._plans.get(t)
+        if p is None:
+            p = self._plans[t] = self._build_plan(t)
+        return p
+
+    def _build_plan(self, t: Tree) -> _Plan:
+        p = _Plan()
+        p.tree, n = t, t.n
+        p.sorts = sorts = t.sorts or ("*",) * n
+        sigs, degrees, shapes = [], [], []
+        for v in range(1, n + 1):
+            kids, srt = t.kids[v], sorts[v - 1]
+            sigs.append((tuple(sorts[c - 1] for c in kids), srt))
+            if v in t.L:
+                comp = self.algebra.carrier.get(srt)
+                shapes.append((0, srt))
+            else:
+                comp = self.operad.components.get(sigs[-1])
+                shapes.append((1, srt, tuple(shapes[c - 1] for c in kids)))
+            degrees.append(comp.degrees if comp is not None else {})
+        p.sigs, p.degrees, p.shapes = tuple(sigs), tuple(degrees), tuple(shapes)
+        p.non_leaves = tuple(t.non_leaves())
+        p.moved, p.runs = [], []
+        t_c, p.sigma = canonical_form(t)
+        if t_c != t or p.sigma != tuple(range(1, n + 1)):
+            p.canon = self._plan(t_c)
+            for v in p.non_leaves:
+                images = [p.sigma[c - 1] for c in t.kids[v]]
+                if images != sorted(images):
+                    order = sorted(range(len(images)), key=images.__getitem__)
+                    p.moved.append((v - 1, sigs[v - 1], _child_perm(order)))
+            return p
+        p.canon, p.sigma = p, None
+        # equal shapes order as their labeled encodings do once each
+        # subtree reads as its label strs in preorder
+        pre = []
+        for v in range(1, n + 1):
+            pre.append(sum((pre[c - 1] for c in t.kids[v]), (v - 1,)))
+        for v in p.non_leaves:
+            kids = t.kids[v]
+            runs, run = [], 0
+            for i, c in enumerate(kids):
+                run += i > 0 and shapes[c - 1] != shapes[kids[i - 1] - 1]
+                runs.append(run)
+            if len(set(runs)) == len(kids):
+                continue
+            swaps = []
+            for i in range(len(kids) - 1):
+                order = list(range(len(kids)))
+                order[i], order[i + 1] = i + 1, i
+                swaps.append(_child_perm(order))
+            p.runs.append((v - 1, sigs[v - 1], tuple(
+                (run, c - t.sizes[c], t.sizes[c], itemgetter(*pre[c - 1]))
+                for run, c in zip(runs, kids)), swaps))
+        return p
+
     def _sort_of(self, t: Tree, v: int) -> str:
-        return t.sort_of(v) if t.sorts is not None else "*"
+        return self._plan(t).sorts[v - 1]
 
     def _component_sig(self, t: Tree, v: int):
-        ins = tuple(self._sort_of(t, c) for c in t.kids[v])
-        return (ins, self._sort_of(t, v))
+        return self._plan(t).sigs[v - 1]
 
     def label_degree(self, t: Tree, v: int, label) -> int:
-        if t.is_leaf(v):
-            return self.algebra.carrier[self._sort_of(t, v)].degrees[label]
-        return self.operad.degree_of(self._component_sig(t, v), label)
+        return self._plan(t).degrees[v - 1][label]
 
     def degree_of(self, t: Tree, labels: tuple) -> int:
-        total = len(t.non_leaves())
-        for v in range(1, t.n + 1):
-            total += self.label_degree(t, v, labels[v - 1])
-        return total
+        p = self._plan(t)
+        return len(p.non_leaves) + sum(
+            table[lab] for table, lab in zip(p.degrees, labels))
 
     def basis_word(self, t: Tree, labels: tuple) -> SignWord:
         """The sign word of a key, memoized per key."""
         hit = self._word_memo.get((t, labels))
         if hit is None:
-            fs = tuple(
-                v for v in range(1, t.n + 1)
-                if self.label_degree(t, v, labels[v - 1]) % 2
-            )
-            hit = self._word_memo[(t, labels)] = word(tuple(t.non_leaves()), fs)
+            p = self._plan(t)
+            fs = tuple(v for v, table, lab in zip(range(1, t.n + 1), p.degrees, labels)
+                       if table[lab] % 2)
+            hit = self._word_memo[(t, labels)] = SignWord(1, p.non_leaves, fs)
         return hit
 
     def term(self, t: Tree, labels: tuple) -> BarTerm:
@@ -147,7 +246,7 @@ class BarComplex:
         if set(w.es) != set(t.non_leaves()):
             raise BarError("e-support must cover exactly the non-leaf vertices")
 
-    # ----------------------------------------------- transport, normal form
+    # ------------------------------------------------------------ normal form
 
     def _monomial_perm(self, sig, pi: tuple, name):
         tgt_sig, vec = self.operad.perm_matrix(sig, pi)[name]
@@ -159,60 +258,6 @@ class BarComplex:
             )
         (nm, cf), = vec.items()
         return nm, cf
-
-    def _transport(self, t_src: Tree, t_dst: Tree, sigma: tuple,
-                   labels: tuple, w: SignWord, coeff: Scalar):
-        """Carry (labels, word, coeff) through an intertwiner."""
-        new_labels = [None] * t_dst.n
-        for v in range(1, t_src.n + 1):
-            lab = labels[v - 1]
-            tv = sigma[v - 1]
-            if t_src.is_leaf(v):
-                new_labels[tv - 1] = lab
-                continue
-            cs = t_src.kids[v]
-            images = [sigma[c - 1] for c in cs]
-            order = sorted(range(len(cs)), key=lambda i: images[i])
-            pi = [0] * len(cs)
-            for new_pos, old_pos in enumerate(order):
-                pi[old_pos] = new_pos + 1
-            if pi == list(range(1, len(cs) + 1)):
-                new_labels[tv - 1] = lab
-                continue
-            nm, cf = self._monomial_perm(
-                self._component_sig(t_src, v), tuple(pi), lab)
-            coeff = coeff * cf
-            new_labels[tv - 1] = nm
-        w2 = relabel(w, lambda k: sigma[k - 1], target=t_dst)
-        return tuple(new_labels), w2, coeff
-
-    def _labeled_enc(self, t: Tree, labels: tuple, v: int):
-        srt = self._sort_of(t, v)
-        if t.is_leaf(v):
-            return (0, srt, str(labels[v - 1]))
-        kids = tuple(self._labeled_enc(t, labels, c) for c in t.kids[v])
-        return (1, srt, str(labels[v - 1]), kids)
-
-    def _shape_enc(self, t: Tree, v: int):
-        if t.is_leaf(v):
-            return (0, self._sort_of(t, v))
-        return (1, self._sort_of(t, v),
-                tuple(self._shape_enc(t, c) for c in t.kids[v]))
-
-    def _block_perm_at(self, t: Tree, v: int, order: list[int]) -> tuple:
-        """The self-intertwiner moving v's child subtrees into the given
-        order; order[i] names the old child position placed i-th.  Only
-        equal-width blocks may move, which the callers guarantee."""
-        blocks = [(c - t.sizes[c] + 1, c) for c in t.kids[v]]
-        sigma = list(range(1, t.n + 1))
-        new_lo = blocks[0][0]
-        for pos in order:
-            lo, hi = blocks[pos]
-            width = hi - lo + 1
-            for off in range(width):
-                sigma[lo - 1 + off] = new_lo + off
-            new_lo += width
-        return tuple(sigma)
 
     def normalize_term(self, t: Tree, w: SignWord, labels: tuple,
                        coeff: Scalar) -> BarVec:
@@ -227,75 +272,90 @@ class BarComplex:
         """
         if w.sign == 0 or coeff.is_zero():
             return {}
-        memo_key = (t, labels, w.es, w.fs)
-        hit = self._normal_memo.get(memo_key)
-        if hit is None:
-            hit = self._normal_memo[memo_key] = self._normal_form(
-                t, labels, SignWord(1, w.es, w.fs))
+        hit = self._normal_hit(t, labels, w.es, w.fs)
         if not hit:
             return {}
         key, c = hit
         c = coeff * c
         return {key: c if w.sign == 1 else -c}
 
+    def _normal_hit(self, t: Tree, labels: tuple, es: tuple, fs: tuple):
+        """The memoized normal form of the sign +1 term (t, es, fs, labels)."""
+        memo_key = (t, labels, es, fs)
+        hit = self._normal_memo.get(memo_key)
+        if hit is None:
+            hit = self._normal_memo[memo_key] = self._normal_form(
+                t, labels, SignWord(1, es, fs))
+        return hit
+
     def _normal_form(self, t: Tree, labels: tuple, w: SignWord):
         """(canonical key, coefficient) of the term (t, w, labels, 1), or
-        () when it is zero."""
+        () when it is zero.
+
+        Everything that depends on the tree alone is read off its plan.
+        The labels move to the canonical tree by an index move, with the
+        operad's monomial action at the vertices whose child order the
+        intertwiner changes.  Then, bottom-up at each vertex with equal-
+        shape siblings, the children are sorted by (run, labels in
+        preorder), the action applies the child permutation at the
+        vertex, and the vertex label moves to the least of its orbit
+        under swaps of equal labeled siblings.  The word moves by
+        ``relabel`` and each swap is signed by ``block_swap_sign``.
+        """
+        p = self._plan(t)
         coeff = self.field.one
-        t_c, sigma1 = canonical_form(t)
-        if t_c != t or sigma1 != tuple(range(1, t.n + 1)):
-            labels, w, coeff = self._transport(t, t_c, sigma1, labels, w, coeff)
-            t = t_c
-            if w.sign == 0:
-                return ()
-
-        for v in range(1, t.n + 1):
-            if t.is_leaf(v):
-                continue
-            cs = t.kids[v]
-            if len(cs) < 2:
-                continue
-            keys = [(self._shape_enc(t, c), self._labeled_enc(t, labels, c))
-                    for c in cs]
-            order = sorted(range(len(cs)), key=lambda i: keys[i])
-            if order != list(range(len(cs))):
-                sigma = self._block_perm_at(t, v, order)
-                labels, w, coeff = self._transport(t, t, sigma, labels, w, coeff)
-                if w.sign == 0:
-                    return ()
-
-            # minimize this vertex's label over swaps of equal siblings
-            encs = [self._labeled_enc(t, labels, c) for c in cs]
+        if p.sigma is not None:
+            labels, w, coeff = self._carry(p.sigma, p.moved, labels, w, coeff)
+            p = p.canon
+        if p.runs:
+            labels = list(labels)
+            strs = [str(lab) for lab in labels]
+        for vi, sig, children, swaps in p.runs:
+            keys = [(run, get(strs)) for run, _, _, get in children]
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            if order != list(range(len(order))):
+                sigma = list(range(1, t.n + 1))
+                new_lo = children[0][1]
+                for old in order:
+                    _, lo, size, _ = children[old]
+                    sigma[lo:lo + size] = range(new_lo + 1, new_lo + size + 1)
+                    new_lo += size
+                labels, w, coeff = self._carry(
+                    sigma, ((vi, sig, _child_perm(order)),), labels, w, coeff)
+                strs = [str(lab) for lab in labels]
+                keys = [keys[i] for i in order]
             gens = []
-            for i in range(len(cs) - 1):
-                if encs[i] == encs[i + 1]:
-                    pi = list(range(1, len(cs) + 1))
-                    pi[i], pi[i + 1] = pi[i + 1], pi[i]
-                    swap = list(range(len(cs)))
-                    swap[i], swap[i + 1] = swap[i + 1], swap[i]
-                    sigma_g = self._block_perm_at(t, v, swap)
-                    moved = relabel(w, lambda k: sigma_g[k - 1], target=t)
-                    gens.append((tuple(pi), moved.sign * w.sign))
-            if not gens:
-                continue
-            best = self._orbit_min(self._component_sig(t, v), tuple(gens),
-                                   labels[v - 1])
-            if not best:
-                return ()
-            best_name, best_sign = best
-            if best_name != labels[v - 1]:
-                lab2 = list(labels)
-                lab2[v - 1] = best_name
-                labels = tuple(lab2)
-                coeff = coeff * best_sign
-
+            for i, swap in enumerate(swaps):
+                if keys[i] == keys[i + 1]:
+                    a, b = children[i][1], children[i + 1][1]
+                    gens.append((swap, block_swap_sign(w, a, b, b + children[i + 1][2])))
+            if gens:
+                best = self._orbit_min(sig, tuple(gens), labels[vi])
+                if not best:
+                    return ()
+                if best[0] != labels[vi]:
+                    labels[vi], strs[vi] = best[0], str(best[0])
+                    coeff = coeff * best[1]
+        labels = tuple(labels)
         coeff = coeff * self._unit[w.sign]
-        base = self.basis_word(t, labels)
+        base = self.basis_word(p.tree, labels)
         if base.es != w.es or base.fs != w.fs:
-            raise BarError(f"normalized word {w} disagrees with parities on {t}")
+            raise BarError(f"normalized word {w} disagrees with parities on {p.tree}")
         if coeff.is_zero():
             return ()
-        return (t, labels), coeff
+        return (p.tree, labels), coeff
+
+    def _carry(self, sigma, at, labels, w: SignWord, coeff: Scalar):
+        """Move (labels, w, coeff) along the vertex map sigma, with the
+        operad's action on the label of each (vertex index, signature, pi)
+        in at."""
+        moved = [None] * len(labels)
+        for i, lab in enumerate(labels):
+            moved[sigma[i] - 1] = lab
+        for i, sig, pi in at:
+            moved[sigma[i] - 1], cf = self._monomial_perm(sig, pi, labels[i])
+            coeff = coeff * cf
+        return moved, relabel(w, lambda k: sigma[k - 1]), coeff
 
     def _orbit_min(self, sig, gens: tuple, start):
         """The str-least label in the orbit of start under the swaps gens
@@ -343,7 +403,7 @@ class BarComplex:
         for each fully-leafed vertex j, with the zero words dropped.  The
         second entry is the vertex whose e the summand removes.  The
         witnesses are memoized per tree."""
-        plan = self._plan_memo.get((t, w))
+        plan = self._contraction_memo.get((t, w))
         if plan is not None:
             return plan
         wits = self._witness_memo.get(t)
@@ -354,7 +414,7 @@ class BarComplex:
                 [(j, j, leaf_contract(t, j - len(t.kids[j]), j)) for j in nl
                  if all(c in t.L for c in t.kids[j])],
             )
-        plan = self._plan_memo[(t, w)] = tuple(
+        plan = self._contraction_memo[(t, w)] = tuple(
             [(q, v, wit, dw) for q, v, wit in group
              for dw in (relabel(partial_e(v, w), lambda k: wit.rho[k - 1],
                                 target=wit.result),)
@@ -367,10 +427,15 @@ class BarComplex:
         """out += the normal form of each term of vec put at vertex spot + 1
         of (t, w, labels), times its coefficient; vec maps a label to its
         coefficient and is walked in str order of the labels."""
+        if w.sign == 0:
+            return
         lab2 = list(labels)
         for nm, cf in sorted(vec.items(), key=lambda kv: str(kv[0])):
             lab2[spot] = nm
-            vec_iaxpy(out, cf, self.normalize_term(t, w, tuple(lab2), self.field.one))
+            hit = self._normal_hit(t, tuple(lab2), w.es, w.fs)
+            if hit:
+                key, c = hit
+                vec_iaxpy(out, cf, {key: c if w.sign == 1 else -c})
 
     def _theta_at(self, t: Tree, v: int, labels: tuple) -> Vec:
         """The action of vertex v's label on the labels of its children,
@@ -387,12 +452,13 @@ class BarComplex:
         w = self.basis_word(t, labels)
         out: BarVec = {}
         edges, leaves = self._contraction_plan(t, w)
+        sigs = self._plan(t).sigs
 
         # contract the edge above q, composing q into its parent's slot
         for q, parent, wit, dw in edges:
-            p_sig = self._component_sig(t, parent)
+            p_sig = sigs[parent - 1]
             xs = [self.operad.unit_label(s) for s in p_sig[0]]
-            xs[child_index(t, q) - 1] = (self._component_sig(t, q), labels[q - 1])
+            xs[child_index(t, q) - 1] = (sigs[q - 1], labels[q - 1])
             _, merged = self.operad.gamma_basis(p_sig, labels[parent - 1], tuple(xs))
             lab2 = [labels[wit.tau[r - 1] - 1] for r in range(1, wit.result.n + 1)]
             self._place(out, wit.result, dw, lab2, wit.rho[q - 1] - 1, merged)
@@ -405,8 +471,8 @@ class BarComplex:
 
         # internal differential at one vertex
         for v in range(1, t.n + 1):
-            comp = (self.algebra.carrier[self._sort_of(t, v)] if t.is_leaf(v)
-                    else self.operad.components[self._component_sig(t, v)])
+            comp = (self.algebra.carrier[sigs[v - 1][1]] if t.is_leaf(v)
+                    else self.operad.components[sigs[v - 1]])
             dlab = comp.d.get(labels[v - 1])
             if dlab:
                 self._place(out, t, left_mul_f(v, w), labels, v - 1, dlab)
@@ -485,37 +551,32 @@ class BarComplex:
             for t in enumerate_trees(n, True, sorts):
                 if any(t.valence(v) > cap_val for v in t.non_leaves()):
                     continue
-                for labels, _, tied in self._sorted_labelings(t, t.n):
+                for labels, _, tied in self._sorted_labelings(self._plan(t), t.n):
                     if not tied or (t, labels) in self.basis_vector(t, labels):
                         keys.append((t, labels))
         return sorted(keys, key=_key_order)
 
-    def _sorted_labelings(self, t: Tree, v: int) -> list:
-        """The labelings of the subtree at v whose runs of equal-shape
-        siblings are nondecreasing in _labeled_enc order, as (labels in
-        vertex order, labeled encoding, whether some vertex has equal
-        labeled siblings)."""
-        srt = self._sort_of(t, v)
-        if t.is_leaf(v):
-            comp = self.algebra.carrier.get(srt)
-            return [((nm,), (0, srt, str(nm)), False)
-                    for nm in sorted(comp.degrees if comp else (), key=str)]
-        comp = self.operad.component(self._component_sig(t, v))
-        names = sorted(comp.degrees if comp else (), key=str)
+    def _sorted_labelings(self, p: _Plan, v: int) -> list:
+        """The labelings of the subtree at v of p's canonical tree whose
+        runs of equal-shape siblings are nondecreasing in the order the
+        normal form sorts them, as (labels in vertex order, label strs in
+        preorder, whether some vertex has equal labeled siblings)."""
+        names = sorted(p.degrees[v - 1], key=str)
+        if p.tree.is_leaf(v):
+            return [((nm,), (str(nm),), False) for nm in names]
         runs = []
-        for _, run in groupby(t.kids[v], key=lambda c: self._shape_enc(t, c)):
+        for _, run in groupby(p.tree.kids[v], key=lambda c: p.shapes[c - 1]):
             run = list(run)
-            subs = sorted(self._sorted_labelings(t, run[0]), key=lambda s: s[1])
+            subs = sorted(self._sorted_labelings(p, run[0]), key=lambda s: s[1])
             runs.append(combinations_with_replacement(subs, len(run)))
         out = []
         for combo in iproduct(*runs):
             parts = [sub for run in combo for sub in run]
             labels = tuple(nm for sub_labels, _, _ in parts for nm in sub_labels)
-            encs = tuple(enc for _, enc, _ in parts)
+            encs = tuple(s for _, enc, _ in parts for s in enc)
             tied = any(tie for _, _, tie in parts) or any(
                 a[1] == b[1] for run in combo for a, b in zip(run, run[1:]))
-            out.extend((labels + (nm,), (1, srt, str(nm), encs), tied)
-                       for nm in names)
+            out.extend((labels + (nm,), (str(nm),) + encs, tied) for nm in names)
         return out
 
     def stable_degrees(self, n_max: int) -> list[int]:

@@ -8,6 +8,7 @@ The e and f generators live in degree 0; all signs here are plain +-1.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -112,6 +113,26 @@ def left_mul_f(i: int, w: SignWord) -> SignWord:
     return SignWord(sign * (-1) ** smaller, w.es, fs)
 
 
+def inversion_parity(xs) -> bool:
+    """Whether a sequence of distinct numbers has an odd number of pairs
+    out of ascending order."""
+    odd = False
+    for i, x in enumerate(xs):
+        for y in xs[i + 1:]:
+            odd ^= x > y
+    return odd
+
+
+def block_swap_sign(w: SignWord, a: int, b: int, c: int) -> int:
+    """The sign that exchanging the adjacent index blocks a+1..b and
+    b+1..c puts on w, relative to w's own: each generator in one block
+    passes each of its species in the other, as ``relabel`` orders them."""
+    cross = 0
+    for xs in (w.es, w.fs):
+        cross += (bisect(xs, b) - bisect(xs, a)) * (bisect(xs, c) - bisect(xs, b))
+    return -1 if cross % 2 else 1
+
+
 def relabel(
     w: SignWord,
     rho: Callable[[int], int] | dict[int, int],
@@ -119,14 +140,23 @@ def relabel(
 ) -> SignWord:
     """Apply an index map to every generator in place, then renormalize.
 
-    rho need not be injective: colliding e's kill the word, colliding f's
-    cancel in pairs with the accumulated anticommutation signs.
+    Injective on each species, the map signs the word by the inversion
+    parity of its e's and of its f's.  rho need not be injective:
+    colliding e's kill the word, colliding f's cancel in pairs with the
+    accumulated anticommutation signs.
     """
     if w.sign == 0:
         return ZERO
     get = rho.__getitem__ if isinstance(rho, dict) else rho
-    gens = [("e", get(i)) for i in w.es] + [("f", get(i)) for i in w.fs]
-    out = _normalize(w.sign, gens)
+    es = [get(i) for i in w.es]
+    fs = [get(i) for i in w.fs]
+    if len(set(es)) == len(es) and len(set(fs)) == len(fs):
+        # no collision: each e and each f moves past the ones of its own
+        # species that it overtakes, and never past one of the other
+        odd = inversion_parity(es) ^ inversion_parity(fs)
+        out = SignWord(-w.sign if odd else w.sign, tuple(sorted(es)), tuple(sorted(fs)))
+    else:
+        out = _normalize(w.sign, [("e", i) for i in es] + [("f", i) for i in fs])
     if target is not None and out.sign != 0:
         ok_e = set(target.non_leaves())
         if not set(out.es) <= ok_e or not all(1 <= i <= target.n for i in out.fs):

@@ -73,13 +73,13 @@ def test_sibling_sorted_basis_matches_normalizing_every_combination(make, n_top)
 def test_memoized_results_equal_a_fresh_bar_complex(name, monkeypatch):
     B = BARS[name]()
     raw = {}
-    normalize = B.normalize_term
+    normal_hit = B._normal_hit
 
-    def recording(t, w, labels, coeff):
-        raw[(t, w, labels, coeff)] = None
-        return normalize(t, w, labels, coeff)
+    def recording(t, labels, es, fs):
+        raw[(t, SignWord(1, es, fs), labels)] = None
+        return normal_hit(t, labels, es, fs)
 
-    monkeypatch.setattr(B, "normalize_term", recording)
+    monkeypatch.setattr(B, "_normal_hit", recording)
     keys = B.enumerate_basis(5)
     raw.clear()  # keep only the raw terms that d and h produce
     for key in keys:
@@ -88,9 +88,10 @@ def test_memoized_results_equal_a_fresh_bar_complex(name, monkeypatch):
             assert getattr(B, op)(key) is got  # memoized per key
             assert got == getattr(BarComplex(B.algebra), op)(key), (op, key)
     assert raw
-    for t, w, labels, coeff in raw:
-        assert normalize(t, w, labels, coeff) == BarComplex(
-            B.algebra).normalize_term(t, w, labels, coeff), (t, w, labels)
+    one = B.field.one
+    for t, w, labels in raw:
+        assert B.normalize_term(t, w, labels, one) == BarComplex(
+            B.algebra).normalize_term(t, w, labels, one), (t, w, labels)
 
 
 @pytest.mark.parametrize("name", list(BARS))

@@ -153,8 +153,9 @@ def test_benchmark_trace_installs_and_keeps_the_report(capsys, monkeypatch,
                                                        unit_path):
     """perfbench/kztrace.py wraps kzbar functions by name from outside
     src/, so a rename that breaks the benchmark trace fails here.  bar
-    runs the bar layer; dstruct runs the FreeAlgebra.part hook, which
-    reads the attributes of a part."""
+    runs the bar layer, whose tree plans must reach canonical_form
+    through the module global for the trace to see them; dstruct runs
+    the FreeAlgebra.part hook, which reads the attributes of a part."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ stays as is
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     kztrace = importlib.import_module("kztrace")
@@ -167,6 +168,10 @@ def test_benchmark_trace_installs_and_keeps_the_report(capsys, monkeypatch,
         for suite in ("bar", "dstruct"):
             assert main([suite, unit_path]) == 0
             assert capsys.readouterr().out == plain[suite]
+            if suite == "bar":
+                stats = tracer.summary()["stats"]
+                assert stats["trees.canonical_form"]["calls"] > 0
+                assert stats["bar.BarComplex.normalize_term"]["calls"] > 0
     stats = tracer.summary()["stats"]
     assert stats["cli.run"]["calls"] == 2
     assert stats["bar.BarComplex.differential_key"]["calls"] > 0

@@ -8,6 +8,7 @@ from kzbar.signs import (
     ONE,
     ZERO,
     SignWord,
+    block_swap_sign,
     check_word,
     det_generator,
     left_mul_f,
@@ -16,7 +17,7 @@ from kzbar.signs import (
     relabel,
     word,
 )
-from kzbar.trees import Tree
+from kzbar.trees import Tree, enumerate_trees
 from sign_oracle import as_gens, naive_normalize
 
 
@@ -195,3 +196,48 @@ def test_relabel_injective_preserves_length(w, data):
     out = relabel(w, rho)
     assert not out.is_zero()
     assert len(out.es) == len(w.es) and len(out.fs) == len(w.fs)
+
+
+def _relabeled_naively(w, rho):
+    return naive_normalize(w.sign, [(k, rho[i]) for k, i in as_gens(w)])
+
+
+@given(words, st.lists(st.integers(1, 12), min_size=8, max_size=8, unique=True))
+def test_relabel_by_an_injective_map_matches_the_naive_normalizer(w, images):
+    """An injective map is signed by inversion parity, with no walk."""
+    rho = {i + 1: images[i] for i in range(8)}
+    assert relabel(w, rho) == _relabeled_naively(w, rho)
+
+
+@given(words, st.lists(st.integers(1, 4), min_size=8, max_size=8))
+def test_relabel_by_a_colliding_map_matches_the_naive_normalizer(w, images):
+    rho = {i + 1: images[i] for i in range(8)}
+    assert relabel(w, rho) == _relabeled_naively(w, rho)
+
+
+@given(st.data())
+def test_relabel_onto_a_target_tree_matches_the_naive_normalizer(data):
+    """A vertex permutation onto a tree keeps a word whose e's land on
+    labeled vertices and rejects one that puts an e on a leaf."""
+    n = data.draw(st.integers(1, 5))
+    t = data.draw(st.sampled_from(enumerate_trees(n)))
+    perm = data.draw(st.permutations(range(1, n + 1)))
+    rho = {i + 1: perm[i] for i in range(n)}
+    es = data.draw(st.lists(st.sampled_from(range(1, n + 1)), unique=True))
+    fs = data.draw(st.lists(st.sampled_from(range(1, n + 1)), unique=True))
+    w = word(es, fs, sign=data.draw(st.sampled_from([1, -1])))
+    if all(rho[i] not in t.L for i in w.es):
+        assert relabel(w, rho, target=t) == _relabeled_naively(w, rho)
+    else:
+        with pytest.raises(ValueError, match="does not fit"):
+            relabel(w, rho, target=t)
+
+
+@given(words, st.data())
+def test_block_swap_sign_is_the_sign_relabel_gives_the_exchange(w, data):
+    """Exchanging the adjacent blocks a+1..b and b+1..c of 1..8."""
+    a, b, c = sorted(data.draw(st.lists(st.integers(0, 8), min_size=3, max_size=3)))
+    rho = {i: i + c - b if a < i <= b else i - (b - a) if b < i <= c else i
+           for i in range(1, 9)}
+    moved = _relabeled_naively(w, rho)
+    assert block_swap_sign(w, a, b, c) * w.sign == moved.sign
