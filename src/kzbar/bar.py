@@ -542,15 +542,21 @@ class BarComplex:
         its orbit under swaps of equal labeled siblings.  So only the
         labelings whose sibling runs are nondecreasing are generated.  One
         without equal labeled siblings is its own normal form; any other
-        is kept only if normalizing leaves it in place.
+        is kept only if normalizing leaves it in place.  A shape gets a
+        plan only if each vertex's signature is a component of the operad
+        and each leaf's sort a carrier sort, so that every vertex has labels.
         """
         sorts = self.operad.sorts if len(self.operad.sorts) > 1 else None
-        cap_val = self.operad.max_nonzero_arity()
+        leaves = {srt for srt, comp in self.algebra.carrier.items() if comp.degrees}
+
+        def labelable(t: Tree) -> bool:
+            srt = t.sorts or ("*",) * t.n
+            return all(srt[v - 1] in leaves if v in t.L else (
+                tuple(srt[c - 1] for c in t.kids[v]), srt[v - 1]) in self.operad.components
+                for v in range(1, t.n + 1))
         keys = []
         for n in range(1, n_max + 1):
-            for t in enumerate_trees(n, True, sorts):
-                if any(t.valence(v) > cap_val for v in t.non_leaves()):
-                    continue
+            for t in filter(labelable, enumerate_trees(n, True, sorts)):
                 for labels, _, tied in self._sorted_labelings(self._plan(t), t.n):
                     if not tied or (t, labels) in self.basis_vector(t, labels):
                         keys.append((t, labels))

@@ -40,18 +40,8 @@ def _swap_letters(name: tuple, k: int) -> tuple:
 
 
 def unit_operad(field: FieldSpec) -> Operad:
-    sig = single_sig(1)
-    comp = ChainComplex(field, {"1": 0}, {})
-
-    def gamma(y_sig, y_name, xs):
-        return {"1": field.one}
-
-    def sym(sig_, k, name):  # arity never exceeds 1
-        raise OperadError("no transpositions in arity 1")
-
-    return Operad(field, ("*",), 1, {sig: comp}, {"*": "1"},
-                  gamma, sym, "free-module", name="unit-operad",
-                  arity_bound=1)
+    return algebra_as_operad(field, {"1": 0}, {("1", "1"): {"1": field.one}}, "1",
+                             name="unit-operad")
 
 
 def _word_operad(field: FieldSpec, cap: int, with_nullary: bool, name: str) -> Operad:

@@ -424,9 +424,6 @@ class Operad:
 
     # -------------------------------------------------------------- misc
 
-    def max_nonzero_arity(self) -> int:
-        return max((len(sig[0]) for sig in self.components), default=0)
-
     def arity_signatures(self, n: int) -> list[Sig]:
         return [sig for sig in self._signatures if len(sig[0]) == n]
 

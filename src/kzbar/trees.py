@@ -378,24 +378,34 @@ ENUMERATION_CAP = 9
 
 
 @cache
-def _all_trees(n: int) -> tuple[Tree, ...]:
+def _grown(n: int, canonical: bool, sorts: tuple[str, ...] | None) -> tuple[Tree, ...]:
+    """Every tree on n vertices with a root of each sort; with canonical,
+    every canonical one.
+
+    A tree on n > 1 vertices is its root's first subtree, on k vertices, in
+    front of a tree on n - k vertices whose non-leaf root holds the rest.
+    Canonical trees have canonical, encode-nondecreasing subtrees, and
+    equal-encoding canonical subtrees are equal, so each canonical tree
+    grows once from canonical parts and none is filtered.
+    """
     if n == 1:
-        return (Tree(1, (), frozenset({1})), Tree(1, (), frozenset()))
+        return tuple(Tree(1, (), L, None if srt is None else (srt,))
+                     for srt in sorts or (None,)
+                     for L in (frozenset({1}), frozenset()))
     out: list[Tree] = []
-    for comp in _compositions(n - 1):
-        for subs in product(*(_all_trees(k) for k in comp)):
-            out.append(assemble(list(subs)))
+    for k in range(1, n):
+        for first in _grown(k, canonical, sorts):
+            for rest in _grown(n - k, canonical, sorts):
+                if rest.n in rest.L:
+                    continue  # a leaf root holds no subtrees
+                # rest is canonical: encode(rest)[2][0] encodes its first subtree
+                if canonical and rest.n > 1 and encode(first) > encode(rest)[2][0]:
+                    continue
+                out.append(Tree(
+                    n, first.s + (n,) + tuple(p + k for p in rest.s),
+                    first.L.union(x + k for x in rest.L),
+                    None if sorts is None else first.sorts + rest.sorts))
     return tuple(out)
-
-
-def _compositions(total: int) -> list[tuple[int, ...]]:
-    if total == 0:
-        return [()]
-    out = []
-    for first in range(1, total + 1):
-        for rest in _compositions(total - first):
-            out.append((first,) + rest)
-    return out
 
 
 def enumerate_trees(
@@ -413,17 +423,7 @@ def enumerate_trees(
         raise TreeError([f"vertex count {n} must be positive"])
     if n > cap:
         raise TreeError([f"enumeration cap exceeded: {n} > {cap}"])
-    ts = list(_all_trees(n))
-    if sorts is None:
-        if up_to_equiv:
-            ts = [t for t in ts if canonical_form(t)[0] == t]
-        return ts
-    # sorted canonicity is not the restriction of unsorted canonicity, so
-    # assign sorts to every planar tree first and filter afterwards
-    out = []
-    for t in ts:
-        for assignment in product(sorts, repeat=n):
-            st = Tree(t.n, t.s, t.L, assignment)
-            if not up_to_equiv or canonical_form(st)[0] == st:
-                out.append(st)
-    return out
+    if sorts is None or up_to_equiv:
+        return list(_grown(n, up_to_equiv, None if sorts is None else tuple(sorts)))
+    return [Tree(t.n, t.s, t.L, assignment) for t in _grown(n, False, None)
+            for assignment in product(sorts, repeat=n)]

@@ -11,6 +11,11 @@ enumerates the whole basis once and filters it by degree.
 built it before it generated only sibling-sorted labelings: every label
 combination of every canonical tree is normalized and the set of results
 is kept.
+
+Both take their trees from ``tree_oracle``'s search-then-filter
+enumeration and prune shapes by the operad's largest arity, so neither
+goes through ``kzbar.trees.enumerate_trees`` or ``_full_basis``'s shape
+rule.
 """
 
 from __future__ import annotations
@@ -18,19 +23,23 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from kzbar.bar import _key_order
-from kzbar.trees import Tree, enumerate_trees
+from kzbar.trees import Tree
 
-from tree_oracle import canonical_form
+from tree_oracle import all_trees, canonical_form, enumerate_trees
+
+
+def _max_arity(B) -> int:
+    return max((len(ins) for ins, _ in B.operad.components), default=0)
 
 
 def enumerate_basis(B, n_max: int, deg_lo: int | None = None,
                     deg_hi: int | None = None) -> list:
     sorts = B.operad.sorts if len(B.operad.sorts) > 1 else None
-    cap_val = B.operad.max_nonzero_arity()
+    cap_val = _max_arity(B)
     min_label = B._min_label_degree()
     seen: set = set()
     for n in range(1, n_max + 1):
-        for t0 in enumerate_trees(n):
+        for t0 in all_trees(n):
             nl = t0.non_leaves()
             if any(t0.valence(v) > cap_val for v in nl):
                 continue
@@ -62,7 +71,7 @@ def enumerate_basis(B, n_max: int, deg_lo: int | None = None,
 
 def full_basis(B, n_max: int) -> list:
     sorts = B.operad.sorts if len(B.operad.sorts) > 1 else None
-    cap_val = B.operad.max_nonzero_arity()
+    cap_val = _max_arity(B)
     seen: set = set()
     for n in range(1, n_max + 1):
         for t in enumerate_trees(n, True, sorts):

@@ -66,6 +66,12 @@ def test_sibling_sorted_basis_matches_normalizing_every_combination(make, n_top)
             make(), n_max), n_max
 
 
+def test_basis_plans_only_shapes_every_vertex_can_label():
+    B = pair_bar()
+    B.enumerate_basis(5)
+    assert B._plans and all(all(p.degrees) for p in B._plans.values())
+
+
 # ---------------------------------------------- memos against fresh calls
 
 

@@ -87,6 +87,15 @@ def test_trees_counts_and_class_counts(capsys):
     assert rep["args"] == {"n": 3, "classes": True}
 
 
+def test_trees_counts_two_sorted_trees_and_classes(capsys):
+    golden = str(Path(__file__).parent / "golden" / "pair_q_w3.kz")
+    code, rep = _json_run(capsys, ["trees", golden, "5", "--classes"])
+    assert code == 0
+    rows = rep["tables"]["trees"]
+    assert [r["planar"] for r in rows] == [4, 8, 48, 352, 2880]
+    assert [r["classes"] for r in rows] == [4, 8, 36, 176, 942]
+
+
 def test_trees_rejects_a_nonpositive_bound(capsys):
     code, rep = _json_run(capsys, ["trees", "uass_dual_numbers", "0"])
     assert code == 1

@@ -117,6 +117,37 @@ def test_enumeration_cap():
         enumerate_trees(3, cap=2)
 
 
+# Grown trees against tree_oracle's search-then-filter enumeration, in
+# all four modes: planar or canonical, unsorted or sorted.
+GROWN_CASES = (
+    [(n, eq, None) for n in range(1, 9) for eq in (False, True)]
+    + [(n, True, ("a", "m")) for n in range(1, 7)]
+    + [(n, False, ("a", "m")) for n in range(1, 6)]
+    + [(n, eq, ("a", "b", "c")) for n in range(1, 5) for eq in (False, True)])
+
+
+@pytest.mark.parametrize("n,up_to_equiv,sorts", GROWN_CASES)
+def test_grown_trees_match_the_filtered_search(n, up_to_equiv, sorts):
+    got = enumerate_trees(n, up_to_equiv, sorts)
+    want = tree_oracle.enumerate_trees(n, up_to_equiv, sorts)
+    assert len(got) == len(set(got)) == len(want)
+    assert set(got) == set(want)
+
+
+def test_canonical_enumeration_never_calls_canonical_form(monkeypatch):
+    import kzbar.trees
+
+    calls = []
+    kzbar.trees._grown.cache_clear()
+    monkeypatch.setattr(kzbar.trees, "canonical_form",
+                        lambda t: calls.append(t) or canonical_form(t))
+    grown = [t for sorts in (None, ("a", "m"), ("a", "b", "c"))
+             for n in range(1, 6) for t in enumerate_trees(n, True, sorts)]
+    assert calls == []
+    monkeypatch.undo()
+    assert all(canonical_form(t) == (t, tuple(range(1, t.n + 1))) for t in grown)
+
+
 # ---------------------------------------------------------------- successors
 
 def test_successors_of_bush():

@@ -5,9 +5,17 @@
 no memo, as ``kzbar.trees`` first wrote them.  They read nothing the tree stores
 besides ``(n, s, L, sorts)``; the tests compare them with the stored
 child table and the memoized canonical form.
+
+``enumerate_trees`` searches and filters: it builds every planar tree
+over every composition of its root's subtree sizes, assigns sorts to each
+one in every way, and keeps the trees this module's ``canonical_form``
+fixes, as ``kzbar.trees`` did before it grew canonical trees directly.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from itertools import product
 
 from kzbar.trees import Tree, assemble, subtree_at
 
@@ -57,3 +65,35 @@ def canonical_form(t: Tree) -> tuple[Tree, tuple[int, ...]]:
             sigma[off + j - 1] = new_off[q] + sig[j - 1]
     sigma[t.n - 1] = t.n
     return out, tuple(sigma)
+
+
+@cache
+def all_trees(n: int) -> tuple[Tree, ...]:
+    if n == 1:
+        return (Tree(1, (), frozenset({1})), Tree(1, (), frozenset()))
+    out: list[Tree] = []
+    for comp in compositions(n - 1):
+        for subs in product(*(all_trees(k) for k in comp)):
+            out.append(assemble(list(subs)))
+    return tuple(out)
+
+
+def compositions(total: int) -> list[tuple[int, ...]]:
+    if total == 0:
+        return [()]
+    out = []
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            out.append((first,) + rest)
+    return out
+
+
+def enumerate_trees(n: int, up_to_equiv: bool = False,
+                    sorts: tuple[str, ...] | None = None) -> list[Tree]:
+    out = []
+    for t in all_trees(n):
+        for assignment in [None] if sorts is None else product(sorts, repeat=n):
+            st = Tree(t.n, t.s, t.L, assignment)
+            if not up_to_equiv or canonical_form(st)[0] == st:
+                out.append(st)
+    return out
