@@ -20,6 +20,17 @@ degree tables, its intertwiner to the canonical tree, and the canonical
 tree's runs of equal-shape siblings.  Moving a term is then an index
 move of its labels, the operad's monomial action at the vertices whose
 child order changes, and the inversion parity of its e's and its f's.
+The plan of a basis tree also holds its differential: per contraction
+the index move of the labels, the slot and the unit label ids that
+compose through the operad's table, per vertex its unboxed internal d,
+the contracted words per word, and the grafted tree of the homotopy.
+
+Inside, coefficients are raw values, residues mod p or Fractions, as the
+operad and algebra tables hold them: the normal-form, orbit, d and h
+memos, and every sum that fills them.  Scalars are built only at the
+public edge: ``differential``, ``homotopy``, ``normalize_term`` on a
+Scalar coefficient, ``basis_vector``, the quotient's columns, and the
+witnesses of ``certificate_faults``.
 """
 
 from __future__ import annotations
@@ -33,11 +44,12 @@ from operator import itemgetter
 from kzbar.algebras import Algebra
 from kzbar.complexes import ChainComplex, ChainMap, direct_sum
 from kzbar.fields import Scalar
-from kzbar.linalg import Vec, vec_iaxpy
+from kzbar.linalg import Vec, raw_iaxpy, vec_box, vec_iaxpy
 from kzbar.operads import CapExceeded, OperadElement
 from kzbar.signs import (
     SignWord,
     block_swap_sign,
+    inversion_parity,
     left_mul_f,
     multiply,
     partial_e,
@@ -63,7 +75,7 @@ class BarError(ValueError):
 
 
 BarKey = tuple  # (Tree, labels tuple indexed by vertex)
-BarVec = dict  # BarKey -> Scalar
+BarVec = dict  # BarKey -> Scalar at the edge, BarKey -> raw value inside
 
 
 def _is_bare(key: BarKey) -> bool:
@@ -72,10 +84,16 @@ def _is_bare(key: BarKey) -> bool:
 
 
 @cache
+def _tree_order(t: Tree) -> tuple:
+    return (t.n, str(encode(t)), str(t.s), str(sorted(t.L)))
+
+
+@cache
 def _key_order(key: BarKey):
-    """The sort key of bar keys, memoized per key value like ``encode``."""
+    """The sort key of bar keys, memoized per key value like ``encode``;
+    its tree part is memoized per tree."""
     t, labels = key
-    return (t.n, str(encode(t)), str(t.s), str(sorted(t.L)), str(labels))
+    return _tree_order(t) + (str(labels),)
 
 
 @dataclass(frozen=True)
@@ -112,10 +130,54 @@ class _Plan:
     swaps).  Each child is (run number, first vertex index of its
     subtree, subtree size, getter of the subtree's labels in preorder),
     and swaps[i] is the pi exchanging children i and i + 1.
+
+    The differential part is filled on first use by
+    ``BarComplex._d_plan``, and ``edges`` is None until then.  ``edges``
+    lists, for the edge above each non-root vertex q, (parent index,
+    its label ids, q's index, q's label ids, the unit label ids before
+    and after q's slot, the getter of the contracted tree's labels, the
+    slot of the composite there, the contracted tree).  ``leaves``
+    lists, for each fully-leafed vertex j, (j's index, its label ids,
+    the getter of its children's labels, the getter of the contracted
+    tree's labels, the spot of the new leaf, the contracted tree).
+    ``cuts`` lists, edges first, (the vertex whose e the contraction
+    removes, the collapse map rho, the contracted tree).  ``dverts``
+    lists (vertex index, unboxed internal d) for the vertices whose
+    component has one.  ``words`` maps the f's of a key's word to its
+    contracted words, and ``grafted`` is the homotopy's tree with its
+    unit label, or None until first read.
     """
 
     __slots__ = ("tree", "sorts", "sigs", "degrees", "shapes", "non_leaves",
-                 "canon", "sigma", "moved", "runs")
+                 "canon", "sigma", "moved", "runs",
+                 "edges", "leaves", "cuts", "dverts", "words", "grafted")
+
+
+def _by_str(pairs) -> list:
+    """(name, value) pairs in str order of the names, the order in which
+    the differential places the terms of an image."""
+    pairs = list(pairs)
+    if len(pairs) > 1:
+        pairs.sort(key=lambda kv: str(kv[0]))
+    return pairs
+
+
+def _taker(idx) -> callable:
+    """A getter of the entries of a sequence at the given indices, always
+    as a tuple."""
+    idx = tuple(idx)
+    if len(idx) == 1:
+        (i,) = idx
+        return lambda xs: (xs[i],)
+    return itemgetter(*idx) if idx else lambda xs: ()
+
+
+class _Strs(dict):
+    """label -> str(label), filled on first read."""
+
+    def __missing__(self, label) -> str:
+        s = self[label] = str(label)
+        return s
 
 
 class BarComplex:
@@ -126,16 +188,18 @@ class BarComplex:
         self.operad = algebra.operad
         self.field = algebra.field
         self.name = name
-        self._d_memo: dict = {}
-        self._h_memo: dict = {}
-        self._normal_memo: dict = {}  # (t, labels, es, fs) -> (key, c) or ()
-        self._orbit_memo: dict = {}  # (sig, gens, label) -> (name, c) or ()
+        self._one = self.field.one.val  # raw; a Fraction over Q
+        self._d_memo: dict = {}  # key -> {key: raw}
+        self._h_memo: dict = {}  # key -> {key: raw}
+        self._normal_memo: dict = {}  # (t, labels, es, fs) -> (key, raw) or ()
+        self._orbit_memo: dict = {}  # (sig, gens, label) -> (name, raw) or ()
         self._plans: dict[Tree, _Plan] = {}
-        self._witness_memo: dict = {}  # tree -> (edges, leaves)
-        self._contraction_memo: dict = {}  # (tree, word) -> (edges, leaves)
+        self._ids_memo: dict = {}  # sig -> {label name: label id}
+        self._internal_d: dict = {}  # component -> {label: ((name, raw), ...)}
         self._basis_memo: dict[int, list[BarKey]] = {}
         self._word_memo: dict[BarKey, SignWord] = {}
-        self._unit = {1: self.field.one, -1: -self.field.one}  # word signs
+        self._plus_words: dict = {}  # (es, fs) -> SignWord(1, es, fs)
+        self._strs = _Strs()
 
     # ----------------------------------------------------------- structure
 
@@ -163,6 +227,7 @@ class BarComplex:
         p.sigs, p.degrees, p.shapes = tuple(sigs), tuple(degrees), tuple(shapes)
         p.non_leaves = tuple(t.non_leaves())
         p.moved, p.runs = [], []
+        p.edges = p.grafted = None
         t_c, p.sigma = canonical_form(t)
         if t_c != t or p.sigma != tuple(range(1, n + 1)):
             p.canon = self._plan(t_c)
@@ -217,7 +282,15 @@ class BarComplex:
             p = self._plan(t)
             fs = tuple(v for v, table, lab in zip(range(1, t.n + 1), p.degrees, labels)
                        if table[lab] % 2)
-            hit = self._word_memo[(t, labels)] = SignWord(1, p.non_leaves, fs)
+            hit = self._word_memo[(t, labels)] = self._plus_word(p.non_leaves, fs)
+        return hit
+
+    def _plus_word(self, es: tuple, fs: tuple) -> SignWord:
+        """The word of sign +1 on es and fs, built once and shared: a word
+        is immutable, and few (es, fs) occur."""
+        hit = self._plus_words.get((es, fs))
+        if hit is None:
+            hit = self._plus_words[(es, fs)] = SignWord(1, es, fs)
         return hit
 
     def term(self, t: Tree, labels: tuple) -> BarTerm:
@@ -249,6 +322,8 @@ class BarComplex:
     # ------------------------------------------------------------ normal form
 
     def _monomial_perm(self, sig, pi: tuple, name):
+        """(image name, raw coefficient) of the operad's action of pi on
+        the label name of component sig."""
         tgt_sig, vec = self.operad.perm_matrix(sig, pi)[name]
         del tgt_sig  # the destination vertex's children fix the signature
         if len(vec) != 1:
@@ -257,10 +332,9 @@ class BarComplex:
                 f"component {sig} acts non-monomially on {name!r}"
             )
         (nm, cf), = vec.items()
-        return nm, cf
+        return nm, cf.val
 
-    def normalize_term(self, t: Tree, w: SignWord, labels: tuple,
-                       coeff: Scalar) -> BarVec:
+    def normalize_term(self, t: Tree, w: SignWord, labels: tuple, coeff) -> BarVec:
         """Transport to the canonical labeled representative.
 
         The result does not depend on how the raw term was produced; a
@@ -268,16 +342,21 @@ class BarComplex:
         is linear in coeff and in the sign of w, so the normal form of the
         sign +1 term is memoized per (t, labels, es, fs).  Every call gets
         a fresh vector, and a failed parity check is never memoized, so it
-        raises on every call.
+        raises on every call.  A Scalar coeff gives Scalar coefficients;
+        a raw coeff, as the homotopy passes, gives raw ones.
         """
-        if w.sign == 0 or coeff.is_zero():
+        boxed = isinstance(coeff, Scalar)
+        c = self.field.raw(coeff) if boxed else coeff
+        if w.sign == 0 or not c:
             return {}
         hit = self._normal_hit(t, labels, w.es, w.fs)
         if not hit:
             return {}
-        key, c = hit
-        c = coeff * c
-        return {key: c if w.sign == 1 else -c}
+        key, c0 = hit
+        c = c * c0 if w.sign == 1 else -(c * c0)
+        if self.field.p:
+            c %= self.field.p
+        return {key: Scalar(self.field, c) if boxed else c}
 
     def _normal_hit(self, t: Tree, labels: tuple, es: tuple, fs: tuple):
         """The memoized normal form of the sign +1 term (t, es, fs, labels)."""
@@ -285,12 +364,12 @@ class BarComplex:
         hit = self._normal_memo.get(memo_key)
         if hit is None:
             hit = self._normal_memo[memo_key] = self._normal_form(
-                t, labels, SignWord(1, es, fs))
+                t, labels, self._plus_word(es, fs))
         return hit
 
     def _normal_form(self, t: Tree, labels: tuple, w: SignWord):
-        """(canonical key, coefficient) of the term (t, w, labels, 1), or
-        () when it is zero.
+        """(canonical key, raw coefficient) of the term (t, w, labels, 1),
+        or () when it is zero.
 
         Everything that depends on the tree alone is read off its plan.
         The labels move to the canonical tree by an index move, with the
@@ -299,17 +378,20 @@ class BarComplex:
         shape siblings, the children are sorted by (run, labels in
         preorder), the action applies the child permutation at the
         vertex, and the vertex label moves to the least of its orbit
-        under swaps of equal labeled siblings.  The word moves by
-        ``relabel`` and each swap is signed by ``block_swap_sign``.
+        under swaps of equal labeled siblings.  The word moves by the
+        inversion parity of its e's and its f's, as ``relabel`` moves it,
+        and each swap is signed by ``block_swap_sign``.  The coefficient
+        is a product of raw action coefficients and word signs, reduced
+        mod p once at the end.
         """
         p = self._plan(t)
-        coeff = self.field.one
+        coeff = self._one
         if p.sigma is not None:
             labels, w, coeff = self._carry(p.sigma, p.moved, labels, w, coeff)
             p = p.canon
         if p.runs:
             labels = list(labels)
-            strs = [str(lab) for lab in labels]
+            strs = list(map(self._strs.__getitem__, labels))
         for vi, sig, children, swaps in p.runs:
             keys = [(run, get(strs)) for run, _, _, get in children]
             order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -322,7 +404,7 @@ class BarComplex:
                     new_lo += size
                 labels, w, coeff = self._carry(
                     sigma, ((vi, sig, _child_perm(order)),), labels, w, coeff)
-                strs = [str(lab) for lab in labels]
+                strs = list(map(self._strs.__getitem__, labels))
                 keys = [keys[i] for i in order]
             gens = []
             for i, swap in enumerate(swaps):
@@ -334,47 +416,61 @@ class BarComplex:
                 if not best:
                     return ()
                 if best[0] != labels[vi]:
-                    labels[vi], strs[vi] = best[0], str(best[0])
+                    labels[vi], strs[vi] = best[0], self._strs[best[0]]
                     coeff = coeff * best[1]
         labels = tuple(labels)
-        coeff = coeff * self._unit[w.sign]
+        if w.sign == -1:
+            coeff = -coeff
+        if self.field.p:
+            coeff %= self.field.p
         base = self.basis_word(p.tree, labels)
         if base.es != w.es or base.fs != w.fs:
             raise BarError(f"normalized word {w} disagrees with parities on {p.tree}")
-        if coeff.is_zero():
+        if not coeff:
             return ()
         return (p.tree, labels), coeff
 
-    def _carry(self, sigma, at, labels, w: SignWord, coeff: Scalar):
-        """Move (labels, w, coeff) along the vertex map sigma, with the
-        operad's action on the label of each (vertex index, signature, pi)
-        in at."""
+    def _carry(self, sigma, at, labels, w: SignWord, coeff):
+        """Move (labels, w, raw coeff) along the vertex permutation sigma,
+        with the operad's action on the label of each (vertex index,
+        signature, pi) in at.  The moved word has sign +1: w's sign and
+        the inversion parity of the moved e's and f's go into coeff."""
         moved = [None] * len(labels)
         for i, lab in enumerate(labels):
             moved[sigma[i] - 1] = lab
         for i, sig, pi in at:
             moved[sigma[i] - 1], cf = self._monomial_perm(sig, pi, labels[i])
             coeff = coeff * cf
-        return moved, relabel(w, lambda k: sigma[k - 1]), coeff
+        es = [sigma[k - 1] for k in w.es]
+        fs = [sigma[k - 1] for k in w.fs]
+        if inversion_parity(es) ^ inversion_parity(fs) ^ (w.sign == -1):
+            coeff = -coeff
+        es.sort()
+        fs.sort()
+        return moved, self._plus_word(tuple(es), tuple(fs)), coeff
 
     def _orbit_min(self, sig, gens: tuple, start):
         """The str-least label in the orbit of start under the swaps gens
-        = ((pi, word sign), ...), with the sign carrying start to it, or
-        () when the orbit reaches one label with both signs (torsion);
-        memoized per (sig, gens, label).  One walk memoizes every label it
-        saw: u with sign s_u from start goes to the least one with
-        s_best * s_u^-1, and in a torsion orbit every label is zero."""
+        = ((pi, word sign), ...), with the raw coefficient carrying start
+        to it, or () when the orbit reaches one label with both signs
+        (torsion); memoized per (sig, gens, label).  One walk memoizes
+        every label it saw: u with sign s_u from start goes to the least
+        one with s_best * s_u^-1, and in a torsion orbit every label is
+        zero."""
         hit = self._orbit_memo.get((sig, gens, start))
         if hit is not None:
             return hit
+        P = self.field.p
         best_name = start
-        seen = {start: self.field.one}
-        frontier = [(start, self.field.one)]
+        seen = {start: self._one}
+        frontier = [(start, self._one)]
         while frontier:
             cur, csgn = frontier.pop()
             for pi, ws in gens:
                 nm, cf = self._monomial_perm(sig, pi, cur)
-                nsgn = csgn * cf * self._unit[ws]
+                nsgn = csgn * cf if ws == 1 else -(csgn * cf)
+                if P:
+                    nsgn %= P
                 prev = seen.get(nm)
                 if prev is None:
                     seen[nm] = nsgn
@@ -387,7 +483,8 @@ class BarComplex:
                     return ()
         best_sign = seen[best_name]
         for u, s_u in seen.items():
-            self._orbit_memo[(sig, gens, u)] = (best_name, best_sign * s_u.inv())
+            c = best_sign * pow(s_u, -1, P) % P if P else best_sign / s_u
+            self._orbit_memo[(sig, gens, u)] = (best_name, c)
         return self._orbit_memo[(sig, gens, start)]
 
     def basis_vector(self, t: Tree, labels: tuple) -> BarVec:
@@ -396,117 +493,206 @@ class BarComplex:
 
     # ------------------------------------------------------------ operations
 
-    def _contraction_plan(self, t: Tree, w: SignWord):
-        """The contraction summands of d on a tree with word w, memoized
-        per (t, w): (q, parent, witness, contracted word) for the edge
-        above each non-root vertex q, and (j, j, witness, contracted word)
-        for each fully-leafed vertex j, with the zero words dropped.  The
-        second entry is the vertex whose e the summand removes.  The
-        witnesses are memoized per tree."""
-        plan = self._contraction_memo.get((t, w))
-        if plan is not None:
-            return plan
-        wits = self._witness_memo.get(t)
-        if wits is None:
-            nl = t.non_leaves()
-            wits = self._witness_memo[t] = (
-                [(q, t.parent(q), edge_contract(t, q)) for q in nl if q != t.n],
-                [(j, j, leaf_contract(t, j - len(t.kids[j]), j)) for j in nl
-                 if all(c in t.L for c in t.kids[j])],
-            )
-        plan = self._contraction_memo[(t, w)] = tuple(
-            [(q, v, wit, dw) for q, v, wit in group
-             for dw in (relabel(partial_e(v, w), lambda k: wit.rho[k - 1],
-                                target=wit.result),)
-             if dw.sign != 0]
-            for group in wits)
-        return plan
+    def _label_ids(self, sig) -> dict:
+        hit = self._ids_memo.get(sig)
+        if hit is None:
+            hit = self._ids_memo[sig] = {
+                name: i for (s, name), i in self.operad._ids.items() if s == sig}
+        return hit
 
-    def _place(self, out: BarVec, t: Tree, w: SignWord, labels, spot: int,
-               vec: Vec) -> None:
-        """out += the normal form of each term of vec put at vertex spot + 1
-        of (t, w, labels), times its coefficient; vec maps a label to its
-        coefficient and is walked in str order of the labels."""
+    def _unboxed_d(self, comp) -> dict:
+        """A component's internal d as {label: ((name, raw), ...)}, each
+        image in str order of its names; unboxed once per component."""
+        hit = self._internal_d.get(comp)
+        if hit is None:
+            raw = self.field.raw
+            hit = self._internal_d[comp] = {
+                lab: _by_str((nm, raw(c)) for nm, c in v.items())
+                for lab, v in comp.d.items() if v}
+        return hit
+
+    def _named(self, raw: dict) -> list:
+        """A raw vector over operad label ids as (name, raw) pairs in str
+        order of the names."""
+        labels = self.operad._labels
+        return _by_str((labels[i][1], c) for i, c in raw.items())
+
+    def _d_plan(self, t: Tree) -> _Plan:
+        """The plan of t with its differential part: every edge and leaf
+        contraction is computed once per tree."""
+        p = self._plan(t)
+        if p.edges is not None:
+            return p
+        sigs, op = p.sigs, self.operad
+        edges, leaves, cuts, dverts = [], [], [], []
+        for q in p.non_leaves:
+            if q == t.n:
+                continue
+            parent, wit = t.parent(q), edge_contract(t, q)
+            units = [op._label_id(*op.unit_label(s)) for s in sigs[parent - 1][0]]
+            slot = child_index(t, q) - 1
+            edges.append((parent - 1, self._label_ids(sigs[parent - 1]),
+                          q - 1, self._label_ids(sigs[q - 1]),
+                          tuple(units[:slot]), tuple(units[slot + 1:]),
+                          _taker(k - 1 for k in wit.tau), wit.rho[q - 1] - 1,
+                          wit.result))
+            cuts.append((parent, wit.rho, wit.result))
+        for j in p.non_leaves:
+            kids = t.kids[j]
+            if all(c in t.L for c in kids):
+                wit = leaf_contract(t, j - len(kids), j)
+                leaves.append((j - 1, self._label_ids(sigs[j - 1]),
+                               _taker(c - 1 for c in kids),
+                               _taker(k - 1 for k in wit.tau), j - len(kids) - 1,
+                               wit.result))
+                cuts.append((j, wit.rho, wit.result))
+        for v in range(1, t.n + 1):
+            comp = (self.algebra.carrier[sigs[v - 1][1]] if v in t.L
+                    else op.components[sigs[v - 1]])
+            table = self._unboxed_d(comp)
+            if table:
+                dverts.append((v - 1, table))
+        p.leaves, p.cuts, p.dverts, p.words = leaves, cuts, dverts, {}
+        p.edges = edges
+        return p
+
+    def _words(self, p: _Plan, w: SignWord) -> tuple:
+        """The contracted words of a key with word w on p's tree, memoized
+        per f's (the e's are the tree's non-leaves): (one per edge, one
+        per leaf, one per internal d), in plan order; a zero word drops
+        its summand."""
+        hit = p.words.get(w.fs)
+        if hit is None:
+            cut = [relabel(partial_e(v, w), lambda k, rho=rho: rho[k - 1], target=result)
+                   for v, rho, result in p.cuts]
+            hit = p.words[w.fs] = (cut[:len(p.edges)], cut[len(p.edges):],
+                                   [left_mul_f(vi + 1, w) for vi, _ in p.dverts])
+        return hit
+
+    def _place(self, out: dict, t: Tree, w: SignWord, labels, spot: int,
+               items) -> None:
+        """out += the normal form of each (name, raw coefficient) of items
+        put at vertex spot + 1 of (t, w, labels), times its coefficient,
+        in the order of items.  Entries that cancel are dropped, as
+        ``vec_iaxpy`` drops them."""
         if w.sign == 0:
             return
+        P, es, fs, neg = self.field.p, w.es, w.fs, w.sign == -1
+        normal = self._normal_hit
         lab2 = list(labels)
-        for nm, cf in sorted(vec.items(), key=lambda kv: str(kv[0])):
+        for nm, cf in items:
             lab2[spot] = nm
-            hit = self._normal_hit(t, tuple(lab2), w.es, w.fs)
-            if hit:
-                key, c = hit
-                vec_iaxpy(out, cf, {key: c if w.sign == 1 else -c})
+            hit = normal(t, tuple(lab2), es, fs)
+            if not hit:
+                continue
+            key, c = hit
+            c = -(cf * c) if neg else cf * c
+            old = out.get(key)
+            if old is not None:
+                c += old
+            if P:
+                c %= P
+            if c:
+                out[key] = c
+            else:
+                out.pop(key, None)
 
-    def _theta_at(self, t: Tree, v: int, labels: tuple) -> Vec:
-        """The action of vertex v's label on the labels of its children,
-        all leaves: one read of the algebra's table."""
-        return self.algebra.theta_basis(self._component_sig(t, v), labels[v - 1],
-                                        tuple(labels[c - 1] for c in t.kids[v]))
-
-    def differential_key(self, key: BarKey) -> BarVec:
-        """d of one basis key, memoized per key; callers only read it."""
+    def differential_key(self, key: BarKey) -> dict:
+        """d of one basis key as {key: raw}, memoized per key; callers
+        only read it.  Its summands are read off the tree's plan: the
+        operad's table composes each contracted edge, the algebra's
+        table each contracted fully-leafed vertex, and each vertex's
+        unboxed internal d; then the normal-form memo places each term."""
         hit = self._d_memo.get(key)
         if hit is not None:
             return hit
         t, labels = key
-        w = self.basis_word(t, labels)
-        out: BarVec = {}
-        edges, leaves = self._contraction_plan(t, w)
-        sigs = self._plan(t).sigs
+        p = self._d_plan(t)
+        edge_words, leaf_words, d_words = self._words(p, self.basis_word(t, labels))
+        op, theta, place = self.operad, self.algebra._theta_ids, self._place
+        gamma, gamma_memo = op._gamma_ids, op._gamma_memo
+        out: dict = {}
 
         # contract the edge above q, composing q into its parent's slot
-        for q, parent, wit, dw in edges:
-            p_sig = sigs[parent - 1]
-            xs = [self.operad.unit_label(s) for s in p_sig[0]]
-            xs[child_index(t, q) - 1] = (sigs[q - 1], labels[q - 1])
-            _, merged = self.operad.gamma_basis(p_sig, labels[parent - 1], tuple(xs))
-            lab2 = [labels[wit.tau[r - 1] - 1] for r in range(1, wit.result.n + 1)]
-            self._place(out, wit.result, dw, lab2, wit.rho[q - 1] - 1, merged)
+        for (pi, y_ids, qi, x_ids, before, after, take, spot, result), dw in zip(
+                p.edges, edge_words):
+            if dw.sign:
+                g = (y_ids[labels[pi]], before + (x_ids[labels[qi]],) + after)
+                merged = (gamma_memo.get(g) or gamma(*g))[1]
+                place(out, result, dw, take(labels), spot, self._named(merged))
 
         # contract a fully-leafed vertex into a new leaf via the action
-        for j, _, wit, dw in leaves:
-            lab2 = [labels[wit.tau[r - 1] - 1] for r in range(1, wit.result.n + 1)]
-            self._place(out, wit.result, dw, lab2, j - len(t.kids[j]) - 1,
-                        self._theta_at(t, j, labels))
+        for (ji, c_ids, kids_of, take, spot, result), dw in zip(p.leaves, leaf_words):
+            if dw.sign:
+                acted = theta(c_ids[labels[ji]], kids_of(labels))
+                place(out, result, dw, take(labels), spot, _by_str(acted.items()))
 
         # internal differential at one vertex
-        for v in range(1, t.n + 1):
-            comp = (self.algebra.carrier[sigs[v - 1][1]] if t.is_leaf(v)
-                    else self.operad.components[sigs[v - 1]])
-            dlab = comp.d.get(labels[v - 1])
-            if dlab:
-                self._place(out, t, left_mul_f(v, w), labels, v - 1, dlab)
+        for (vi, table), dw in zip(p.dverts, d_words):
+            image = table.get(labels[vi])
+            if image:
+                place(out, t, dw, labels, vi, image)
         self._d_memo[key] = out
         return out
 
-    def differential(self, vec: BarVec) -> BarVec:
-        out: BarVec = {}
+    def _boxed_sum(self, vec: BarVec, per_key) -> BarVec:
+        """sum of c * per_key(key) over the terms of vec, in key order:
+        unboxed once, summed raw and boxed once."""
+        F, raw = self.field, self.field.raw
+        out: dict = {}
         for key, c in sorted(vec.items(), key=lambda kv: _key_order(kv[0])):
-            vec_iaxpy(out, c, self.differential_key(key))
-        return out
+            raw_iaxpy(out, raw(c), per_key(key), F.p)
+        return vec_box(out, F)
+
+    def differential(self, vec: BarVec) -> BarVec:
+        return self._boxed_sum(vec, self.differential_key)
 
     def differential_quotient(self, vec: BarVec) -> BarVec:
         """The differential with bare-carrier terms killed."""
         return {k: c for k, c in self.differential(vec).items()
                 if not _is_bare(k)}
 
-    def homotopy_key(self, key: BarKey) -> BarVec:
-        """h of one basis key, memoized per key; callers only read it."""
+    def homotopy_key(self, key: BarKey) -> dict:
+        """h of one basis key as {key: raw}, memoized per key; callers
+        only read it.  The grafted tree is built once per tree."""
         hit = self._h_memo.get(key)
         if hit is None:
             t, labels = key
-            t2 = graft(t)
-            unit = self.operad.unit_names[self._sort_of(t, t.n)]
-            w2 = multiply(word((t2.n,), ()), self.basis_word(t, labels))
+            p = self._plan(t)
+            if p.grafted is None:
+                p.grafted = graft(t), self.operad.unit_names[p.sorts[t.n - 1]]
+            t2, unit = p.grafted
+            w = self.basis_word(t, labels)
+            # e of the new root, put in front, passes each e of w
+            sign = -self._one if len(w.es) % 2 else self._one
             hit = self._h_memo[key] = self.normalize_term(
-                t2, w2, labels + (unit,), self.field.one)
+                t2, self._plus_word(w.es + (t2.n,), w.fs), labels + (unit,), sign)
         return hit
 
     def homotopy(self, vec: BarVec) -> BarVec:
-        out: BarVec = {}
-        for key, c in sorted(vec.items(), key=lambda kv: _key_order(kv[0])):
-            vec_iaxpy(out, c, self.homotopy_key(key))
-        return out
+        return self._boxed_sum(vec, self.homotopy_key)
+
+    def certificate_faults(self, keys) -> tuple:
+        """d.d and dh + hd - 1 on every key, summed on raw values.  Returns
+        (first key whose d.d is not zero, first key whose dh + hd - 1 is
+        not), each as (key, boxed value), or None where every key passes."""
+        P, one = self.field.p, self._one
+        d, h = self.differential_key, self.homotopy_key
+        dd_fault = unit_fault = None
+        for key in keys:
+            dd: dict = {}
+            unit: dict = {}
+            for k2, c in d(key).items():
+                raw_iaxpy(dd, c, d(k2), P)
+                raw_iaxpy(unit, c, h(k2), P)
+            for k2, c in h(key).items():
+                raw_iaxpy(unit, c, d(k2), P)
+            raw_iaxpy(unit, -one, {key: one}, P)
+            if dd and dd_fault is None:
+                dd_fault = key, vec_box(dd, self.field)
+            if unit and unit_fault is None:
+                unit_fault = key, vec_box(unit, self.field)
+        return dd_fault, unit_fault
 
     # ------------------------------------------------------------- basis
 
@@ -558,8 +744,12 @@ class BarComplex:
         for n in range(1, n_max + 1):
             for t in filter(labelable, enumerate_trees(n, True, sorts)):
                 for labels, _, tied in self._sorted_labelings(self._plan(t), t.n):
-                    if not tied or (t, labels) in self.basis_vector(t, labels):
-                        keys.append((t, labels))
+                    if tied:
+                        w = self.basis_word(t, labels)
+                        hit = self._normal_hit(t, labels, w.es, w.fs)
+                        if not hit or hit[0] != (t, labels):
+                            continue
+                    keys.append((t, labels))
         return sorted(keys, key=_key_order)
 
     def _sorted_labelings(self, p: _Plan, v: int) -> list:
@@ -570,6 +760,7 @@ class BarComplex:
         names = sorted(p.degrees[v - 1], key=str)
         if p.tree.is_leaf(v):
             return [((nm,), (str(nm),), False) for nm in names]
+        named = [(nm, (str(nm),)) for nm in names]
         runs = []
         for _, run in groupby(p.tree.kids[v], key=lambda c: p.shapes[c - 1]):
             run = list(run)
@@ -582,7 +773,7 @@ class BarComplex:
             encs = tuple(s for _, enc, _ in parts for s in enc)
             tied = any(tie for _, _, tie in parts) or any(
                 a[1] == b[1] for run in combo for a, b in zip(run, run[1:]))
-            out.extend((labels + (nm,), (str(nm),) + encs, tied) for nm in names)
+            out.extend((labels + (nm,), enc + encs, tied) for nm, enc in named)
         return out
 
     def stable_degrees(self, n_max: int) -> list[int]:
@@ -628,9 +819,10 @@ class BarComplex:
         ]
         keep = set(keys)
         degs = {k: self.degree_of(*k) - 1 for k in keys}
+        F = self.field
         d_cols = {}
         for k in keys:
-            col = {k2: c for k2, c in self.differential_key(k).items()
+            col = {k2: Scalar(F, c) for k2, c in self.differential_key(k).items()
                    if k2 in keep}
             if col:
                 d_cols[k] = col
@@ -650,7 +842,8 @@ class BarComplex:
             raise BarError("mu lives on the quotient; bare term given")
         if len(t.non_leaves()) != 1:
             return {}
-        out = self._theta_at(t, t.n, labels)
+        out = self.algebra.theta_basis(self._component_sig(t, t.n), labels[t.n - 1],
+                                       tuple(labels[c - 1] for c in t.kids[t.n]))
         if (self.degree_of(t, labels) - 1) % 2:
             out = {nm: -c for nm, c in out.items()}
         return out
@@ -722,8 +915,10 @@ class BarComplex:
             maps.append(mapping)
             offset += t.n - 1
 
-        _, merged = self.operad.gamma_basis(c_sig, c_name, tuple(
-            (self._component_sig(t, t.n), labels[t.n - 1]) for t, labels in keys))
+        op = self.operad
+        _, merged = op._gamma_ids(op._label_id(c_sig, c_name), tuple(
+            op._label_id(self._component_sig(t, t.n), labels[t.n - 1])
+            for t, labels in keys))
 
         c_odd = self.operad.degree_of(c_sig, c_name) % 2 == 1
         w_acc = word((n_new,), (n_new,) if c_odd else ())
@@ -738,6 +933,6 @@ class BarComplex:
         for (t, labels), mapping in zip(keys, maps):
             for v in range(1, t.n):
                 lab2[mapping[v] - 1] = labels[v - 1]
-        out: BarVec = {}
-        self._place(out, t_new, w_acc, lab2, n_new - 1, merged)
-        return out
+        out: dict = {}
+        self._place(out, t_new, w_acc, lab2, n_new - 1, self._named(merged))
+        return vec_box(out, self.field)

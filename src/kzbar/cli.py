@@ -16,15 +16,17 @@ same inputs give identical bytes on every run.  Elapsed time goes to
 stderr.  ``KZ_SEED`` sets the randomness of sampled probes (default
 fixed).  Exit status is 0 exactly when every check passes, 1 on a
 failed check, 2 when the manifest cannot be read at all, and 3 on an
-internal error: one of kzbar's own errors escaped a suite, or the run
-ran out of memory, which is not a verdict on the manifest either.
-Exits 2 and 3 print one ``manifest: message`` line to stderr and no
-traceback.  A window whose bar differential composes past the operad
-cap is one of these.  ``dstruct`` and ``roundtrip`` read the manifest's
-D-structures, each built on first read, so one that cannot be built
-exits 2; ``bar`` and ``homology`` read only the bar complex and stop
-with the cap in the message (exit 3), whether or not the manifest
-declares a D-structure.
+internal error: one of kzbar's own errors escaped a suite, the run ran
+out of memory, or any other exception escaped, which is a fault in
+kzbar and not a verdict on the manifest either.  Exits 2 and 3 print
+one ``manifest: message`` line to stderr and no traceback; for an
+exception outside kzbar's own errors the message is ``internal error
+in SUITE: ExcType: message``.  A window whose bar differential
+composes past the operad cap is one of these.  ``dstruct`` and
+``roundtrip`` read the manifest's D-structures, each built on first
+read, so one that cannot be built exits 2; ``bar`` and ``homology``
+read only the bar complex and stop with the cap in the message (exit
+3), whether or not the manifest declares a D-structure.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from kzbar.dstructures import (
     split_identity_failures,
     verify_morphism,
 )
-from kzbar.linalg import vec_acc, vec_iaxpy
+from kzbar.linalg import vec_iaxpy
 from kzbar.manifest import (
     Build,
     Manifest,
@@ -195,13 +197,16 @@ def _run_validate(m: Manifest, rep: Report, verify_cap: int, seed: int) -> None:
 
 
 def _run_trees(m: Manifest, rep: Report, n: int, classes: bool) -> None:
+    """Planar trees are counted as shapes times sort assignments, so no
+    sorted planar tree is built."""
     srts = m.sorts if m.sorts != ("*",) else None
     rows: list[dict] = []
     try:
         if n < 1:
             raise TreeError([f"vertex count {n} must be positive"])
         for k in range(1, n + 1):
-            row = {"vertices": k, "planar": len(enumerate_trees(k, sorts=srts))}
+            row = {"vertices": k,
+                   "planar": len(enumerate_trees(k)) * len(m.sorts) ** k}
             if classes:
                 row["classes"] = len(enumerate_trees(k, True, srts))
             rows.append(row)
@@ -226,29 +231,18 @@ def _run_bar(m: Manifest, built: Build, rep: Report) -> None:
     for name, alg in built.algebras.items():
         B = alg.bar
         keys = B.enumerate_basis(n_max)
-        one = B.field.one
-        probed = []
-        for key in keys:
-            x = {key: one}
-            dx = B.differential(x)
-            unit: dict = {}
-            vec_iaxpy(unit, one, B.differential(B.homotopy(x)))
-            vec_iaxpy(unit, one, B.homotopy(dx))
-            vec_acc(unit, key, -one)
-            probed.append((key, B.differential(dx), unit))
-        d2_bad = [(k, dd) for k, dd, _ in probed if dd]
-        un_bad = [(k, u) for k, _, u in probed if u]
+        d2_bad, un_bad = B.certificate_faults(keys)
         rep.record(
             f"bar {name}: differential squares to zero",
-            not d2_bad,
-            witness=None if not d2_bad else
-            f"d.d({d2_bad[0][0]!r}) = {_vec_str(d2_bad[0][1])}",
+            d2_bad is None,
+            witness=None if d2_bad is None else
+            f"d.d({d2_bad[0]!r}) = {_vec_str(d2_bad[1])}",
             note=f"{len(keys)} basis elements up to {n_max} vertices")
         rep.record(
             f"bar {name}: graft contraction gives the identity",
-            not un_bad,
-            witness=None if not un_bad else
-            f"(dh + hd - 1)({un_bad[0][0]!r}) = {_vec_str(un_bad[0][1])}")
+            un_bad is None,
+            witness=None if un_bad is None else
+            f"(dh + hd - 1)({un_bad[0]!r}) = {_vec_str(un_bad[1])}")
 
         wr = _window_range(m)
         try:
@@ -570,6 +564,10 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print(f"{args.manifest}: out of memory in {args.command}; "
               f"try a smaller window", file=sys.stderr)
+        return 3
+    except Exception as e:  # a fault in kzbar itself, not a failed check
+        print(f"{args.manifest}: internal error in {args.command}: "
+              f"{type(e).__name__}: {e}", file=sys.stderr)
         return 3
     print(f"elapsed: {elapsed} ms", file=sys.stderr)
     out = to_json(rep) if args.format == "json" else to_text(rep)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from kzbar.algebras import Algebra, FreeAlgebra, monad_theta
 from kzbar.bar import BarComplex, _is_bare
 from kzbar.complexes import ChainComplex, ChainMap, QuasiIsoVerdict
-from kzbar.linalg import Vec, vec_acc, vec_iaxpy
+from kzbar.linalg import Vec, vec_acc, vec_box, vec_iaxpy
 from kzbar.operads import Operad
 from kzbar.signs import multiply, relabel, word
 from kzbar.trees import assemble, root_blocks, subtree_at
@@ -349,7 +349,7 @@ def bar_dstructure(algebra: Algebra, n_max: int,
         for k in group:
             col = B.differential_key(k)
             if col:
-                cols[k] = col
+                cols[k] = vec_box(col, B.field)
         carrier[srt] = ChainComplex(B.field, degs, cols)
     delta = {}
     for key in keys:
@@ -387,8 +387,7 @@ def _root_split(B: BarComplex, key) -> BigVec:
     base = B.basis_word(t, labels)
     if acc.sign == 0 or acc.es != base.es or acc.fs != base.fs:
         raise DStructureError(f"root split lost generators on {key!r}")
-    coeff = coeff * B._unit[acc.sign]
-    if B.degree_of(t, labels) % 2:
+    if (acc.sign == -1) != (B.degree_of(t, labels) % 2 == 1):
         coeff = -coeff
     return {(sig, tuple(factors), c_name): coeff}
 

@@ -8,7 +8,8 @@ vertex label to the least of its orbit under swaps of equal labeled
 siblings.  Each swap is signed by renormalizing the whole moved word
 with ``relabel``.  Sorts, signatures and degrees are read off the tree
 here, never from the bar complex's plans; only the operad's monomial
-action and the orbit walk are shared.
+action and the orbit walk are shared; their raw coefficients are boxed
+here, and the coefficient returned is a Scalar.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _transport(B, t_src, t_dst, sigma, labels, w, coeff):
             new_labels[tv - 1] = lab
             continue
         nm, cf = B._monomial_perm(_sig(t_src, v), tuple(pi), lab)
-        coeff = coeff * cf
+        coeff = coeff * B.field.scalar(cf)
         new_labels[tv - 1] = nm
     w2 = relabel(w, lambda k: sigma[k - 1], target=t_dst)
     return tuple(new_labels), w2, coeff
@@ -139,9 +140,9 @@ def normal_form(B, t, labels, w: SignWord):
             lab2 = list(labels)
             lab2[v - 1] = best_name
             labels = tuple(lab2)
-            coeff = coeff * best_sign
+            coeff = coeff * B.field.scalar(best_sign)
 
-    coeff = coeff * B._unit[w.sign]
+    coeff = coeff.scaled(w.sign)
     base = _word(B, t, labels)
     if base.es != w.es or base.fs != w.fs:
         raise BarError(f"normalized word {w} disagrees with parities on {t}")

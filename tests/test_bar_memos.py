@@ -118,13 +118,16 @@ def test_the_key_order_memo_keeps_every_sorted_order(name):
 
 def _orbit_walk(B, sig, gens, start):
     """The orbit minimum of start by one walk from start, with no memo:
-    (least label, coefficient carrying start to it), or () on torsion."""
-    best, seen, frontier = start, {start: B.field.one}, [start]
+    (least label, raw coefficient carrying start to it), or () on
+    torsion.  The walk multiplies boxed scalars; the memo holds raw
+    values."""
+    F = B.field
+    best, seen, frontier = start, {start: F.one}, [start]
     while frontier:
         cur = frontier.pop()
         for pi, ws in gens:
             nm, cf = B._monomial_perm(sig, pi, cur)
-            sgn = seen[cur] * cf * B._unit[ws]
+            sgn = seen[cur] * F.scalar(cf) * F.scalar(ws)
             if nm not in seen:
                 seen[nm] = sgn
                 frontier.append(nm)
@@ -132,7 +135,7 @@ def _orbit_walk(B, sig, gens, start):
                     best = nm
             elif seen[nm] != sgn:
                 return ()
-    return best, seen[best]
+    return best, seen[best].val
 
 
 @pytest.mark.parametrize("name", list(BARS) + ["com-line-Q"])

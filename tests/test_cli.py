@@ -96,6 +96,29 @@ def test_trees_counts_two_sorted_trees_and_classes(capsys):
     assert [r["classes"] for r in rows] == [4, 8, 36, 176, 942]
 
 
+def test_trees_counts_sorted_planar_trees_without_building_them(
+        capsys, monkeypatch):
+    """The planar count is the shape count times the sort assignments,
+    so kz trees never asks for sorted planar trees: on two sorts there
+    are 231,168 of them at 7 vertices."""
+    import kzbar.cli as cli
+
+    asked = []
+    enumerate_all = cli.enumerate_trees
+
+    def recording(n, up_to_equiv=False, sorts=None):
+        asked.append((n, up_to_equiv, sorts))
+        return enumerate_all(n, up_to_equiv, sorts)
+
+    monkeypatch.setattr(cli, "enumerate_trees", recording)
+    golden = str(Path(__file__).parent / "golden" / "pair_q_w3.kz")
+    code, rep = _json_run(capsys, ["trees", golden, "7"])
+    assert code == 0
+    assert rep["tables"]["trees"][-1] == {"vertices": 7, "planar": 231_168}
+    assert asked
+    assert [a for a in asked if a[2] is not None and not a[1]] == []
+
+
 def test_trees_rejects_a_nonpositive_bound(capsys):
     code, rep = _json_run(capsys, ["trees", "uass_dual_numbers", "0"])
     assert code == 1
@@ -241,7 +264,7 @@ def test_homology_builtin_tables(capsys):
 def test_a_quotient_window_whose_square_is_not_zero_fails_the_check(
         suite, capsys, monkeypatch):
     import kzbar.cli as cli
-    from kzbar.linalg import vec_acc
+    from kzbar.linalg import raw_iaxpy
     from kzbar.manifest import build
 
     def corrupted_build(m, cap=None):
@@ -254,7 +277,8 @@ def test_a_quotient_window_whose_square_is_not_zero_fails_the_check(
         low = next(k for k in q.basis() if q.d.get(k))
         top = next(k for k in q.basis() if q.degrees[k] == q.degrees[low] + 1)
         col = dict(B.differential_key(top))
-        vec_acc(col, low, B.field.one)
+        one = B.field.one.val  # the memo holds raw values
+        raw_iaxpy(col, one, {low: one}, B.field.p)
         B._d_memo[top] = col
         return built
 
@@ -452,6 +476,25 @@ def test_internal_error_exits_three_without_a_traceback(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("uass_dual_numbers: mu lives on the quotient; "
                             "bare term given\n")
+
+
+def test_an_unexpected_exception_exits_three_naming_the_suite(
+        capsys, monkeypatch):
+    """An exception outside kzbar's own errors is a fault in kzbar, not
+    a failed check (exit 1): it exits 3 with one line naming the suite
+    and the exception."""
+    import kzbar.cli as cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "run", broken)
+    code = main(["bar", "uass_dual_numbers"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == ("uass_dual_numbers: internal error in bar: "
+                            "KeyError: 'lost'\n")
 
 
 def test_out_of_memory_exits_three_without_a_traceback(capsys, monkeypatch):

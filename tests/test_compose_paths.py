@@ -5,17 +5,23 @@ compose basis labels through the structure-constant tables.
 ``FreeAlgebra.compose``, which pays the crossing sign; the oracle pays it
 itself through ``gamma_j`` and ``koszul_sign``.  The suspended dual
 numbers have odd labels, so they are where a wrong sign would show.
+The bar differential and homotopy read the tables' raw values and build
+no Scalar at all.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 import delta_oracle
+from kzbar.algebras import Algebra
+from kzbar.bar import BarComplex
 from kzbar.catalog import augmentation_module_pair, dual_numbers_algebra, module_operad, uass_operad
 from kzbar.dstructures import bar_dstructure
-from kzbar.fields import GF, QQ
-from kzbar.operads import single_sig
+from kzbar.fields import GF, QQ, Scalar
+from kzbar.operads import Operad, single_sig
 from suspension import suspended_dual_numbers
 
 BAR_SOURCES = {
@@ -57,3 +63,40 @@ def test_compose_ignores_the_insertion_order_of_its_inputs():
         got = free.compose(vecs, single_sig(2), c_name)
         assert len(got) > 6
         assert free.compose(backwards, single_sig(2), c_name) == got
+
+
+@pytest.mark.parametrize("source", sorted(BAR_SOURCES))
+def test_the_bar_kernel_builds_no_scalar(source, monkeypatch):
+    """On a fresh bar complex whose basis is built, a cold d and h of
+    every key construct no Scalar and read neither boxed table reader.
+    Another bar complex on the same algebra fills the operad's and the
+    algebra's tables first, since their rules answer in Scalars."""
+    alg = BAR_SOURCES[source]()
+    warm = BarComplex(alg)
+    keys = warm.enumerate_basis(4)
+    for key in keys:
+        warm.differential_key(key)
+        warm.homotopy_key(key)
+    B = BarComplex(alg)
+    assert B.enumerate_basis(4) == keys
+    counts = Counter()
+
+    def counting(name, owner, attr):
+        fn = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counting("Scalar", Scalar, "__init__")
+    counting("gamma_basis", Operad, "gamma_basis")
+    counting("theta_basis", Algebra, "theta_basis")
+    for key in keys:
+        assert B.differential_key(key) == warm.differential_key(key)
+        assert B.homotopy_key(key) == warm.homotopy_key(key)
+    assert counts == {}
+    # the wrappers do count: the boxed edge builds Scalars
+    B.differential({next(k for k in keys if B.differential_key(k)): alg.field.one})
+    assert counts["Scalar"] > 0

@@ -3,7 +3,8 @@
 order included, over F2, F3 and Q, on random sparse matrices and on the
 differentials of golden bar windows and their transposes.  The reduced
 form itself is unique; the pivot rule shows in the key order of the
-rows, which the comparison includes."""
+rows, which the comparison includes.  ``rank`` must count the oracle's
+pivots on the same rows."""
 
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import echelon_oracle
 from kzbar.fields import GF, QQ
-from kzbar.linalg import echelon
+from kzbar.linalg import echelon, rank
 from kzbar.manifest import build, parse_manifest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -24,6 +25,7 @@ def _assert_same(rows, field):
     want_rows, want_pivots = echelon_oracle.echelon(rows, field)
     assert got.pivots == want_pivots
     assert [list(r.items()) for r in got.rows] == [list(r.items()) for r in want_rows]
+    assert rank(rows, field) == len(want_pivots)
 
 
 @st.composite
