@@ -28,12 +28,12 @@ is not free raises AlgebraError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import cache, cached_property
 from itertools import product as iproduct
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
+from kzbar import KzbarError
 from kzbar.complexes import ChainComplex, ChainMap
 from kzbar.fields import Scalar
 from kzbar.linalg import Vec, echelon, raw_iaxpy, vec_acc, vec_axpy, vec_scale
@@ -44,15 +44,17 @@ if TYPE_CHECKING:
     from kzbar.bar import BarComplex
 
 
-class AlgebraError(ValueError):
+class AlgebraError(KzbarError):
     pass
 
 
-@dataclass
 class AlgebraElement:
-    algebra: "Algebra"
-    sort: str
-    vec: Vec
+    __slots__ = ("algebra", "sort", "vec")
+
+    def __init__(self, algebra: Algebra, sort: str, vec: Vec) -> None:
+        self.algebra = algebra
+        self.sort = sort
+        self.vec = vec
 
     def is_zero(self) -> bool:
         return not self.vec
@@ -180,11 +182,13 @@ class Algebra:
 # ------------------------------------------------------------------ report
 
 
-@dataclass
 class AlgebraReport:
-    algebra: str
-    failures: list[str] = dc_field(default_factory=list)
-    checks_run: int = 0
+    __slots__ = ("algebra", "failures", "checks_run")
+
+    def __init__(self, algebra: str) -> None:
+        self.algebra = algebra
+        self.failures: list[str] = []
+        self.checks_run = 0
 
     @property
     def ok(self) -> bool:

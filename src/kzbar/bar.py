@@ -35,31 +35,26 @@ witnesses of ``certificate_faults``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations_with_replacement, groupby
 from itertools import product as iproduct
 from operator import itemgetter
+from typing import NamedTuple
 
+# The word calculus and canonical_form are read through their modules
+# at call time: the benchmark trace (perfbench/kztrace.py) replaces them
+# there, and a name bound here while this module was first imported
+# under a trace would outlive the trace.
+from kzbar import KzbarError, signs, trees
 from kzbar.algebras import Algebra
 from kzbar.complexes import ChainComplex, ChainMap, direct_sum
 from kzbar.fields import Scalar
 from kzbar.linalg import Vec, raw_iaxpy, vec_box, vec_iaxpy
 from kzbar.operads import CapExceeded, OperadElement
-from kzbar.signs import (
-    SignWord,
-    block_swap_sign,
-    inversion_parity,
-    left_mul_f,
-    multiply,
-    partial_e,
-    relabel,
-    word,
-)
+from kzbar.signs import SignWord, block_swap_sign, inversion_parity
 from kzbar.trees import (
     Tree,
     assemble,
-    canonical_form,
     child_index,
     edge_contract,
     encode,
@@ -70,7 +65,7 @@ from kzbar.trees import (
 )
 
 
-class BarError(ValueError):
+class BarError(KzbarError):
     pass
 
 
@@ -96,8 +91,7 @@ def _key_order(key: BarKey):
     return _tree_order(t) + (str(labels),)
 
 
-@dataclass(frozen=True)
-class BarTerm:
+class BarTerm(NamedTuple):
     """One basis element with its derived word, for display and checks."""
 
     tree: Tree
@@ -228,7 +222,7 @@ class BarComplex:
         p.non_leaves = tuple(t.non_leaves())
         p.moved, p.runs = [], []
         p.edges = p.grafted = None
-        t_c, p.sigma = canonical_form(t)
+        t_c, p.sigma = trees.canonical_form(t)
         if t_c != t or p.sigma != tuple(range(1, n + 1)):
             p.canon = self._plan(t_c)
             for v in p.non_leaves:
@@ -563,10 +557,11 @@ class BarComplex:
         its summand."""
         hit = p.words.get(w.fs)
         if hit is None:
-            cut = [relabel(partial_e(v, w), lambda k, rho=rho: rho[k - 1], target=result)
+            cut = [signs.relabel(signs.partial_e(v, w),
+                                 lambda k, rho=rho: rho[k - 1], target=result)
                    for v, rho, result in p.cuts]
             hit = p.words[w.fs] = (cut[:len(p.edges)], cut[len(p.edges):],
-                                   [left_mul_f(vi + 1, w) for vi, _ in p.dverts])
+                                   [signs.left_mul_f(vi + 1, w) for vi, _ in p.dverts])
         return hit
 
     def _place(self, out: dict, t: Tree, w: SignWord, labels, spot: int,
@@ -921,11 +916,11 @@ class BarComplex:
             for t, labels in keys))
 
         c_odd = self.operad.degree_of(c_sig, c_name) % 2 == 1
-        w_acc = word((n_new,), (n_new,) if c_odd else ())
+        w_acc = signs.word((n_new,), (n_new,) if c_odd else ())
         for (t, labels), mapping in zip(keys, maps):
-            wq = partial_e(t.n, self.basis_word(t, labels))
-            wq = relabel(wq, lambda k: mapping[k])
-            w_acc = multiply(w_acc, wq)
+            wq = signs.partial_e(t.n, self.basis_word(t, labels))
+            wq = signs.relabel(wq, lambda k: mapping[k])
+            w_acc = signs.multiply(w_acc, wq)
             if w_acc.sign == 0:
                 return {}
 

@@ -16,17 +16,24 @@ same inputs give identical bytes on every run.  Elapsed time goes to
 stderr.  ``KZ_SEED`` sets the randomness of sampled probes (default
 fixed).  Exit status is 0 exactly when every check passes, 1 on a
 failed check, 2 when the manifest cannot be read at all, and 3 on an
-internal error: one of kzbar's own errors escaped a suite, the run ran
-out of memory, or any other exception escaped, which is a fault in
-kzbar and not a verdict on the manifest either.  Exits 2 and 3 print
-one ``manifest: message`` line to stderr and no traceback; for an
-exception outside kzbar's own errors the message is ``internal error
-in SUITE: ExcType: message``.  A window whose bar differential
+internal error: one of kzbar's own errors (a ``kzbar.KzbarError``)
+escaped a suite, the run ran out of memory, or any other exception
+escaped, which is a fault in kzbar and not a verdict on the manifest
+either.  Exits 2 and 3 print one ``manifest: message`` line to stderr
+and no traceback; for an exception outside kzbar's own errors the
+message is ``internal error in SUITE: ExcType: message``.  A window whose bar differential
 composes past the operad cap is one of these.  ``dstruct`` and
 ``roundtrip`` read the manifest's D-structures, each built on first
 read, so one that cannot be built exits 2; ``bar`` and ``homology``
 read only the bar complex and stop with the cap in the message (exit
 3), whether or not the manifest declares a D-structure.
+
+A process imports only the layers its suite runs, when the suite
+starts: ``validate`` the operads and algebras that every build needs,
+``trees`` the tree layer, ``bar`` and ``homology`` the bar complex with
+its trees and sign words, and ``dstruct`` and ``roundtrip`` the
+D-structures on top.  Without a bytecode cache every imported module
+is compiled, so this keeps start-up to the code that runs.
 """
 
 from __future__ import annotations
@@ -36,24 +43,13 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 from random import Random
+from typing import TYPE_CHECKING, NamedTuple
 
-from kzbar.algebras import Algebra, AlgebraError, verify_algebra
-from kzbar.bar import BarComplex, BarError
+from kzbar import KzbarError
+from kzbar.algebras import Algebra, verify_algebra
 from kzbar.complexes import ChainComplex, ComplexError
-from kzbar.dstructures import (
-    DStructure,
-    DStructureError,
-    build_delta_differential,
-    identity_morphism,
-    join_word,
-    roundtrip_algebra,
-    roundtrip_dstructure,
-    split_identity_failures,
-    verify_morphism,
-)
 from kzbar.linalg import vec_iaxpy
 from kzbar.manifest import (
     Build,
@@ -64,8 +60,11 @@ from kzbar.manifest import (
     manifest_digest,
     parse_manifest,
 )
-from kzbar.operads import CapExceeded, OperadError, verify_operad
-from kzbar.trees import TreeError, enumerate_trees
+from kzbar.operads import CapExceeded, verify_operad
+
+if TYPE_CHECKING:
+    from kzbar.bar import BarComplex
+    from kzbar.dstructures import DStructure
 
 DEFAULT_SEED = 271828
 DEFAULT_VERIFY_CAP = 3
@@ -76,22 +75,25 @@ _PART_BUDGET = 200_000
 COMMANDS = ("validate", "trees", "bar", "homology", "dstruct", "roundtrip")
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     outcome: str  # "pass" or "fail"
     witness: str | None = None
     note: str = ""
 
 
-@dataclass
 class Report:
-    command: str
-    digest: str
-    seed: int
-    args: dict = dc_field(default_factory=dict)
-    checks: list[Check] = dc_field(default_factory=list)
-    tables: dict = dc_field(default_factory=dict)
+    """One suite's checks and tables, filled in as the suite runs."""
+
+    __slots__ = ("command", "digest", "seed", "args", "checks", "tables")
+
+    def __init__(self, command: str, digest: str, seed: int) -> None:
+        self.command = command
+        self.digest = digest
+        self.seed = seed
+        self.args: dict = {}
+        self.checks: list[Check] = []
+        self.tables: dict = {}
 
     @property
     def ok(self) -> bool:
@@ -199,6 +201,8 @@ def _run_validate(m: Manifest, rep: Report, verify_cap: int, seed: int) -> None:
 def _run_trees(m: Manifest, rep: Report, n: int, classes: bool) -> None:
     """Planar trees are counted as shapes times sort assignments, so no
     sorted planar tree is built."""
+    from kzbar.trees import TreeError, enumerate_trees
+
     srts = m.sorts if m.sorts != ("*",) else None
     rows: list[dict] = []
     try:
@@ -305,6 +309,8 @@ def _bar_nilpotency(B: BarComplex, ds: DStructure) -> tuple[bool, str | None]:
     """Square the induced differential on each arity-one generator and
     fold the words back onto trees; grafting is faithful on classes, so
     a zero fold certifies a zero square without touching coinvariants."""
+    from kzbar.dstructures import join_word
+
     op = ds.operad
     for srt in sorted(ds.carrier):
         for x in sorted(ds.carrier[srt].degrees, key=repr):
@@ -331,6 +337,14 @@ def _parts_fit(carrier_size: int, n_max: int) -> bool:
 
 
 def _run_dstruct(m: Manifest, built: Build, rep: Report) -> None:
+    from kzbar.dstructures import (
+        DStructureError,
+        build_delta_differential,
+        identity_morphism,
+        split_identity_failures,
+        verify_morphism,
+    )
+
     n_max = m.window.n_max
     by_name = {d.name: d for d in m.dstructures}
     for name, ds in built.dstructures.items():
@@ -377,6 +391,12 @@ def _run_dstruct(m: Manifest, built: Build, rep: Report) -> None:
 
 
 def _run_roundtrip(m: Manifest, built: Build, rep: Report) -> None:
+    from kzbar.dstructures import (
+        DStructureError,
+        roundtrip_algebra,
+        roundtrip_dstructure,
+    )
+
     n_max = m.window.n_max
     # read every section first, so one that cannot be built stops the
     # suite before the algebra roundtrips run
@@ -557,8 +577,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ManifestError, OSError) as e:
         print(f"{args.manifest}: {e}", file=sys.stderr)
         return 2
-    except (OperadError, TreeError, BarError, DStructureError, AlgebraError,
-            ComplexError) as e:
+    except KzbarError as e:
         print(f"{args.manifest}: {e}", file=sys.stderr)
         return 3
     except MemoryError:

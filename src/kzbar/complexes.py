@@ -7,16 +7,16 @@ so a ChainComplex that exists is a chain complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NamedTuple
 
+from kzbar import KzbarError
 from kzbar.fields import FieldSpec
 from kzbar.linalg import Vec, kernel_of_map, rank, vec_iaxpy, vec_scale
 
 Name = Hashable
 
 
-class ComplexError(ValueError):
+class ComplexError(KzbarError):
     """Construction-time violation: bad degrees or d*d != 0."""
 
 
@@ -168,8 +168,7 @@ def direct_sum(parts: dict[Name, "ChainComplex"]) -> "ChainComplex":
     return ChainComplex(field, degrees, d)
 
 
-@dataclass
-class HomologySummary:
+class HomologySummary(NamedTuple):
     degree: int
     dim: int
     boundary_rank: int
@@ -258,8 +257,7 @@ class ChainMap:
         return {k: out[k] for k in degrees}
 
 
-@dataclass
-class QuasiIsoVerdict:
+class QuasiIsoVerdict(NamedTuple):
     degree: int
     source_dim: int
     target_dim: int

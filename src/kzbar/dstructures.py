@@ -24,14 +24,16 @@ time), and the arity-one inclusion eta satisfies
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
+# the word calculus is read through its module at call time, as in
+# kzbar.bar, so that the benchmark trace can wrap and restore it
+from kzbar import KzbarError, signs
 from kzbar.algebras import Algebra, FreeAlgebra, monad_theta
 from kzbar.bar import BarComplex, _is_bare
 from kzbar.complexes import ChainComplex, ChainMap, QuasiIsoVerdict
 from kzbar.linalg import Vec, vec_acc, vec_box, vec_iaxpy
 from kzbar.operads import Operad
-from kzbar.signs import multiply, relabel, word
 from kzbar.trees import assemble, root_blocks, subtree_at
 
 DName = tuple  # (sort, carrier basis name)
@@ -39,7 +41,7 @@ BigName = tuple  # ((input sorts, output sort), factor word, label name)
 BigVec = dict  # BigName -> Scalar
 
 
-class DStructureError(ValueError):
+class DStructureError(KzbarError):
     pass
 
 
@@ -181,8 +183,7 @@ class DStructure:
 # ---------------------------------------------------------------- windows
 
 
-@dataclass
-class DeltaWindow:
+class DeltaWindow(NamedTuple):
     """The free algebra on a D-structure, cut at an arity, with its
     induced differential already certified to square to zero."""
 
@@ -369,21 +370,21 @@ def _root_split(B: BarComplex, key) -> BigVec:
     sig = B._component_sig(t, t.n)
     c_name = labels[t.n - 1]
     c_odd = B.label_degree(t, t.n, c_name) % 2 == 1
-    acc = word((), ())
+    acc = signs.word((), ())
     factors = []
     coeff = F.one
     for off, size in root_blocks(t):
         st = subtree_at(t, off, size)
         st_labels = tuple(labels[off + j] for j in range(size))
         w_local = B.basis_word(st, st_labels)
-        acc = multiply(acc, relabel(w_local, lambda k: k + off))
+        acc = signs.multiply(acc, signs.relabel(w_local, lambda k: k + off))
         sub = B.normalize_term(st, w_local, st_labels, F.one)
         if not sub:
             return {}
         ((k_q, c_q),) = sub.items()
         factors.append(k_q)
         coeff = coeff * c_q
-    acc = multiply(acc, word((t.n,), (t.n,) if c_odd else ()))
+    acc = signs.multiply(acc, signs.word((t.n,), (t.n,) if c_odd else ()))
     base = B.basis_word(t, labels)
     if acc.sign == 0 or acc.es != base.es or acc.fs != base.fs:
         raise DStructureError(f"root split lost generators on {key!r}")
@@ -408,21 +409,20 @@ def join_word(B: BarComplex, factors: tuple, c_sig, c_name) -> dict:
         labels.extend(k[1])
     labels.append(c_name)
     c_odd = B.operad.degree_of(c_sig, c_name) % 2 == 1
-    acc = word((), ())
+    acc = signs.word((), ())
     off = 0
     for k in factors:
         t_q, lab_q = k
-        w_q = relabel(B.basis_word(t_q, lab_q), lambda v, o=off: v + o)
-        acc = multiply(acc, w_q)
+        w_q = signs.relabel(B.basis_word(t_q, lab_q), lambda v, o=off: v + o)
+        acc = signs.multiply(acc, w_q)
         off += t_q.n
-    acc = multiply(acc, word((t_new.n,), (t_new.n,) if c_odd else ()))
+    acc = signs.multiply(acc, signs.word((t_new.n,), (t_new.n,) if c_odd else ()))
     return B.normalize_term(t_new, acc, tuple(labels), B.field.one)
 
 
 # ------------------------------------------------------------- morphisms
 
 
-@dataclass
 class DMorphism:
     """A map of D-structures, recorded by where the carrier basis goes.
 
@@ -433,21 +433,23 @@ class DMorphism:
     the induced differentials, which verify_morphism checks.
     """
 
-    source: DStructure
-    target: DStructure
-    f0: dict[DName, BigVec]
-    name: str = "morphism"
+    __slots__ = ("source", "target", "f0", "name")
 
-    def __post_init__(self) -> None:
-        for (srt, x), vec in self.f0.items():
-            comp = self.source.carrier.get(srt)
+    def __init__(self, source: DStructure, target: DStructure,
+                 f0: dict[DName, BigVec], name: str = "morphism") -> None:
+        for (srt, x), vec in f0.items():
+            comp = source.carrier.get(srt)
             if comp is None or x not in comp.degrees:
                 raise DStructureError(f"f0 given on unknown element {(srt, x)!r}")
             for big, c in vec.items():
-                self.target._check_word(big)
+                target._check_word(big)
                 if not c.is_zero() and \
-                        self.target._word_degree(big) != comp.degrees[x]:
+                        target._word_degree(big) != comp.degrees[x]:
                     raise DStructureError(f"f0 must preserve degree at {(srt, x)!r}")
+        self.source = source
+        self.target = target
+        self.f0 = f0
+        self.name = name
 
     def image_of(self, srt: str, x) -> BigVec:
         return self.f0.get((srt, x), {})
@@ -478,8 +480,7 @@ def compose_morphisms(g: DMorphism, f: DMorphism) -> DMorphism:
     return DMorphism(f.source, g.target, f0, name=f"{g.name}.{f.name}")
 
 
-@dataclass
-class MorphismReport:
+class MorphismReport(NamedTuple):
     ok: bool
     checked: int
     first_divergence: tuple | None = None
@@ -511,8 +512,7 @@ def verify_morphism(m: DMorphism, window: int = 2) -> MorphismReport:
     return MorphismReport(True, checked)
 
 
-@dataclass
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     equivalence: bool
     stable_degrees: list[int]
     verdicts: dict[tuple[str, int], QuasiIsoVerdict]
@@ -548,8 +548,7 @@ def is_equivalence(m: DMorphism, n_max: int) -> EquivalenceReport:
 # ------------------------------------------------------------- roundtrips
 
 
-@dataclass
-class RoundtripAlgebraReport:
+class RoundtripAlgebraReport(NamedTuple):
     """Windowed certificate that the free algebra on the root-split bar
     coincides with the quotient bar construction."""
 
@@ -620,8 +619,7 @@ def roundtrip_algebra(algebra: Algebra, n_max: int) -> RoundtripAlgebraReport:
                                   first, verdicts, stable, note)
 
 
-@dataclass
-class RoundtripDStructureReport:
+class RoundtripDStructureReport(NamedTuple):
     """Windowed certificate for the other composite: the bar construction
     of the windowed free algebra evaluates back onto it."""
 

@@ -7,8 +7,9 @@ Every computation in this package is exact: rationals are stdlib
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+
+from kzbar import Frozen
 
 _P_LIMIT = 2**31
 
@@ -42,31 +43,45 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class FieldSpec:
-    """Ground field description: kind ``"Q"`` or ``"Fp"`` (with a prime p)."""
+class FieldSpec(Frozen):
+    """Ground field description: kind ``"Q"`` or ``"Fp"`` (with a prime p).
 
-    kind: str
-    p: int | None = None
-    zero: Scalar = field(init=False, repr=False, compare=False)
-    one: Scalar = field(init=False, repr=False, compare=False)
+    Equal and hashed by (kind, p); ``zero`` and ``one`` are built once
+    per field, since the constants are read in every hot loop.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind == "Q":
-            if self.p is not None:
+    __slots__ = ("kind", "p", "zero", "one")
+
+    def __init__(self, kind: str, p: int | None = None) -> None:
+        if kind == "Q":
+            if p is not None:
                 raise ValueError("Q takes no characteristic parameter")
-        elif self.kind == "Fp":
-            if self.p is None or not isinstance(self.p, int):
+        elif kind == "Fp":
+            if p is None or not isinstance(p, int):
                 raise ValueError("Fp needs an integer characteristic")
-            if self.p >= _P_LIMIT:
-                raise ValueError(f"characteristic {self.p} out of range (need p < 2^31)")
-            if not _is_prime(self.p):
-                raise ValueError(f"characteristic {self.p} is not prime")
+            if p >= _P_LIMIT:
+                raise ValueError(f"characteristic {p} out of range (need p < 2^31)")
+            if not _is_prime(p):
+                raise ValueError(f"characteristic {p} is not prime")
         else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        # built once per field: the constants are read in every hot loop
+            raise ValueError(f"unknown field kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "zero", self.scalar(0))
         object.__setattr__(self, "one", self.scalar(1))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return self.kind == other.kind and self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.p))
+
+    def __repr__(self) -> str:
+        return f"FieldSpec(kind={self.kind!r}, p={self.p!r})"
 
     @property
     def characteristic(self) -> int:
@@ -96,15 +111,25 @@ class FieldSpec:
         return "Q" if self.kind == "Q" else f"F{self.p}"
 
 
-@dataclass(frozen=True, slots=True)
-class Scalar:
+class Scalar(Frozen):
     """Immutable field element; arithmetic on mixed fields raises.
 
     ``val`` is a Fraction for Q and a canonical residue for F_p.
     """
 
-    field: FieldSpec
-    val: Fraction | int
+    __slots__ = ("field", "val")
+
+    def __init__(self, field: FieldSpec, val: Fraction | int) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "val", val)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return (self.field, self.val) == (other.field, other.val)
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.val))
 
     def _check(self, other: Scalar) -> None:
         if self.field != other.field:

@@ -13,8 +13,7 @@ be read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NamedTuple
 
 from kzbar.fields import FieldSpec, Scalar
 
@@ -93,8 +92,7 @@ def vec_acc(u: Vec, k, c: Scalar) -> None:
         u[k] = c
 
 
-@dataclass
-class Echelon:
+class Echelon(NamedTuple):
     """Reduced row echelon form, held on raw values.
 
     raw_rows[i] has pivot column pivots[i] with coefficient one, and that

@@ -36,9 +36,10 @@ from __future__ import annotations
 import hashlib
 import re
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
 from importlib import resources
+from typing import TYPE_CHECKING, NamedTuple
 
+from kzbar import ENUMERATION_CAP
 from kzbar.algebras import Algebra
 from kzbar.catalog import (
     augmentation_module_pair,
@@ -47,10 +48,11 @@ from kzbar.catalog import (
     dual_numbers_algebra,
     ground_algebra,
 )
-from kzbar.dstructures import DStructure, bar_dstructure
 from kzbar.fields import GF, QQ, FieldSpec
 from kzbar.operads import Operad
-from kzbar.trees import ENUMERATION_CAP
+
+if TYPE_CHECKING:
+    from kzbar.dstructures import DStructure
 
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_\-]*$")
 _HEADERS = ("field", "sorts", "cap", "window")
@@ -81,43 +83,46 @@ class ManifestError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Window:
+class _WindowFields(NamedTuple):
     n_max: int
     deg_lo: int | None = None
     deg_hi: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.n_max < 0:
-            raise ValueError(f"window size {self.n_max} must not be negative")
-        if (self.deg_lo is None) != (self.deg_hi is None):
+
+class Window(_WindowFields):
+    """The arity bound of a run and, optionally, its degree range."""
+
+    __slots__ = ()
+
+    def __new__(cls, n_max: int, deg_lo: int | None = None,
+                deg_hi: int | None = None) -> Window:
+        if n_max < 0:
+            raise ValueError(f"window size {n_max} must not be negative")
+        if (deg_lo is None) != (deg_hi is None):
             raise ValueError("window range needs both ends or neither")
-        if self.deg_lo is not None and self.deg_lo > self.deg_hi:  # type: ignore[operator]
-            raise ValueError(f"window range {self.deg_lo} .. {self.deg_hi} is empty")
+        if deg_lo is not None and deg_lo > deg_hi:  # type: ignore[operator]
+            raise ValueError(f"window range {deg_lo} .. {deg_hi} is empty")
+        return super().__new__(cls, n_max, deg_lo, deg_hi)
 
 
-@dataclass(frozen=True)
-class OperadSection:
+class OperadSection(NamedTuple):
     name: str
     use: str
 
 
-@dataclass(frozen=True)
-class AlgebraSection:
+class AlgebraSection(NamedTuple):
     name: str
     use: str
     operad: str
 
 
-@dataclass(frozen=True)
-class DStructureSection:
+class DStructureSection(NamedTuple):
     name: str
     source: str
     algebra: str
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(NamedTuple):
     field: FieldSpec
     sorts: tuple[str, ...]
     cap: int
@@ -379,6 +384,7 @@ class _LazyDStructures(Mapping):
         ds = self._built.get(name)
         if ds is None:
             d = self._sections[name]
+            from kzbar.dstructures import bar_dstructure  # the first read pays
             try:
                 ds = bar_dstructure(self._algebras[d.algebra], self._n_max,
                                     name=d.name)
@@ -399,10 +405,10 @@ class _LazyDStructures(Mapping):
         return len(self._sections)
 
 
-@dataclass
-class Build:
+class Build(NamedTuple):
     """The operads and algebras of a manifest, built, and its D-structures,
-    each built on first read: only ``dstruct`` and ``roundtrip`` read one."""
+    each built on first read: only ``dstruct`` and ``roundtrip`` read one,
+    so only they import ``kzbar.dstructures``."""
 
     manifest: Manifest
     operads: dict[str, Operad]

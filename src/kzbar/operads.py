@@ -14,11 +14,11 @@ Conventions, fixed once and verified by verify_operad:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from functools import cache
 from itertools import product as iproduct
 from math import factorial
 
+from kzbar import KzbarError
 from kzbar.complexes import ChainComplex
 from kzbar.fields import FieldSpec, Scalar
 from kzbar.linalg import Vec, raw_iaxpy, vec_axpy, vec_iaxpy, vec_scale
@@ -27,7 +27,7 @@ Sig = tuple[tuple[str, ...], str]  # (input sorts, output sort)
 Label = tuple[Sig, object]  # (signature, basis name)
 
 
-class OperadError(ValueError):
+class OperadError(KzbarError):
     pass
 
 
@@ -70,7 +70,6 @@ def block_perm(sigma: tuple[int, ...], arities: list[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass
 class LabelOrbits:
     """The Sigma_n-orbits on the labels of one arity, walked once.
 
@@ -83,9 +82,12 @@ class LabelOrbits:
     was in appears in neither mapping.
     """
 
-    members: dict[Label, tuple[Label, int, tuple[int, ...]]] = dc_field(default_factory=dict)
-    sizes: dict[Label, int] = dc_field(default_factory=dict)
-    fault: str | None = None
+    __slots__ = ("members", "sizes", "fault")
+
+    def __init__(self) -> None:
+        self.members: dict[Label, tuple[Label, int, tuple[int, ...]]] = {}
+        self.sizes: dict[Label, int] = {}
+        self.fault: str | None = None
 
     def size_faults(self, n: int) -> list[str]:
         """One line per finished orbit of arity n whose size is not n!,
@@ -95,11 +97,13 @@ class LabelOrbits:
                 for (sig, name), size in self.sizes.items() if size != want]
 
 
-@dataclass
 class OperadElement:
-    operad: "Operad"
-    sig: Sig
-    vec: Vec  # basis name -> Scalar
+    __slots__ = ("operad", "sig", "vec")
+
+    def __init__(self, operad: Operad, sig: Sig, vec: Vec) -> None:
+        self.operad = operad
+        self.sig = sig
+        self.vec = vec  # basis name -> Scalar
 
     @property
     def arity(self) -> int:
@@ -435,12 +439,14 @@ class Operad:
 # ------------------------------------------------------------------ report
 
 
-@dataclass
 class OperadReport:
-    operad: str
-    failures: list[str] = dc_field(default_factory=list)
-    checks_run: int = 0
-    certificate_note: str = ""
+    __slots__ = ("operad", "failures", "checks_run", "certificate_note")
+
+    def __init__(self, operad: str) -> None:
+        self.operad = operad
+        self.failures: list[str] = []
+        self.checks_run = 0
+        self.certificate_note = ""
 
     @property
     def ok(self) -> bool:

@@ -9,29 +9,44 @@ The e and f generators live in degree 0; all signs here are plain +-1.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from kzbar import Frozen
 from kzbar.trees import Tree
 
 
-@dataclass(frozen=True)
-class SignWord:
-    """Normalized monomial; sign 0 encodes the zero word (es/fs then empty)."""
+class SignWord(Frozen):
+    """Normalized monomial; sign 0 encodes the zero word (es/fs then empty).
 
-    sign: int
-    es: tuple[int, ...] = ()
-    fs: tuple[int, ...] = ()
+    Equal and hashed by (sign, es, fs).
+    """
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0, or 1, not {self.sign}")
-        if self.sign == 0 and (self.es or self.fs):
+    __slots__ = ("sign", "es", "fs")
+
+    def __init__(self, sign: int, es: tuple[int, ...] = (),
+                 fs: tuple[int, ...] = ()) -> None:
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0, or 1, not {sign}")
+        if sign == 0 and (es or fs):
             raise ValueError("the zero word carries no generators")
-        if list(self.es) != sorted(set(self.es)) or list(self.fs) != sorted(set(self.fs)):
+        if list(es) != sorted(set(es)) or list(fs) != sorted(set(fs)):
             raise ValueError("word not in normal form (strictly ascending indices)")
-        if any(i < 1 for i in self.es + self.fs):
+        if any(i < 1 for i in es + fs):
             raise ValueError("generator indices start at 1")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "es", es)
+        object.__setattr__(self, "fs", fs)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not SignWord:
+            return NotImplemented
+        return (self.sign, self.es, self.fs) == (other.sign, other.es, other.fs)
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.es, self.fs))
+
+    def __repr__(self) -> str:
+        return f"SignWord(sign={self.sign!r}, es={self.es!r}, fs={self.fs!r})"
 
     def is_zero(self) -> bool:
         return self.sign == 0

@@ -9,47 +9,52 @@ root, which is what conditions (1) and (2) below enforce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
+from typing import NamedTuple
+
+from kzbar import ENUMERATION_CAP, Frozen, KzbarError
 
 
-class TreeError(ValueError):
+class TreeError(KzbarError):
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
         self.violations = violations
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Tree:
+class Tree(Frozen):
     """A tree compared by value on (n, s, L, sorts).
 
-    The hash, the child table and the subtree sizes are computed once at
-    construction; ``kids[v]`` lists v's children left to right and
-    ``sizes[v]`` counts v's subtree, both indexed by vertex (index 0 is
-    unused).
+    ``s[x-1]`` is the parent of vertex x, for x in 1..n-1.  The hash, the
+    child table and the subtree sizes are computed once at construction;
+    ``kids[v]`` lists v's children left to right and ``sizes[v]`` counts
+    v's subtree, both indexed by vertex (index 0 is unused).
     """
 
-    n: int
-    s: tuple[int, ...]  # s[x-1] = parent of vertex x, for x in 1..n-1
-    L: frozenset[int]
-    sorts: tuple[str, ...] | None = None
-    kids: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    sizes: tuple[int, ...] = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    __slots__ = ("n", "s", "L", "sorts", "kids", "sizes", "_hash")
 
-    def __post_init__(self) -> None:
-        n = self.n
+    def __init__(self, n: int, s: tuple[int, ...], L: frozenset[int],
+                 sorts: tuple[str, ...] | None = None) -> None:
         kids: list[list[int]] = [[] for _ in range(n + 1)]
-        for x, p in enumerate(self.s, 1):
+        for x, p in enumerate(s, 1):
             kids[p].append(x)
         sizes = [1] * (n + 1)
         for v in range(1, n + 1):  # children precede parents: condition (1)
             for c in kids[v]:
                 sizes[v] += sizes[c]
-        object.__setattr__(self, "kids", tuple(map(tuple, kids)))
-        object.__setattr__(self, "sizes", tuple(sizes))
-        object.__setattr__(self, "_hash", hash((n, self.s, self.L, self.sorts)))
+        setattr_ = object.__setattr__
+        setattr_(self, "n", n)
+        setattr_(self, "s", s)
+        setattr_(self, "L", L)
+        setattr_(self, "sorts", sorts)
+        setattr_(self, "kids", tuple(map(tuple, kids)))
+        setattr_(self, "sizes", tuple(sizes))
+        setattr_(self, "_hash", hash((n, s, L, sorts)))
+
+    def __repr__(self) -> str:
+        # bar keys are ordered by str((tree, labels)): this string fixes
+        # pivots and report bytes
+        return f"Tree(n={self.n!r}, s={self.s!r}, L={self.L!r}, sorts={self.sorts!r})"
 
     def __hash__(self) -> int:
         return self._hash
@@ -92,8 +97,7 @@ class Tree:
         return "".join(parts) + ")"
 
 
-@dataclass(frozen=True)
-class ContractionWitness:
+class ContractionWitness(NamedTuple):
     """Result of a contraction plus the vertex correspondences.
 
     tau embeds the result's vertices into the source; rho collapses the
@@ -372,9 +376,6 @@ def graft(t: Tree) -> Tree:
 def child_index(t: Tree, q: int) -> int:
     """1-based position of q among its parent's children."""
     return t.kids[t.s[q - 1]].index(q) + 1
-
-
-ENUMERATION_CAP = 9
 
 
 @cache

@@ -122,6 +122,8 @@ def test_degrees_and_words_on_unit_chains():
     assert t3.word == word((2, 3), ())
     for n in range(1, 6):
         B.check_key(ckey(n))
+    with pytest.raises(AttributeError):
+        t3.degree = 3
 
 
 def test_homotopy_of_bare_is_the_two_chain():

@@ -100,17 +100,18 @@ def test_trees_counts_sorted_planar_trees_without_building_them(
         capsys, monkeypatch):
     """The planar count is the shape count times the sort assignments,
     so kz trees never asks for sorted planar trees: on two sorts there
-    are 231,168 of them at 7 vertices."""
-    import kzbar.cli as cli
+    are 231,168 of them at 7 vertices.  The suite imports the tree
+    layer when it runs, so the recorder replaces the name there."""
+    import kzbar.trees as trees
 
     asked = []
-    enumerate_all = cli.enumerate_trees
+    enumerate_all = trees.enumerate_trees
 
     def recording(n, up_to_equiv=False, sorts=None):
         asked.append((n, up_to_equiv, sorts))
         return enumerate_all(n, up_to_equiv, sorts)
 
-    monkeypatch.setattr(cli, "enumerate_trees", recording)
+    monkeypatch.setattr(trees, "enumerate_trees", recording)
     golden = str(Path(__file__).parent / "golden" / "pair_q_w3.kz")
     code, rep = _json_run(capsys, ["trees", golden, "7"])
     assert code == 0
@@ -172,7 +173,7 @@ def test_bar_unit_window_has_the_ground_field_in_degree_zero(
     assert all(row["isomorphism"] for row in table["evaluation"])
 
 
-def test_bar_report_is_byte_stable_across_workers(capsys, monkeypatch):
+def test_bar_report_is_byte_stable_across_runs(capsys):
     main(["bar", "uass_dual_numbers"])
     first = capsys.readouterr().out
     main(["bar", "uass_dual_numbers"])
@@ -186,7 +187,7 @@ def test_benchmark_trace_installs_and_keeps_the_report(capsys, monkeypatch,
     """perfbench/kztrace.py wraps kzbar functions by name from outside
     src/, so a rename that breaks the benchmark trace fails here.  bar
     runs the bar layer, whose tree plans must reach canonical_form
-    through the module global for the trace to see them; dstruct runs
+    through the tree module's global for the trace to see them; dstruct runs
     the FreeAlgebra.part hook, which reads the attributes of a part."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ stays as is
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -476,6 +477,31 @@ def test_internal_error_exits_three_without_a_traceback(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("uass_dual_numbers: mu lives on the quotient; "
                             "bare term given\n")
+
+
+@pytest.mark.parametrize("module,name", [
+    ("operads", "OperadError"), ("operads", "CapExceeded"),
+    ("trees", "TreeError"), ("bar", "BarError"),
+    ("dstructures", "DStructureError"), ("algebras", "AlgebraError"),
+    ("complexes", "ComplexError")])
+def test_every_layer_error_exits_three_with_its_own_message(
+        capsys, monkeypatch, module, name):
+    """main catches the layers' errors through their common base, so it
+    need not import a layer its suite never ran; each one still exits 3
+    with its bare message, unlike an exception from outside kzbar."""
+    import kzbar.cli as cli
+
+    error = getattr(importlib.import_module(f"kzbar.{module}"), name)
+
+    def broken(*args, **kwargs):
+        raise error(["went wrong"]) if name == "TreeError" else error("went wrong")
+
+    monkeypatch.setattr(cli, "run", broken)
+    code = main(["validate", "uass_dual_numbers"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "uass_dual_numbers: went wrong\n"
 
 
 def test_an_unexpected_exception_exits_three_naming_the_suite(

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kzbar.complexes import ChainComplex, ChainMap, ComplexError
+from kzbar.complexes import ChainComplex, ChainMap, ComplexError, QuasiIsoVerdict
 from kzbar.fields import GF, QQ
 from kzbar.linalg import echelon, kernel_of_map, rank, vec_axpy, vec_iaxpy
 
@@ -185,6 +185,13 @@ def test_quasi_iso_detects_failure():
     z = ChainMap(C, D, {})
     v = z.is_quasi_iso([0])[0]
     assert not v.isomorphism and v.source_dim == 1 and v.target_dim == 0
+    again = ChainMap(C, D, {}).is_quasi_iso([0])[0]
+    assert again is not v and again == v and hash(again) == hash(v)
+    assert v != ChainMap(C, C, {"pt": {"pt": F.one}}).is_quasi_iso([0])[0]
+    assert v == QuasiIsoVerdict(degree=0, source_dim=1, target_dim=0,
+                                induced_rank=0, isomorphism=False)
+    with pytest.raises(AttributeError):
+        v.isomorphism = True
 
 
 @given(st.sampled_from([QQ, GF(2), GF(3)]), st.integers(1, 3))

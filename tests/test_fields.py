@@ -121,3 +121,32 @@ def test_field_equality_and_hash_ignore_the_constants():
     assert GF(3) == GF(3) and hash(GF(3)) == hash(GF(3))
     assert GF(3) != GF(5) and QQ != GF(2)
     assert repr(GF(3)) == "FieldSpec(kind='Fp', p=3)"
+    assert repr(QQ) == "FieldSpec(kind='Q', p=None)"
+    assert len({GF(3), GF(3), QQ, FieldSpec("Q")}) == 2
+
+
+def test_fields_and_scalars_are_immutable_values():
+    F = GF(5)
+    x = F.scalar(3)
+    assert x == F.scalar(8) and hash(x) == hash(F.scalar(8))
+    assert x != GF(7).scalar(3) and x != 3
+    assert repr(x) == "3:F5" and repr(QQ.scalar("-1/2")) == "-1/2:Q"
+    for obj, field in [(F, "kind"), (F, "p"), (F, "zero"), (F, "one"),
+                       (x, "field"), (x, "val")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+
+
+def test_field_constructor_checks_every_kind():
+    with pytest.raises(ValueError, match="no characteristic"):
+        FieldSpec("Q", 2)
+    with pytest.raises(ValueError, match="integer characteristic"):
+        FieldSpec("Fp")
+    with pytest.raises(ValueError, match="integer characteristic"):
+        FieldSpec("Fp", "7")
+    with pytest.raises(ValueError, match="out of range"):
+        FieldSpec("Fp", 2**31 + 11)
+    with pytest.raises(ValueError, match="not prime"):
+        FieldSpec("Fp", 6)
+    with pytest.raises(ValueError, match="unknown field kind"):
+        FieldSpec("R")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import kzbar.manifest
+import kzbar.dstructures
 from kzbar.algebras import Algebra
 from kzbar.catalog import builtin_names
 from kzbar.cli import DEFAULT_SEED, Report, _run_bar, _run_homology, to_json
@@ -62,6 +62,42 @@ def test_builtin_manifest_parses():
     assert m.operads == (OperadSection("words", "uAss"),)
     assert m.algebras == (AlgebraSection("dual", "dual-numbers", "words"),)
     assert m.dstructures == (DStructureSection("bardual", "bar", "dual"),)
+
+
+def test_manifest_records_are_hashable_immutable_values():
+    m = parse_manifest(load_builtin("uass_dual_numbers"))
+    again = parse_manifest(load_builtin("uass_dual_numbers"))
+    records = [
+        (m, again, ("field", "sorts", "cap", "window", "operads", "algebras",
+                    "dstructures")),
+        (m.window, again.window, ("n_max", "deg_lo", "deg_hi")),
+        (m.operads[0], again.operads[0], ("name", "use")),
+        (m.algebras[0], again.algebras[0], ("name", "use", "operad")),
+        (m.dstructures[0], again.dstructures[0], ("name", "source", "algebra")),
+    ]
+    for rec, twin, fields in records:
+        assert rec is not twin and rec == twin and hash(rec) == hash(twin)
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, field, getattr(rec, field))
+    assert len({m, again}) == 1
+    wider = parse_manifest(load_builtin("uass_dual_numbers").replace(
+        "window 3 : -1 .. 3", "window 3"))
+    assert wider != m and wider.window == Window(3) != m.window
+    assert OperadSection("words", "uAss") != OperadSection("words", "uCom")
+    assert repr(m.window) == "Window(n_max=3, deg_lo=-1, deg_hi=3)"
+
+
+def test_window_constructor_checks():
+    with pytest.raises(ValueError, match="must not be negative"):
+        Window(-1)
+    with pytest.raises(ValueError, match="both ends or neither"):
+        Window(3, -1)
+    with pytest.raises(ValueError, match="both ends or neither"):
+        Window(3, deg_hi=2)
+    with pytest.raises(ValueError, match="is empty"):
+        Window(3, 2, 1)
+    assert Window(0, 1, 1) == Window(n_max=0, deg_lo=1, deg_hi=1)
 
 
 def test_builtin_listing_and_optional_suffix():
@@ -188,15 +224,16 @@ def test_build_builtin_instantiates_every_section():
 
 @pytest.fixture
 def dstructure_builds(monkeypatch):
-    """Calls to ``bar_dstructure`` made through the manifest module."""
+    """Calls to ``bar_dstructure``; the manifest module imports it from
+    ``kzbar.dstructures`` at the first read of a D-structure."""
     calls = []
-    orig = kzbar.manifest.bar_dstructure
+    orig = kzbar.dstructures.bar_dstructure
 
     def counted(*args, **kwargs):
         calls.append(kwargs.get("name"))
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(kzbar.manifest, "bar_dstructure", counted)
+    monkeypatch.setattr(kzbar.dstructures, "bar_dstructure", counted)
     return calls
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kzbar.bar as bar
+import kzbar.trees as trees
 import normal_form_oracle
 from kzbar.bar import BarComplex
 from kzbar.cli import DEFAULT_SEED, Report, _run_bar, _run_homology
@@ -136,18 +136,25 @@ def test_any_labeled_planar_tree_normalizes_as_the_oracle_does(data):
 def test_bar_builds_one_plan_per_tree_and_one_canonical_form_each(monkeypatch):
     """Running bar on the w5 dual numbers builds exactly one plan per
     tree it normalizes, and each plan asks for its canonical form once,
-    through the bar module's global."""
+    through the tree module's global.  canonical_form recurses through
+    that global too, so only outermost calls are counted."""
     built_plans, canonical, normalized = [], [], set()
     build_plan, normal_form = BarComplex._build_plan, BarComplex._normal_form
-    canonical_form = bar.canonical_form
+    canonical_form = trees.canonical_form
+    depth = [0]
 
     def counted_plan(self, t):
         built_plans.append(t)
         return build_plan(self, t)
 
     def counted_canonical(t):
-        canonical.append(t)
-        return canonical_form(t)
+        if not depth[0]:
+            canonical.append(t)
+        depth[0] += 1
+        try:
+            return canonical_form(t)
+        finally:
+            depth[0] -= 1
 
     def recorded(self, t, labels, w):
         normalized.add(t)
@@ -155,7 +162,7 @@ def test_bar_builds_one_plan_per_tree_and_one_canonical_form_each(monkeypatch):
 
     monkeypatch.setattr(BarComplex, "_build_plan", counted_plan)
     monkeypatch.setattr(BarComplex, "_normal_form", recorded)
-    monkeypatch.setattr(bar, "canonical_form", counted_canonical)
+    monkeypatch.setattr(trees, "canonical_form", counted_canonical)
     m = _manifest("bar_w5")
     rep = Report("bar", manifest_digest(m), DEFAULT_SEED)
     _run_bar(m, build(m), rep)

@@ -76,6 +76,22 @@ def test_malformed_words_rejected():
         SignWord(2, (), ())
     with pytest.raises(ValueError):
         SignWord(0, (1,), ())
+    with pytest.raises(ValueError):
+        SignWord(1, (0, 2), ())
+    with pytest.raises(ValueError):
+        SignWord(1, (), (2, 2))
+
+
+def test_words_are_immutable_values():
+    w = SignWord(-1, (1, 3), (2,))
+    assert repr(w) == "SignWord(sign=-1, es=(1, 3), fs=(2,))"
+    same = SignWord(-1, (1, 3), (2,))
+    assert w == same and hash(w) == hash(same) == hash((-1, (1, 3), (2,)))
+    assert w != SignWord(1, (1, 3), (2,)) and w != (-1, (1, 3), (2,))
+    assert len({w, same, ONE, ZERO, SignWord(1)}) == 3
+    for field in ("sign", "es", "fs"):
+        with pytest.raises(AttributeError):
+            setattr(w, field, getattr(w, field))
 
 
 def test_check_word_against_tree():

@@ -545,3 +545,25 @@ def test_equality_does_not_rest_on_the_stored_hash():
     for other in others:
         object.__setattr__(other, "_hash", base._hash)  # a forced collision
         assert other != base and base != other
+
+
+def test_repr_is_the_value_record_and_trees_are_immutable():
+    """Bar keys are ordered by str((tree, labels)), which fixes pivots and
+    report bytes: the repr is pinned to the form the golden reports were
+    made with."""
+    assert repr(BUSH3) == "Tree(n=3, s=(3, 3), L=frozenset({1, 2}), sorts=None)"
+    sorted_bush = Tree(3, (3, 3), frozenset({1, 2}), ("a", "a", "m"))
+    assert repr(sorted_bush) == (
+        "Tree(n=3, s=(3, 3), L=frozenset({1, 2}), sorts=('a', 'a', 'm'))")
+    assert str((STUMP, ((("*",), "*"), 1))) == (
+        "(Tree(n=1, s=(), L=frozenset(), sorts=None), ((('*',), '*'), 1))")
+    w = edge_contract(CHAIN3, 2)
+    for obj, field in [(BUSH3, "n"), (BUSH3, "s"), (BUSH3, "L"),
+                       (BUSH3, "sorts"), (BUSH3, "kids"), (BUSH3, "sizes"),
+                       (BUSH3, "_hash"), (w, "result"), (w, "tau"),
+                       (w, "rho")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+    with pytest.raises(AttributeError):
+        del BUSH3.n
+    assert BUSH3 == Tree(3, (3, 3), frozenset({1, 2})) and BUSH3.n == 3
