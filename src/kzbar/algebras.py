@@ -28,7 +28,7 @@ is not free raises AlgebraError.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import product as iproduct
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -208,16 +208,15 @@ def verify_algebra(alg: Algebra) -> AlgebraReport:
     skipped."""
     rep = AlgebraReport(algebra=alg.name)
     op = alg.operad
-    p, one, raw = alg.field.p, alg.field.one.val, alg.field.raw
+    p, one = alg.field.p, alg.field.one.val
     ids, labels = op._ids, op._labels
     deg = [op.degree_of(*label) for label in labels]
     cdeg = {s: c.degrees for s, c in alg.carrier.items()}
     theta = alg._theta_ids
     swap, d_op = _raw_tables(op)
 
-    @cache
     def d_car(srt: str, name) -> dict:
-        return {nm: raw(cf) for nm, cf in alg.carrier[srt].d.get(name, {}).items()}
+        return alg.carrier[srt].raw_d.get(name, {})
 
     # unit law
     for srt, comp in sorted(alg.carrier.items()):
@@ -458,16 +457,21 @@ class FreeAlgebra:
         sign of the generators to its left, then the label's d under the
         sign of the whole generator word."""
         sig, xw, c_name = big
+        F = self.field
+        P = F.p
+        # d moves one letter to another degree, so every term is its own
+        # word and nothing cancels
         out: Vec = {}
-        sgn = self.field.one
+        neg = False
         for i, (s, x) in enumerate(zip(sig[0], xw)):
             gen = self.generators[s]
-            for nm, cf in gen.d.get(x, {}).items():
-                vec_acc(out, (sig, xw[:i] + (nm,) + xw[i + 1:], c_name), sgn * cf)
+            for nm, cf in gen.raw_d.get(x, {}).items():
+                out[(sig, xw[:i] + (nm,) + xw[i + 1:], c_name)] = Scalar(
+                    F, (-cf % P if P else -cf) if neg else cf)
             if gen.degrees[x] % 2:
-                sgn = -sgn
-        for nm, cf in self.operad.components[sig].d.get(c_name, {}).items():
-            vec_acc(out, (sig, xw, nm), sgn * cf)
+                neg = not neg
+        for nm, cf in self.operad.components[sig].raw_d.get(c_name, {}).items():
+            out[(sig, xw, nm)] = Scalar(F, (-cf % P if P else -cf) if neg else cf)
         return out
 
     def compose(self, vecs: list[Vec], c_sig: Sig, c_name) -> Vec:
@@ -617,9 +621,9 @@ def free_as_algebra(fa: FreeAlgebra, parts_cap: int | None = None,
             p = fa.part(n, srt)
             for r in p.reps:
                 degs[(n, r)] = p.degrees[r]
-                col = p.complex.d.get(r)
+                col = p.complex.raw_d.get(r)
                 if col:
                     d[(n, r)] = {(n, r2): c for r2, c in col.items()}
         if degs:
-            carrier[srt] = ChainComplex(fa.field, degs, d)
+            carrier[srt] = ChainComplex.from_raw(fa.field, degs, d)
     return Algebra(fa.operad, carrier, monad_theta(fa, cap), name=name)

@@ -25,12 +25,19 @@ the index move of the labels, the slot and the unit label ids that
 compose through the operad's table, per vertex its unboxed internal d,
 the contracted words per word, and the grafted tree of the homotopy.
 
-Inside, coefficients are raw values, residues mod p or Fractions, as the
-operad and algebra tables hold them: the normal-form, orbit, d and h
-memos, and every sum that fills them.  Scalars are built only at the
-public edge: ``differential``, ``homotopy``, ``normalize_term`` on a
-Scalar coefficient, ``basis_vector``, the quotient's columns, and the
-witnesses of ``certificate_faults``.
+Inside, a basis key is an int id and a coefficient a raw value, a
+residue mod p or a Fraction, as the operad and algebra tables hold it.
+Each bar complex keeps one key table: a tree's plan maps labels to ids
+in first-seen order, and per id the key, its plan and its word.  Plans
+are found by the tree's value tuple, and a differential plan points
+straight at the plans of its contracted and grafted trees, so the d, h
+and normal-form memos, and every sum that fills them, hash no tree.
+The public methods take and return (tree, labels) keys; the quotient and
+the evaluation map hand their columns raw to ``ChainComplex.from_raw``
+and ``ChainMap.from_raw``.  Scalars are built only at the public edge:
+``differential``, ``homotopy``, ``normalize_term`` on a Scalar
+coefficient, ``basis_vector``, ``mu`` and the witnesses of
+``certificate_faults``.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from kzbar import KzbarError, signs, trees
 from kzbar.algebras import Algebra
 from kzbar.complexes import ChainComplex, ChainMap, direct_sum
 from kzbar.fields import Scalar
-from kzbar.linalg import Vec, raw_iaxpy, vec_box, vec_iaxpy
+from kzbar.linalg import Vec, raw_iaxpy, vec_iaxpy
 from kzbar.operads import CapExceeded, OperadElement
 from kzbar.signs import SignWord, block_swap_sign, inversion_parity
 from kzbar.trees import (
@@ -70,7 +77,7 @@ class BarError(KzbarError):
 
 
 BarKey = tuple  # (Tree, labels tuple indexed by vertex)
-BarVec = dict  # BarKey -> Scalar at the edge, BarKey -> raw value inside
+BarVec = dict  # BarKey -> Scalar at the edge, key id -> raw value inside
 
 
 def _is_bare(key: BarKey) -> bool:
@@ -125,25 +132,27 @@ class _Plan:
     subtree, subtree size, getter of the subtree's labels in preorder),
     and swaps[i] is the pi exchanging children i and i + 1.
 
+    ``ids`` maps the labels of each key interned on the tree to its id.
+
     The differential part is filled on first use by
     ``BarComplex._d_plan``, and ``edges`` is None until then.  ``edges``
     lists, for the edge above each non-root vertex q, (parent index,
     its label ids, q's index, q's label ids, the unit label ids before
     and after q's slot, the getter of the contracted tree's labels, the
-    slot of the composite there, the contracted tree).  ``leaves``
-    lists, for each fully-leafed vertex j, (j's index, its label ids,
-    the getter of its children's labels, the getter of the contracted
-    tree's labels, the spot of the new leaf, the contracted tree).
-    ``cuts`` lists, edges first, (the vertex whose e the contraction
-    removes, the collapse map rho, the contracted tree).  ``dverts``
-    lists (vertex index, unboxed internal d) for the vertices whose
-    component has one.  ``words`` maps the f's of a key's word to its
-    contracted words, and ``grafted`` is the homotopy's tree with its
-    unit label, or None until first read.
+    slot of the composite there, the contracted tree's plan).
+    ``leaves`` lists, for each fully-leafed vertex j, (j's index, its
+    label ids, the getter of its children's labels, the getter of the
+    contracted tree's labels, the spot of the new leaf, the contracted
+    tree's plan).  ``cuts`` lists, edges first, (the vertex whose e the
+    contraction removes, the collapse map rho, the contracted tree).
+    ``dverts`` lists (vertex index, unboxed internal d) for the vertices
+    whose component has one.  ``words`` maps the f's of a key's word to
+    its contracted words, and ``grafted`` is the plan of the homotopy's
+    tree with its unit label, or None until first read.
     """
 
     __slots__ = ("tree", "sorts", "sigs", "degrees", "shapes", "non_leaves",
-                 "canon", "sigma", "moved", "runs",
+                 "canon", "sigma", "moved", "runs", "ids",
                  "edges", "leaves", "cuts", "dverts", "words", "grafted")
 
 
@@ -183,24 +192,30 @@ class BarComplex:
         self.field = algebra.field
         self.name = name
         self._one = self.field.one.val  # raw; a Fraction over Q
-        self._d_memo: dict = {}  # key -> {key: raw}
-        self._h_memo: dict = {}  # key -> {key: raw}
-        self._normal_memo: dict = {}  # (t, labels, es, fs) -> (key, raw) or ()
+        self._keys: list[BarKey] = []  # key id -> (tree, labels)
+        self._recs: list[tuple] = []  # key id -> (plan, labels, word)
+        self._d_memo: dict = {}  # key id -> {key id: raw}
+        self._h_memo: dict = {}  # key id -> {key id: raw}
+        self._d_views: dict = {}  # key id -> {key: raw}, read by key
+        self._h_views: dict = {}  # key id -> {key: raw}, read by key
+        self._normal_memo: dict = {}  # (plan, labels, es, fs) -> (key id, raw) or ()
         self._orbit_memo: dict = {}  # (sig, gens, label) -> (name, raw) or ()
-        self._plans: dict[Tree, _Plan] = {}
+        self._plans: dict[tuple, _Plan] = {}  # (n, s, L, sorts) -> plan
         self._ids_memo: dict = {}  # sig -> {label name: label id}
         self._internal_d: dict = {}  # component -> {label: ((name, raw), ...)}
         self._basis_memo: dict[int, list[BarKey]] = {}
-        self._word_memo: dict[BarKey, SignWord] = {}
         self._plus_words: dict = {}  # (es, fs) -> SignWord(1, es, fs)
         self._strs = _Strs()
 
     # ----------------------------------------------------------- structure
 
     def _plan(self, t: Tree) -> _Plan:
-        p = self._plans.get(t)
+        """The plan of t, found by its value tuple: hashing that tuple
+        calls no Python-level hash."""
+        value = (t.n, t.s, t.L, t.sorts)
+        p = self._plans.get(value)
         if p is None:
-            p = self._plans[t] = self._build_plan(t)
+            p = self._plans[value] = self._build_plan(t)
         return p
 
     def _build_plan(self, t: Tree) -> _Plan:
@@ -220,7 +235,7 @@ class BarComplex:
             degrees.append(comp.degrees if comp is not None else {})
         p.sigs, p.degrees, p.shapes = tuple(sigs), tuple(degrees), tuple(shapes)
         p.non_leaves = tuple(t.non_leaves())
-        p.moved, p.runs = [], []
+        p.moved, p.runs, p.ids = [], [], {}
         p.edges = p.grafted = None
         t_c, p.sigma = trees.canonical_form(t)
         if t_c != t or p.sigma != tuple(range(1, n + 1)):
@@ -271,13 +286,22 @@ class BarComplex:
 
     def basis_word(self, t: Tree, labels: tuple) -> SignWord:
         """The sign word of a key, memoized per key."""
-        hit = self._word_memo.get((t, labels))
-        if hit is None:
-            p = self._plan(t)
-            fs = tuple(v for v, table, lab in zip(range(1, t.n + 1), p.degrees, labels)
-                       if table[lab] % 2)
-            hit = self._word_memo[(t, labels)] = self._plus_word(p.non_leaves, fs)
-        return hit
+        return self._recs[self._key_id((t, labels))][2]
+
+    def _key_id(self, key: BarKey) -> int:
+        return self._id_on(self._plan(key[0]), key[1])
+
+    def _id_on(self, p: _Plan, labels: tuple) -> int:
+        """The id of the key (p's tree, labels); a key seen first gets the
+        next id, kept with its word."""
+        kid = p.ids.get(labels)
+        if kid is None:
+            fs = tuple(v for v, table, lab in zip(range(1, p.tree.n + 1), p.degrees,
+                                                  labels) if table[lab] % 2)
+            kid = p.ids[labels] = len(self._keys)
+            self._keys.append((p.tree, labels))
+            self._recs.append((p, labels, self._plus_word(p.non_leaves, fs)))
+        return kid
 
     def _plus_word(self, es: tuple, fs: tuple) -> SignWord:
         """The word of sign +1 on es and fs, built once and shared: a word
@@ -296,19 +320,13 @@ class BarComplex:
         t, labels = key
         if len(labels) != t.n:
             raise BarError(f"label count {len(labels)} for a {t.n}-vertex tree")
-        for v in range(1, t.n + 1):
-            srt = self._sort_of(t, v)
-            if t.is_leaf(v):
-                carrier = self.algebra.carrier.get(srt)
-                if carrier is None or labels[v - 1] not in carrier.degrees:
-                    raise BarError(f"leaf {v} label {labels[v - 1]!r} unknown")
-            else:
-                sig = self._component_sig(t, v)
-                comp = self.operad.component(sig)
-                if comp is None or labels[v - 1] not in comp.degrees:
-                    raise BarError(
-                        f"vertex {v} label {labels[v - 1]!r} not in component {sig}"
-                    )
+        p = self._plan(t)
+        # a missing component or carrier sort has the empty degree table
+        for v, table, lab in zip(range(1, t.n + 1), p.degrees, labels):
+            if lab not in table:
+                raise BarError(f"leaf {v} label {lab!r} unknown" if v in t.L else
+                               f"vertex {v} label {lab!r} not in component "
+                               f"{p.sigs[v - 1]}")
         w = self.basis_word(t, labels)
         if set(w.es) != set(t.non_leaves()):
             raise BarError("e-support must cover exactly the non-leaf vertices")
@@ -343,27 +361,28 @@ class BarComplex:
         c = self.field.raw(coeff) if boxed else coeff
         if w.sign == 0 or not c:
             return {}
-        hit = self._normal_hit(t, labels, w.es, w.fs)
+        hit = self._normal_hit(self._plan(t), labels, w.es, w.fs)
         if not hit:
             return {}
-        key, c0 = hit
+        kid, c0 = hit
         c = c * c0 if w.sign == 1 else -(c * c0)
         if self.field.p:
             c %= self.field.p
-        return {key: Scalar(self.field, c) if boxed else c}
+        return {self._keys[kid]: Scalar(self.field, c) if boxed else c}
 
-    def _normal_hit(self, t: Tree, labels: tuple, es: tuple, fs: tuple):
-        """The memoized normal form of the sign +1 term (t, es, fs, labels)."""
-        memo_key = (t, labels, es, fs)
+    def _normal_hit(self, p: _Plan, labels: tuple, es: tuple, fs: tuple):
+        """The memoized normal form of the sign +1 term (es, fs, labels) on
+        p's tree, as (key id, raw coefficient) or ()."""
+        memo_key = (p, labels, es, fs)
         hit = self._normal_memo.get(memo_key)
         if hit is None:
             hit = self._normal_memo[memo_key] = self._normal_form(
-                t, labels, self._plus_word(es, fs))
+                p.tree, labels, self._plus_word(es, fs))
         return hit
 
     def _normal_form(self, t: Tree, labels: tuple, w: SignWord):
-        """(canonical key, raw coefficient) of the term (t, w, labels, 1),
-        or () when it is zero.
+        """(canonical key id, raw coefficient) of the term (t, w, labels,
+        1), or () when it is zero.
 
         Everything that depends on the tree alone is read off its plan.
         The labels move to the canonical tree by an index move, with the
@@ -417,12 +436,13 @@ class BarComplex:
             coeff = -coeff
         if self.field.p:
             coeff %= self.field.p
-        base = self.basis_word(p.tree, labels)
+        kid = self._id_on(p, labels)
+        base = self._recs[kid][2]
         if base.es != w.es or base.fs != w.fs:
             raise BarError(f"normalized word {w} disagrees with parities on {p.tree}")
         if not coeff:
             return ()
-        return (p.tree, labels), coeff
+        return kid, coeff
 
     def _carry(self, sigma, at, labels, w: SignWord, coeff):
         """Move (labels, w, raw coeff) along the vertex permutation sigma,
@@ -511,13 +531,10 @@ class BarComplex:
         labels = self.operad._labels
         return _by_str((labels[i][1], c) for i, c in raw.items())
 
-    def _d_plan(self, t: Tree) -> _Plan:
-        """The plan of t with its differential part: every edge and leaf
-        contraction is computed once per tree."""
-        p = self._plan(t)
-        if p.edges is not None:
-            return p
-        sigs, op = p.sigs, self.operad
+    def _d_plan(self, p: _Plan) -> None:
+        """Fill the differential part of p, once per tree: every edge and
+        leaf contraction is computed here."""
+        t, sigs, op = p.tree, p.sigs, self.operad
         edges, leaves, cuts, dverts = [], [], [], []
         for q in p.non_leaves:
             if q == t.n:
@@ -529,7 +546,7 @@ class BarComplex:
                           q - 1, self._label_ids(sigs[q - 1]),
                           tuple(units[:slot]), tuple(units[slot + 1:]),
                           _taker(k - 1 for k in wit.tau), wit.rho[q - 1] - 1,
-                          wit.result))
+                          self._plan(wit.result)))
             cuts.append((parent, wit.rho, wit.result))
         for j in p.non_leaves:
             kids = t.kids[j]
@@ -538,7 +555,7 @@ class BarComplex:
                 leaves.append((j - 1, self._label_ids(sigs[j - 1]),
                                _taker(c - 1 for c in kids),
                                _taker(k - 1 for k in wit.tau), j - len(kids) - 1,
-                               wit.result))
+                               self._plan(wit.result)))
                 cuts.append((j, wit.rho, wit.result))
         for v in range(1, t.n + 1):
             comp = (self.algebra.carrier[sigs[v - 1][1]] if v in t.L
@@ -548,7 +565,6 @@ class BarComplex:
                 dverts.append((v - 1, table))
         p.leaves, p.cuts, p.dverts, p.words = leaves, cuts, dverts, {}
         p.edges = edges
-        return p
 
     def _words(self, p: _Plan, w: SignWord) -> tuple:
         """The contracted words of a key with word w on p's tree, memoized
@@ -564,12 +580,12 @@ class BarComplex:
                                    [signs.left_mul_f(vi + 1, w) for vi, _ in p.dverts])
         return hit
 
-    def _place(self, out: dict, t: Tree, w: SignWord, labels, spot: int,
+    def _place(self, out: dict, p: _Plan, w: SignWord, labels, spot: int,
                items) -> None:
         """out += the normal form of each (name, raw coefficient) of items
-        put at vertex spot + 1 of (t, w, labels), times its coefficient,
-        in the order of items.  Entries that cancel are dropped, as
-        ``vec_iaxpy`` drops them."""
+        put at vertex spot + 1 of (p's tree, w, labels), times its
+        coefficient, in the order of items, keyed by key id.  Entries that
+        cancel are dropped, as ``vec_iaxpy`` drops them."""
         if w.sign == 0:
             return
         P, es, fs, neg = self.field.p, w.es, w.fs, w.sign == -1
@@ -577,7 +593,7 @@ class BarComplex:
         lab2 = list(labels)
         for nm, cf in items:
             lab2[spot] = nm
-            hit = normal(t, tuple(lab2), es, fs)
+            hit = normal(p, tuple(lab2), es, fs)
             if not hit:
                 continue
             key, c = hit
@@ -594,16 +610,31 @@ class BarComplex:
 
     def differential_key(self, key: BarKey) -> dict:
         """d of one basis key as {key: raw}, memoized per key; callers
-        only read it.  Its summands are read off the tree's plan: the
-        operad's table composes each contracted edge, the algebra's
-        table each contracted fully-leafed vertex, and each vertex's
-        unboxed internal d; then the normal-form memo places each term."""
-        hit = self._d_memo.get(key)
+        only read it."""
+        return self._view(self._d_views, self._d, key)
+
+    def _view(self, views: dict, op, key: BarKey) -> dict:
+        """op of key, over keys, memoized per key id in views."""
+        kid = self._key_id(key)
+        hit = views.get(kid)
+        if hit is None:
+            keys = self._keys
+            hit = views[kid] = {keys[i]: c for i, c in op(kid).items()}
+        return hit
+
+    def _d(self, kid: int) -> dict:
+        """d of one key id as {key id: raw}, memoized per id.  Its
+        summands are read off the tree's plan: the operad's table composes
+        each contracted edge, the algebra's table each contracted
+        fully-leafed vertex, and each vertex's unboxed internal d; then
+        the normal-form memo places each term."""
+        hit = self._d_memo.get(kid)
         if hit is not None:
             return hit
-        t, labels = key
-        p = self._d_plan(t)
-        edge_words, leaf_words, d_words = self._words(p, self.basis_word(t, labels))
+        p, labels, w = self._recs[kid]
+        if p.edges is None:
+            self._d_plan(p)
+        edge_words, leaf_words, d_words = self._words(p, w)
         op, theta, place = self.operad, self.algebra._theta_ids, self._place
         gamma, gamma_memo = op._gamma_ids, op._gamma_memo
         out: dict = {}
@@ -626,21 +657,25 @@ class BarComplex:
         for (vi, table), dw in zip(p.dverts, d_words):
             image = table.get(labels[vi])
             if image:
-                place(out, t, dw, labels, vi, image)
-        self._d_memo[key] = out
+                place(out, p, dw, labels, vi, image)
+        self._d_memo[kid] = out
         return out
 
-    def _boxed_sum(self, vec: BarVec, per_key) -> BarVec:
-        """sum of c * per_key(key) over the terms of vec, in key order:
+    def _boxed_sum(self, vec: BarVec, per_id) -> BarVec:
+        """sum of c * per_id(key id) over the terms of vec, in key order:
         unboxed once, summed raw and boxed once."""
-        F, raw = self.field, self.field.raw
-        out: dict = {}
+        F, out = self.field, {}
         for key, c in sorted(vec.items(), key=lambda kv: _key_order(kv[0])):
-            raw_iaxpy(out, raw(c), per_key(key), F.p)
-        return vec_box(out, F)
+            raw_iaxpy(out, F.raw(c), per_id(self._key_id(key)), F.p)
+        return self._boxed(out)
+
+    def _boxed(self, raw: dict) -> BarVec:
+        """A vector over key ids as Scalars over keys, for the public edge."""
+        F, keys = self.field, self._keys
+        return {keys[i]: Scalar(F, c) for i, c in raw.items()}
 
     def differential(self, vec: BarVec) -> BarVec:
-        return self._boxed_sum(vec, self.differential_key)
+        return self._boxed_sum(vec, self._d)
 
     def differential_quotient(self, vec: BarVec) -> BarVec:
         """The differential with bare-carrier terms killed."""
@@ -649,44 +684,53 @@ class BarComplex:
 
     def homotopy_key(self, key: BarKey) -> dict:
         """h of one basis key as {key: raw}, memoized per key; callers
-        only read it.  The grafted tree is built once per tree."""
-        hit = self._h_memo.get(key)
+        only read it."""
+        return self._view(self._h_views, self._h, key)
+
+    def _h(self, kid: int) -> dict:
+        """h of one key id as {key id: raw}, memoized per id: the unit-
+        labeled root grafted on, through the grafted tree's plan."""
+        hit = self._h_memo.get(kid)
         if hit is None:
-            t, labels = key
-            p = self._plan(t)
+            p, labels, w = self._recs[kid]
             if p.grafted is None:
-                p.grafted = graft(t), self.operad.unit_names[p.sorts[t.n - 1]]
-            t2, unit = p.grafted
-            w = self.basis_word(t, labels)
-            # e of the new root, put in front, passes each e of w
-            sign = -self._one if len(w.es) % 2 else self._one
-            hit = self._h_memo[key] = self.normalize_term(
-                t2, self._plus_word(w.es + (t2.n,), w.fs), labels + (unit,), sign)
+                p.grafted = (self._plan(graft(p.tree)),
+                             self.operad.unit_names[p.sorts[p.tree.n - 1]])
+            gp, unit = p.grafted
+            term = self._normal_hit(gp, labels + (unit,), w.es + (gp.tree.n,), w.fs)
+            hit = self._h_memo[kid] = {}
+            if term:
+                kid2, c = term
+                # e of the new root, put in front, passes each e of w
+                P = self.field.p
+                hit[kid2] = (-c % P if P else -c) if len(w.es) % 2 else c
         return hit
 
     def homotopy(self, vec: BarVec) -> BarVec:
-        return self._boxed_sum(vec, self.homotopy_key)
+        return self._boxed_sum(vec, self._h)
 
     def certificate_faults(self, keys) -> tuple:
-        """d.d and dh + hd - 1 on every key, summed on raw values.  Returns
-        (first key whose d.d is not zero, first key whose dh + hd - 1 is
-        not), each as (key, boxed value), or None where every key passes."""
+        """d.d and dh + hd - 1 on every key, summed on raw values over key
+        ids.  Returns (first key whose d.d is not zero, first key whose
+        dh + hd - 1 is not), each as (key, boxed value), or None where
+        every key passes."""
         P, one = self.field.p, self._one
-        d, h = self.differential_key, self.homotopy_key
+        d, h = self._d, self._h
         dd_fault = unit_fault = None
         for key in keys:
+            kid = self._key_id(key)
             dd: dict = {}
             unit: dict = {}
-            for k2, c in d(key).items():
+            for k2, c in d(kid).items():
                 raw_iaxpy(dd, c, d(k2), P)
                 raw_iaxpy(unit, c, h(k2), P)
-            for k2, c in h(key).items():
+            for k2, c in h(kid).items():
                 raw_iaxpy(unit, c, d(k2), P)
-            raw_iaxpy(unit, -one, {key: one}, P)
+            raw_iaxpy(unit, -one, {kid: one}, P)
             if dd and dd_fault is None:
-                dd_fault = key, vec_box(dd, self.field)
+                dd_fault = key, self._boxed(dd)
             if unit and unit_fault is None:
-                unit_fault = key, vec_box(unit, self.field)
+                unit_fault = key, self._boxed(unit)
         return dd_fault, unit_fault
 
     # ------------------------------------------------------------- basis
@@ -738,13 +782,15 @@ class BarComplex:
         keys = []
         for n in range(1, n_max + 1):
             for t in filter(labelable, enumerate_trees(n, True, sorts)):
-                for labels, _, tied in self._sorted_labelings(self._plan(t), t.n):
+                p = self._plan(t)
+                for labels, _, tied in self._sorted_labelings(p, t.n):
+                    kid = self._id_on(p, labels)
                     if tied:
-                        w = self.basis_word(t, labels)
-                        hit = self._normal_hit(t, labels, w.es, w.fs)
-                        if not hit or hit[0] != (t, labels):
+                        w = self._recs[kid][2]
+                        hit = self._normal_hit(p, labels, w.es, w.fs)
+                        if not hit or hit[0] != kid:
                             continue
-                    keys.append((t, labels))
+                    keys.append(self._keys[kid])
         return sorted(keys, key=_key_order)
 
     def _sorted_labelings(self, p: _Plan, v: int) -> list:
@@ -812,16 +858,12 @@ class BarComplex:
             )
             if not _is_bare(k)
         ]
-        keep = set(keys)
-        degs = {k: self.degree_of(*k) - 1 for k in keys}
-        F = self.field
-        d_cols = {}
-        for k in keys:
-            col = {k2: Scalar(F, c) for k2, c in self.differential_key(k).items()
-                   if k2 in keep}
-            if col:
-                d_cols[k] = col
-        return ChainComplex(self.field, degs, d_cols)
+        ids = {self._key_id(k): k for k in keys}
+        named = self._keys
+        return ChainComplex.from_raw(
+            self.field, {k: self.degree_of(*k) - 1 for k in keys},
+            {k: {named[i]: c for i, c in self._d(kid).items() if i in ids}
+             for kid, k in ids.items()})
 
     # ------------------------------------------------------------- mu
 
@@ -832,16 +874,8 @@ class BarComplex:
         makes the evaluation a chain map against the prefix f-convention
         of the internal differential.
         """
-        t, labels = key
-        if _is_bare(key):
-            raise BarError("mu lives on the quotient; bare term given")
-        if len(t.non_leaves()) != 1:
-            return {}
-        out = self.algebra.theta_basis(self._component_sig(t, t.n), labels[t.n - 1],
-                                       tuple(labels[c - 1] for c in t.kids[t.n]))
-        if (self.degree_of(t, labels) - 1) % 2:
-            out = {nm: -c for nm, c in out.items()}
-        return out
+        F = self.field
+        return {nm: Scalar(F, c) for (_, nm), c in self._mu_raw(key).items()}
 
     def mu(self, vec: BarVec) -> dict[str, Vec]:
         """Evaluate a quotient element; one component per carrier sort."""
@@ -859,16 +893,22 @@ class BarComplex:
         covers every root sort at once; constructing it re-certifies the
         chain-map law column by column.
         """
-        target = direct_sum(dict(self.algebra.carrier))
-        entries = {}
-        for key in quotient.basis():
-            vec = {}
-            for srt, comp in self.mu({key: self.field.one}).items():
-                for nm, c in comp.items():
-                    vec[(srt, nm)] = c
-            if vec:
-                entries[key] = vec
-        return ChainMap(quotient, target, entries)
+        return ChainMap.from_raw(quotient, direct_sum(dict(self.algebra.carrier)),
+                                 {key: self._mu_raw(key) for key in quotient.degrees})
+
+    def _mu_raw(self, key: BarKey) -> dict:
+        """``mu_key`` on raw values, over (root sort, carrier name)."""
+        t, labels = key
+        if _is_bare(key):
+            raise BarError("mu lives on the quotient; bare term given")
+        p = self._plan(t)
+        if len(p.non_leaves) != 1:
+            return {}
+        c_id = self.operad._label_id(p.sigs[t.n - 1], labels[t.n - 1])
+        out = self.algebra._theta_ids(c_id, tuple(labels[c - 1] for c in t.kids[t.n]))
+        srt, P = p.sorts[t.n - 1], self.field.p
+        odd = (self.degree_of(t, labels) - 1) % 2
+        return {(srt, nm): (-c % P if P else -c) if odd else c for nm, c in out.items()}
 
     # ------------------------------------------------------------- action
 
@@ -929,5 +969,5 @@ class BarComplex:
             for v in range(1, t.n):
                 lab2[mapping[v] - 1] = labels[v - 1]
         out: dict = {}
-        self._place(out, t_new, w_acc, lab2, n_new - 1, self._named(merged))
-        return vec_box(out, self.field)
+        self._place(out, self._plan(t_new), w_acc, lab2, n_new - 1, self._named(merged))
+        return self._boxed(out)

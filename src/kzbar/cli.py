@@ -22,7 +22,9 @@ escaped, which is a fault in kzbar and not a verdict on the manifest
 either.  Exits 2 and 3 print one ``manifest: message`` line to stderr
 and no traceback; for an exception outside kzbar's own errors the
 message is ``internal error in SUITE: ExcType: message``.  A window whose bar differential
-composes past the operad cap is one of these.  ``dstruct`` and
+composes past the operad cap is one of these.  A report that ``--out``
+cannot write (a missing directory, no permission) exits 2 with one
+``PATH: cannot write report: message`` line.  ``dstruct`` and
 ``roundtrip`` read the manifest's D-structures, each built on first
 read, so one that cannot be built exits 2; ``bar`` and ``homology``
 read only the bar complex and stop with the cap in the message (exit
@@ -591,7 +593,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"elapsed: {elapsed} ms", file=sys.stderr)
     out = to_json(rep) if args.format == "json" else to_text(rep)
     if args.out:
-        Path(args.out).write_text(out)
+        try:
+            Path(args.out).write_text(out)
+        except OSError as e:
+            print(f"{args.out}: cannot write report: {e.strerror or e}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(out)
     return 0 if rep.ok else 1

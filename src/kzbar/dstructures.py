@@ -32,7 +32,7 @@ from kzbar import KzbarError, signs
 from kzbar.algebras import Algebra, FreeAlgebra, monad_theta
 from kzbar.bar import BarComplex, _is_bare
 from kzbar.complexes import ChainComplex, ChainMap, QuasiIsoVerdict
-from kzbar.linalg import Vec, vec_acc, vec_box, vec_iaxpy
+from kzbar.linalg import Vec, vec_acc, vec_box, vec_iaxpy, vec_unbox
 from kzbar.operads import Operad
 from kzbar.trees import assemble, root_blocks, subtree_at
 
@@ -214,12 +214,13 @@ def build_delta_differential(ds: DStructure, n_max: int) -> DeltaWindow:
                 col = _window_column(ds, n_max, srt, (n, rep))
                 if col:
                     cols[(n, rep)] = col
-        carrier[srt] = ChainComplex(ds.field, degs, cols)
+        carrier[srt] = ChainComplex.from_raw(ds.field, degs, cols)
     return DeltaWindow(ds, n_max, carrier, _stable_for(ds, n_max, carrier))
 
 
-def _window_column(ds: DStructure, n_max: int, srt: str, name) -> Vec:
-    """The induced differential of the window word name = (arity, rep)."""
+def _window_column(ds: DStructure, n_max: int, srt: str, name) -> dict:
+    """The induced differential of the window word name = (arity, rep),
+    as raw values."""
     raw = ds.delta_terms(name[1])
     # projection keeps the arity, so raw terms decide overflow and
     # the big out-of-window parts are never enumerated
@@ -229,14 +230,13 @@ def _window_column(ds: DStructure, n_max: int, srt: str, name) -> Vec:
             f"window arity {n_max} too small: the differential "
             f"of {name!r} (sort {srt!r}) reaches arity {over[0]}"
         )
-    col: Vec = {}
+    col: dict = {}
     for tgt_srt, vec in ds.project(raw).items():
         if tgt_srt != srt:
             raise DStructureError(
                 f"differential of {name!r} changed sort to {tgt_srt!r}"
             )
-        for (n2, rep2), c in vec.items():
-            vec_acc(col, (n2, rep2), c)
+        col = vec_unbox(vec, ds.field)
     return col
 
 
@@ -346,12 +346,8 @@ def bar_dstructure(algebra: Algebra, n_max: int,
     carrier = {}
     for srt, group in sorted(by_sort.items()):
         degs = {k: B.degree_of(*k) for k in group}
-        cols = {}
-        for k in group:
-            col = B.differential_key(k)
-            if col:
-                cols[k] = vec_box(col, B.field)
-        carrier[srt] = ChainComplex(B.field, degs, cols)
+        cols = {k: B.differential_key(k) for k in group}
+        carrier[srt] = ChainComplex.from_raw(B.field, degs, cols)
     delta = {}
     for key in keys:
         if _is_bare(key):
@@ -605,10 +601,10 @@ def roundtrip_algebra(algebra: Algebra, n_max: int) -> RoundtripAlgebraReport:
         for (sig2, xw2, c2), c in raw.items():
             vec_iaxpy(pushed, c, join_word(B, xw2, sig2, c2))
         pushed = {k: sgn.inv() * c for k, c in pushed.items()}
-        want = quotient.d.get(key, {})
-        if pushed != want and first is None:
+        want = quotient.raw_d.get(key, {})
+        if vec_unbox(pushed, B.field) != want and first is None:
             matrices_equal = False
-            first = (key, pushed, want)
+            first = (key, pushed, vec_box(want, B.field))
 
     stable = B.stable_degrees(n_max)
     verdicts = B.mu_chain_map(quotient).is_quasi_iso(stable)

@@ -1,18 +1,26 @@
-"""Exact sparse Gaussian elimination over any FieldSpec.
+"""Exact sparse linear algebra over any FieldSpec.
 
-Vectors are dicts mapping basis names (arbitrary hashable, deterministically
-sortable via str) to nonzero coefficients. Never store a zero coefficient.
-At the public edge a coefficient is a ``Scalar``; inside, it is a raw
-value, a residue mod p or a Fraction, as the structure-constant tables,
-the bar memos and the elimination hold it.  Sums accumulate in place
-through ``vec_iaxpy`` and ``vec_acc`` on Scalars and through
+Vectors are dicts mapping basis names (arbitrary hashable) to nonzero
+coefficients. Never store a zero coefficient.  At the public edge a
+coefficient is a ``Scalar``; inside, it is a raw value, a residue mod p
+or a Fraction, as the structure-constant tables, the bar memos, the
+chain-complex columns and the elimination hold it.  Sums accumulate in
+place through ``vec_iaxpy`` and ``vec_acc`` on Scalars and through
 ``raw_iaxpy`` on raw values, always into a dict the accumulating
 function created: memoized vectors are handed out uncopied and must only
 be read.
+
+A rank is a forward elimination (``rank_raw``) that reads rows and
+columns in any order and keeps no reduced form: over F2 a row is an int
+bitset, over F_p a dict of residues, over Q a fraction-free dict of
+integers.  Only where pivots are read, in the representatives of a
+quotient and the cycles of ``kernel_of_map``, does ``echelon`` run
+Gauss-Jordan with its columns in str order.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Hashable, Iterable, NamedTuple
 
 from kzbar.fields import FieldSpec, Scalar
@@ -125,13 +133,19 @@ class Echelon(NamedTuple):
 
 
 def echelon(vectors: Iterable[Vec], field: FieldSpec) -> Echelon:
-    """Gauss-Jordan elimination, columns in str order, sparsest-row pivoting
-    with ties broken by input order.  The vectors are unboxed once, each
-    coefficient's field checked, and eliminated on raw values.  An index
-    from each column to the rows that hold it, pivot rows included, names
-    the rows to reduce, so no column scans every row."""
+    """``echelon_raw`` of the vectors, each unboxed once with its
+    coefficients' field checked."""
+    return echelon_raw([vec_unbox(v, field) for v in vectors if v], field)
+
+
+def echelon_raw(rows: list[dict], field: FieldSpec) -> Echelon:
+    """Gauss-Jordan elimination of raw rows, columns in str order,
+    sparsest-row pivoting with ties broken by input order.  The rows are
+    reduced in place, so pass rows that no one else reads.  An index from
+    each column to the rows that hold it, pivot rows included, names the
+    rows to reduce, so no column scans every row."""
     p = field.p
-    rows = [vec_unbox(v, field) for v in vectors if v]
+    rows = [v for v in rows if v]
     where: dict = {}
     for i, v in enumerate(rows):
         for col in v:
@@ -167,7 +181,86 @@ def echelon(vectors: Iterable[Vec], field: FieldSpec) -> Echelon:
 
 
 def rank(vectors: Iterable[Vec], field: FieldSpec) -> int:
-    return echelon(vectors, field).rank
+    return rank_raw((vec_unbox(v, field) for v in vectors), field)
+
+
+def rank_raw(rows: Iterable[dict], field: FieldSpec) -> int:
+    """The rank of raw rows by forward elimination, in any order of the
+    rows and of their columns; the rows are only read.
+
+    Columns are numbered as first seen.  A kept row is keyed by its
+    lowest column, and each new row is reduced against the kept row of
+    its lowest column until it is zero or starts a column of its own.
+    Over F2 a row is an int bitset and a reduction one xor (M4RI-style
+    rows, without the table); over F_p a kept row is scaled to lead 1;
+    over Q a row is cleared to primitive integers and reduced
+    fraction-free (Bareiss-style, divided by its content at each step).
+    """
+    index: dict = {}
+    p = field.p
+    kept: dict = {}
+    if p == 2:
+        for v in rows:
+            row = 0
+            for k, c in v.items():
+                if c:
+                    i = index.get(k)
+                    if i is None:
+                        i = index[k] = len(index)
+                    row |= 1 << i
+            while row:
+                low = row & -row
+                other = kept.get(low)
+                if other is None:
+                    kept[low] = row
+                    break
+                row ^= other
+        return len(kept)
+    for v in rows:
+        row = {}
+        for k, c in v.items():
+            if c:
+                i = index.get(k)
+                if i is None:
+                    i = index[k] = len(index)
+                row[i] = c
+        if not row:
+            continue
+        if not p:
+            nds = [(i, c.numerator, c.denominator) for i, c in row.items()]
+            scale = lcm(*(d for _, _, d in nds))
+            row = {i: n * (scale // d) for i, n, d in nds}
+        while row:
+            lead = min(row)
+            other = kept.get(lead)
+            if other is None:
+                if p:
+                    inv = pow(row[lead], -1, p)
+                    row = {i: c * inv % p for i, c in row.items()}
+                kept[lead] = row
+                break
+            c = row[lead]
+            if p:
+                for i, x in other.items():
+                    y = (row.get(i, 0) - c * x) % p
+                    if y:
+                        row[i] = y
+                    else:
+                        del row[i]
+            else:
+                a = other[lead]
+                if a != 1:
+                    row = {i: a * x for i, x in row.items()}
+                for i, x in other.items():
+                    y = row.get(i, 0) - c * x
+                    if y:
+                        row[i] = y
+                    else:
+                        del row[i]
+                g = gcd(*row.values()) if row else 1
+                if g != 1:
+                    row = {i: x // g for i, x in row.items()}
+    return len(kept)
 
 
 def kernel_of_map(columns: dict[Hashable, Vec], field: FieldSpec) -> list[Vec]:
@@ -176,20 +269,27 @@ def kernel_of_map(columns: dict[Hashable, Vec], field: FieldSpec) -> list[Vec]:
     Returned vectors are supported on the column names; one per free
     variable, in str order.
     """
-    rows_by_target: dict[Hashable, Vec] = {}
+    return [vec_box(z, field) for z in kernel_raw(
+        {c: vec_unbox(v, field) for c, v in columns.items()}, field)]
+
+
+def kernel_raw(columns: dict[Hashable, dict], field: FieldSpec) -> list[dict]:
+    """``kernel_of_map`` on raw columns, returning raw vectors."""
+    rows_by_target: dict[Hashable, dict] = {}
     for cname, v in columns.items():
         for r, s in v.items():
             rows_by_target.setdefault(r, {})[cname] = s
-    E = echelon(rows_by_target.values(), field)
+    E = echelon_raw(list(rows_by_target.values()), field)
     pivot_set = set(E.pivots)
-    out: list[Vec] = []
+    one, P = field.one.val, field.p
+    out: list[dict] = []
     for f in sorted(columns.keys(), key=str):
         if f in pivot_set:
             continue
-        vec: Vec = {f: field.one}
+        vec = {f: one}
         for p, row in zip(E.pivots, E.raw_rows):
             c = row.get(f)
             if c is not None:
-                vec[p] = Scalar(field, -c % field.p if field.p else -c)
+                vec[p] = -c % P if P else -c
         out.append(vec)
     return out

@@ -197,7 +197,7 @@ class Operad:
             comp = self.components.get(usig)
             if comp is None or uname not in comp.degrees:
                 raise OperadError(f"unit of sort {srt!r} missing from {usig}")
-            if comp.degrees[uname] != 0 or comp.d.get(uname):
+            if comp.degrees[uname] != 0 or comp.raw_d.get(uname):
                 raise OperadError(f"unit of sort {srt!r} is not a degree-0 cycle")
 
     # -------------------------------------------------------------- access
@@ -489,7 +489,8 @@ def _raw_tables(op: Operad):
     @cache
     def d(i: int) -> dict:
         sig, name = labels[i]
-        return op._unbox(sig, op.components[sig].d.get(name, {}))
+        return {op._label_id(sig, nm): c
+                for nm, c in op.components[sig].raw_d.get(name, {}).items()}
 
     return swap, d
 

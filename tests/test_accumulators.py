@@ -139,8 +139,9 @@ def test_build_and_the_bar_suites_share_one_bar_complex():
     B = alg.bar
     assert B is alg.bar and built.dstructures["bardual"].operad is alg.operad
     # reading the bar D-structure filled the differential memo for the
-    # whole n_max basis, so the suites miss only on keys outside it
-    basis = set(B.enumerate_basis(m.window.n_max))
+    # whole n_max basis, so the suites miss only on keys outside it; the
+    # memo is keyed by key ids
+    basis = {B._key_id(k) for k in B.enumerate_basis(m.window.n_max)}
     assert basis <= set(B._d_memo)
     for suite, run_suite in (("bar", _run_bar), ("homology", _run_homology)):
         before = {k: _snap(v) for k, v in B._d_memo.items()}
@@ -157,7 +158,8 @@ def test_dstruct_and_roundtrip_share_the_algebras_bar_complex():
     built = build(m)
     B = built.algebras["dual"].bar
     built.dstructures["bardual"]  # read first, as _run_dstruct does
-    basis = set(B.enumerate_basis(m.window.n_max))
+    keys = B.enumerate_basis(m.window.n_max)
+    basis = {B._key_id(k) for k in keys}
     assert basis <= set(B._d_memo)
     for suite, run_suite in (("dstruct", _run_dstruct),
                              ("roundtrip", _run_roundtrip)):
@@ -170,7 +172,8 @@ def test_dstruct_and_roundtrip_share_the_algebras_bar_complex():
         assert _memo_unchanged(B, before), suite
     # roundtrip_algebra read the n_max quotient differential off this
     # instance (its own D-structure stops one vertex short)
-    assert {k for k in basis if k[0].n == m.window.n_max} & set(B._d_memo.asked)
+    assert {B._key_id(k) for k in keys if k[0].n == m.window.n_max} & set(
+        B._d_memo.asked)
 
 
 def test_dstruct_and_roundtrip_build_no_part_complex():

@@ -81,9 +81,9 @@ def test_memoized_results_equal_a_fresh_bar_complex(name, monkeypatch):
     raw = {}
     normal_hit = B._normal_hit
 
-    def recording(t, labels, es, fs):
-        raw[(t, SignWord(1, es, fs), labels)] = None
-        return normal_hit(t, labels, es, fs)
+    def recording(plan, labels, es, fs):
+        raw[(plan.tree, SignWord(1, es, fs), labels)] = None
+        return normal_hit(plan, labels, es, fs)
 
     monkeypatch.setattr(B, "_normal_hit", recording)
     keys = B.enumerate_basis(5)

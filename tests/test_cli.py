@@ -204,10 +204,12 @@ def test_benchmark_trace_installs_and_keeps_the_report(capsys, monkeypatch,
             if suite == "bar":
                 stats = tracer.summary()["stats"]
                 assert stats["trees.canonical_form"]["calls"] > 0
-                assert stats["bar.BarComplex.normalize_term"]["calls"] > 0
+                assert stats["bar.BarComplex.bar_quotient"]["calls"] > 0
     stats = tracer.summary()["stats"]
     assert stats["cli.run"]["calls"] == 2
+    # the D-structure layer reads the bar through its public methods
     assert stats["bar.BarComplex.differential_key"]["calls"] > 0
+    assert stats["bar.BarComplex.normalize_term"]["calls"] > 0
     assert stats["operads.Operad.gamma_basis"]["calls"] > 0
     part = stats["algebras.FreeAlgebra.part"]
     assert part["calls"] > 0
@@ -277,10 +279,11 @@ def test_a_quotient_window_whose_square_is_not_zero_fails_the_check(
         q = B.bar_quotient(w.n_max, w.deg_lo, w.deg_hi)
         low = next(k for k in q.basis() if q.d.get(k))
         top = next(k for k in q.basis() if q.degrees[k] == q.degrees[low] + 1)
-        col = dict(B.differential_key(top))
-        one = B.field.one.val  # the memo holds raw values
-        raw_iaxpy(col, one, {low: one}, B.field.p)
-        B._d_memo[top] = col
+        # the memo holds raw values keyed by key ids
+        col = dict(B._d(B._key_id(top)))
+        one = B.field.one.val
+        raw_iaxpy(col, one, {B._key_id(low): one}, B.field.p)
+        B._d_memo[B._key_id(top)] = col
         return built
 
     monkeypatch.setattr(cli, "build", corrupted_build)
@@ -445,6 +448,16 @@ def test_out_writes_the_report_file(capsys, tmp_path, unit_path):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert json.loads(target.read_text())["ok"] is True
+
+
+def test_out_to_a_missing_directory_exits_two_without_a_traceback(capsys, tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    code = main(["validate", "uass_dual_numbers", "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and not target.exists()
+    lines = [ln for ln in err.splitlines() if not ln.startswith("elapsed:")]
+    assert lines == [f"{target}: cannot write report: No such file or directory"]
 
 
 def test_missing_manifest_exits_two(capsys):

@@ -6,7 +6,9 @@ compose basis labels through the structure-constant tables.
 itself through ``gamma_j`` and ``koszul_sign``.  The suspended dual
 numbers have odd labels, so they are where a wrong sign would show.
 The bar differential and homotopy read the tables' raw values and build
-no Scalar at all.
+no Scalar at all; the window complex they feed holds raw columns, so a
+quotient and its homology build none either, and the bar's memos run on
+key ids, so its certificates hash no tree once the trees are planned.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from kzbar.catalog import augmentation_module_pair, dual_numbers_algebra, module
 from kzbar.dstructures import bar_dstructure
 from kzbar.fields import GF, QQ, Scalar
 from kzbar.operads import Operad, single_sig
+from kzbar.trees import Tree
 from suspension import suspended_dual_numbers
 
 BAR_SOURCES = {
@@ -100,3 +103,67 @@ def test_the_bar_kernel_builds_no_scalar(source, monkeypatch):
     # the wrappers do count: the boxed edge builds Scalars
     B.differential({next(k for k in keys if B.differential_key(k)): alg.field.one})
     assert counts["Scalar"] > 0
+
+
+def _counting(monkeypatch, counts: Counter, name: str, owner, attr: str,
+              paused=None) -> None:
+    """Count calls of owner.attr under name, except while paused[0]."""
+    fn = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        if not (paused and paused[0]):
+            counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, wrapper)
+
+
+@pytest.mark.parametrize("source", sorted(BAR_SOURCES))
+def test_the_window_complex_builds_no_scalar_and_sorts_no_key(source, monkeypatch):
+    """On a warm bar complex, a quotient window and its whole homology
+    table build no Scalar and never print a tree, which a str sort of
+    bar keys would."""
+    B = BarComplex(BAR_SOURCES[source]())
+    B.bar_quotient(4)  # fills the memos
+    counts = Counter()
+    _counting(monkeypatch, counts, "Scalar", Scalar, "__init__")
+    _counting(monkeypatch, counts, "Tree.__repr__", Tree, "__repr__")
+    quotient = B.bar_quotient(4)
+    table = quotient.homology()
+    assert counts == {}
+    assert any(h.boundary_rank for h in table.values())
+    # the wrappers do count: the boxed view and the sorted basis
+    quotient.d
+    quotient.basis()
+    assert counts["Scalar"] > 0 and counts["Tree.__repr__"] > 0
+
+
+@pytest.mark.parametrize("source", sorted(BAR_SOURCES))
+def test_cold_certificates_hash_no_tree(source, monkeypatch):
+    """On a bar complex whose basis is built and whose d and h memos are
+    empty, the d.d and dh + hd - 1 certificates of every key call no
+    Tree.__hash__ outside planning a tree, which happens once per tree
+    and asks the process-wide canonical_form memo."""
+    B = BarComplex(BAR_SOURCES[source]())
+    keys = B.enumerate_basis(4)
+    assert not B._d_memo and not B._h_memo
+    counts = Counter()
+    planning = [0]
+    build_plan = BarComplex._build_plan
+
+    def planned(self, t):
+        planning[0] += 1
+        try:
+            return build_plan(self, t)
+        finally:
+            planning[0] -= 1
+
+    monkeypatch.setattr(BarComplex, "_build_plan", planned)
+    _counting(monkeypatch, counts, "Tree.__hash__", Tree, "__hash__", planning)
+    _counting(monkeypatch, counts, "plans", BarComplex, "_build_plan")
+    assert B.certificate_faults(keys) == (None, None)
+    assert counts["Tree.__hash__"] == 0
+    assert counts["plans"] > 0  # trees were planned on the way
+    # the wrapper does count: a key as a dict key hashes its tree
+    {keys[0]: 1}
+    assert counts["Tree.__hash__"] == 1

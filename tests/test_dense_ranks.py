@@ -1,9 +1,11 @@
 """The ranks of the golden quotient windows against dense elimination.
 
-``ChainComplex.d_rank`` eliminates sparse dict rows with ``linalg.echelon``.
-Here every differential of a golden window is written out as a dense
-matrix and ranked independently: over F_p by numpy int64 elimination
-mod p, over Q exactly by sympy's ``DomainMatrix``.  Both libraries are
+``ChainComplex.d_rank`` eliminates the raw columns of one degree forward
+with ``linalg.rank_raw``.  Here every differential of a golden window is
+written out as a dense matrix and ranked independently: over F_p by
+numpy int64 elimination mod p, over Q exactly by sympy's
+``DomainMatrix``.  ``rank_raw`` must also give that rank on the columns
+in reverse order and on the rows of the transpose.  Both libraries are
 test-only; the runtime stays pure standard library.
 """
 
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from kzbar.linalg import rank_raw
 from kzbar.manifest import build, parse_manifest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -76,5 +79,12 @@ def test_window_ranks_match_dense_elimination(name, algebra):
         else:
             want = _rank_over_q(entries)
         assert quotient.d_rank(k) == want, k
+        columns = [quotient.raw_d[c] for c in cols if c in quotient.raw_d]
+        assert rank_raw(columns[::-1], alg.field) == want, k
+        transpose: dict = {}
+        for j, col in enumerate(columns):
+            for r, x in col.items():
+                transpose.setdefault(r, {})[j] = x
+        assert rank_raw(transpose.values(), alg.field) == want, k
         nonzero += want > 0
     assert nonzero  # the window has a differential to rank

@@ -23,6 +23,9 @@ are trusted:
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,6 +65,23 @@ def test_report_matches_golden_bytes(name, suite, tmp_path, monkeypatch, capsys)
         return
     pins = json.loads(PINS.read_text())
     assert hashlib.sha256(golden).hexdigest() == pins[workload]["reports"][suite]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "random"])
+@pytest.mark.parametrize("name,suite", [
+    ("bar_w5", "bar"), ("bar_w5", "homology"), ("pair_q_w3", "dstruct")])
+def test_reports_do_not_depend_on_string_hashing(name, suite, hash_seed):
+    """Key ids, rank columns and memo orders follow first sight, not
+    hashes: a fresh interpreter under any PYTHONHASHSEED writes the
+    golden bytes."""
+    env = {k: v for k, v in os.environ.items() if k != "KZ_SEED"}
+    env.update(PYTHONHASHSEED=hash_seed, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(GOLDEN.parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "kzbar.cli", suite, MANIFESTS[name][0]],
+        env=env, capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / f"{name}.{suite}.json").read_bytes()
 
 
 def test_every_golden_file_is_checked():

@@ -202,18 +202,20 @@ def test_random_chain_maps_match_the_oracle(C, s):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Calls to ``linalg.echelon``, also through a reference that
-    ``complexes`` may hold of its own."""
+    """Calls to the two elimination entry points, ``linalg.rank_raw`` for a
+    rank and ``linalg.echelon_raw`` for a kernel, also through references
+    that ``complexes`` holds of its own."""
     calls = []
-    orig = linalg.echelon
+    for name in ("rank_raw", "echelon_raw"):
+        orig = getattr(linalg, name)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return orig(*args, **kwargs)
+        def counted(*args, _orig=orig, **kwargs):
+            calls.append(1)
+            return _orig(*args, **kwargs)
 
-    for mod in (linalg, complexes):
-        if hasattr(mod, "echelon"):
-            monkeypatch.setattr(mod, "echelon", counted)
+        for mod in (linalg, complexes):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
     return calls
 
 
