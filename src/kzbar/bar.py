@@ -32,6 +32,11 @@ in first-seen order, and per id the key, its plan and its word.  Plans
 are found by the tree's value tuple, and a differential plan points
 straight at the plans of its contracted and grafted trees, so the d, h
 and normal-form memos, and every sum that fills them, hash no tree.
+The basis is generated from the labelings whose runs of equal-shape
+siblings are nondecreasing, and one with equal labeled siblings is kept
+when each such vertex's label is the least of its orbit, so the key
+table holds the basis and what d, h and the normal form reach: a
+rejected labeling gets no id and no normal form.
 The public methods take and return (tree, labels) keys; the quotient and
 the evaluation map hand their columns raw to ``ChainComplex.from_raw``
 and ``ChainMap.from_raw``.  Scalars are built only at the public edge:
@@ -57,18 +62,15 @@ from kzbar.algebras import Algebra
 from kzbar.complexes import ChainComplex, ChainMap, direct_sum
 from kzbar.fields import Scalar
 from kzbar.linalg import Vec, raw_iaxpy, vec_iaxpy
-from kzbar.operads import CapExceeded, OperadElement
 from kzbar.signs import SignWord, block_swap_sign, inversion_parity
 from kzbar.trees import (
     Tree,
-    assemble,
     child_index,
     edge_contract,
     encode,
     enumerate_trees,
     graft,
     leaf_contract,
-    successors,
 )
 
 
@@ -90,12 +92,15 @@ def _tree_order(t: Tree) -> tuple:
     return (t.n, str(encode(t)), str(t.s), str(sorted(t.L)))
 
 
-@cache
-def _key_order(key: BarKey):
-    """The sort key of bar keys, memoized per key value like ``encode``;
-    its tree part is memoized per tree."""
+def _key_sort(key: BarKey):
+    """The sort key of bar keys; its tree part is memoized per tree."""
     t, labels = key
     return _tree_order(t) + (str(labels),)
+
+
+# memoized per key value like ``encode``, for the public sums; the basis
+# sort reads each key's order once, so it calls _key_sort
+_key_order = cache(_key_sort)
 
 
 class BarTerm(NamedTuple):
@@ -296,12 +301,17 @@ class BarComplex:
         next id, kept with its word."""
         kid = p.ids.get(labels)
         if kid is None:
-            fs = tuple(v for v, table, lab in zip(range(1, p.tree.n + 1), p.degrees,
-                                                  labels) if table[lab] % 2)
             kid = p.ids[labels] = len(self._keys)
             self._keys.append((p.tree, labels))
-            self._recs.append((p, labels, self._plus_word(p.non_leaves, fs)))
+            self._recs.append((p, labels, self._word_on(p, labels)))
         return kid
+
+    def _word_on(self, p: _Plan, labels: tuple) -> SignWord:
+        """The word of the key (p's tree, labels): e at each non-leaf, f at
+        each vertex of odd label degree."""
+        fs = tuple(v for v, table, lab in zip(range(1, p.tree.n + 1), p.degrees,
+                                              labels) if table[lab] % 2)
+        return self._plus_word(p.non_leaves, fs)
 
     def _plus_word(self, es: tuple, fs: tuple) -> SignWord:
         """The word of sign +1 on es and fs, built once and shared: a word
@@ -391,11 +401,11 @@ class BarComplex:
         shape siblings, the children are sorted by (run, labels in
         preorder), the action applies the child permutation at the
         vertex, and the vertex label moves to the least of its orbit
-        under swaps of equal labeled siblings.  The word moves by the
-        inversion parity of its e's and its f's, as ``relabel`` moves it,
-        and each swap is signed by ``block_swap_sign``.  The coefficient
-        is a product of raw action coefficients and word signs, reduced
-        mod p once at the end.
+        under swaps of equal labeled siblings (``_tie_orbit``).  The word
+        moves by the inversion parity of its e's and its f's, as
+        ``relabel`` moves it, and each swap is signed by
+        ``block_swap_sign``.  The coefficient is a product of raw action
+        coefficients and word signs, reduced mod p once at the end.
         """
         p = self._plan(t)
         coeff = self._one
@@ -405,7 +415,8 @@ class BarComplex:
         if p.runs:
             labels = list(labels)
             strs = list(map(self._strs.__getitem__, labels))
-        for vi, sig, children, swaps in p.runs:
+        for vertex in p.runs:
+            vi, sig, children, _ = vertex
             keys = [(run, get(strs)) for run, _, _, get in children]
             order = sorted(range(len(keys)), key=keys.__getitem__)
             if order != list(range(len(order))):
@@ -419,18 +430,12 @@ class BarComplex:
                     sigma, ((vi, sig, _child_perm(order)),), labels, w, coeff)
                 strs = list(map(self._strs.__getitem__, labels))
                 keys = [keys[i] for i in order]
-            gens = []
-            for i, swap in enumerate(swaps):
-                if keys[i] == keys[i + 1]:
-                    a, b = children[i][1], children[i + 1][1]
-                    gens.append((swap, block_swap_sign(w, a, b, b + children[i + 1][2])))
-            if gens:
-                best = self._orbit_min(sig, tuple(gens), labels[vi])
-                if not best:
-                    return ()
-                if best[0] != labels[vi]:
-                    labels[vi], strs[vi] = best[0], self._strs[best[0]]
-                    coeff = coeff * best[1]
+            best = self._tie_orbit(vertex, keys, w, labels[vi])
+            if best == ():
+                return ()
+            if best and best[0] != labels[vi]:
+                labels[vi], strs[vi] = best[0], self._strs[best[0]]
+                coeff = coeff * best[1]
         labels = tuple(labels)
         if w.sign == -1:
             coeff = -coeff
@@ -443,6 +448,18 @@ class BarComplex:
         if not coeff:
             return ()
         return kid, coeff
+
+    def _tie_orbit(self, vertex, keys: list, w: SignWord, label):
+        """``_orbit_min`` of label, the label of the vertex (index, sig,
+        children, swaps) of a run plan, under the swaps of its equal
+        labeled siblings, whose sort keys are keys, with the word w; None
+        when no two siblings are equal."""
+        _, sig, children, swaps = vertex
+        gens = tuple(
+            (swap, block_swap_sign(w, a[1], b[1], b[1] + b[2]))
+            for swap, a, b, ka, kb in zip(swaps, children, children[1:], keys, keys[1:])
+            if ka == kb)
+        return self._orbit_min(sig, gens, label) if gens else None
 
     def _carry(self, sigma, at, labels, w: SignWord, coeff):
         """Move (labels, w, raw coeff) along the vertex permutation sigma,
@@ -767,9 +784,11 @@ class BarComplex:
         its orbit under swaps of equal labeled siblings.  So only the
         labelings whose sibling runs are nondecreasing are generated.  One
         without equal labeled siblings is its own normal form; any other
-        is kept only if normalizing leaves it in place.  A shape gets a
-        plan only if each vertex's signature is a component of the operad
-        and each leaf's sort a carrier sort, so that every vertex has labels.
+        is kept only if ``_canonical`` finds that normalizing leaves it in
+        place, which interns nothing and fills no normal-form memo.  Only
+        kept keys get an id.  A shape gets a plan only if each vertex's
+        signature is a component of the operad and each leaf's sort a
+        carrier sort, so that every vertex has labels.
         """
         sorts = self.operad.sorts if len(self.operad.sorts) > 1 else None
         leaves = {srt for srt, comp in self.algebra.carrier.items() if comp.degrees}
@@ -784,14 +803,24 @@ class BarComplex:
             for t in filter(labelable, enumerate_trees(n, True, sorts)):
                 p = self._plan(t)
                 for labels, _, tied in self._sorted_labelings(p, t.n):
-                    kid = self._id_on(p, labels)
-                    if tied:
-                        w = self._recs[kid][2]
-                        hit = self._normal_hit(p, labels, w.es, w.fs)
-                        if not hit or hit[0] != kid:
-                            continue
-                    keys.append(self._keys[kid])
-        return sorted(keys, key=_key_order)
+                    if not tied or self._canonical(p, labels):
+                        keys.append(self._keys[self._id_on(p, labels)])
+        return sorted(keys, key=_key_sort)
+
+    def _canonical(self, p: _Plan, labels: tuple) -> bool:
+        """Whether labels on p's canonical tree, with nondecreasing runs of
+        equal-shape siblings, are their own nonzero normal form: no child
+        moves, so that holds exactly when each vertex with equal labeled
+        siblings is the least of its orbit and the orbit is not torsion."""
+        w = self._word_on(p, labels)
+        strs = list(map(self._strs.__getitem__, labels))
+        for vertex in p.runs:
+            vi, _, children, _ = vertex
+            keys = [(run, get(strs)) for run, _, _, get in children]
+            best = self._tie_orbit(vertex, keys, w, labels[vi])
+            if best is not None and (not best or best[0] != labels[vi]):
+                return False
+        return True
 
     def _sorted_labelings(self, p: _Plan, v: int) -> list:
         """The labelings of the subtree at v of p's canonical tree whose
@@ -909,65 +938,3 @@ class BarComplex:
         srt, P = p.sorts[t.n - 1], self.field.p
         odd = (self.degree_of(t, labels) - 1) % 2
         return {(srt, nm): (-c % P if P else -c) if odd else c for nm, c in out.items()}
-
-    # ------------------------------------------------------------- action
-
-    def bar_algebra_action(self, vs: list[BarVec], c: OperadElement,
-                           n_cap: int | None = None) -> BarVec:
-        """Join quotient elements under a new root composed through c."""
-        if not isinstance(c, OperadElement):
-            raise BarError("the joining label must be an operad element")
-        out: BarVec = {}
-        factor_terms = [sorted(v.items(), key=lambda kv: _key_order(kv[0]))
-                        for v in vs]
-        for combo in iproduct(*factor_terms):
-            coeff = self.field.one
-            for _, cf in combo:
-                coeff = coeff * cf
-            for c_name, cc in sorted(c.vec.items(), key=lambda kv: str(kv[0])):
-                vec_iaxpy(out, coeff * cc, self._action_basis(
-                    [k for k, _ in combo], c.sig, c_name, n_cap))
-        return out
-
-    def _action_basis(self, keys: list[BarKey], c_sig, c_name,
-                      n_cap: int | None) -> BarVec:
-        m = len(keys)
-        for key in keys:
-            if _is_bare(key):
-                raise BarError("action factors must lie in the quotient")
-        n_new = sum(t.n for t, _ in keys) - m + 1
-        if n_cap is not None and n_new > n_cap:
-            raise CapExceeded(f"joined tree has {n_new} vertices, cap {n_cap}")
-        root_sort = c_sig[1] if len(self.operad.sorts) > 1 else None
-        t_new = assemble([st for t, _ in keys for st in successors(t)], root_sort)
-        # assemble keeps each factor's non-root vertices in order and merges
-        # the roots into the new one
-        maps = []
-        offset = 0
-        for t, _ in keys:
-            mapping = {v: v + offset for v in range(1, t.n)}
-            mapping[t.n] = n_new
-            maps.append(mapping)
-            offset += t.n - 1
-
-        op = self.operad
-        _, merged = op._gamma_ids(op._label_id(c_sig, c_name), tuple(
-            op._label_id(self._component_sig(t, t.n), labels[t.n - 1])
-            for t, labels in keys))
-
-        c_odd = self.operad.degree_of(c_sig, c_name) % 2 == 1
-        w_acc = signs.word((n_new,), (n_new,) if c_odd else ())
-        for (t, labels), mapping in zip(keys, maps):
-            wq = signs.partial_e(t.n, self.basis_word(t, labels))
-            wq = signs.relabel(wq, lambda k: mapping[k])
-            w_acc = signs.multiply(w_acc, wq)
-            if w_acc.sign == 0:
-                return {}
-
-        lab2 = [None] * n_new
-        for (t, labels), mapping in zip(keys, maps):
-            for v in range(1, t.n):
-                lab2[mapping[v] - 1] = labels[v - 1]
-        out: dict = {}
-        self._place(out, self._plan(t_new), w_acc, lab2, n_new - 1, self._named(merged))
-        return self._boxed(out)

@@ -14,7 +14,8 @@ The augmented bar construction is the motivating instance: delta cuts
 a tree at the root into its successor subtrees tensor the root label,
 and the induced differential on the free algebra recovers the quotient
 bar differential exactly, which the roundtrip report checks matrix
-against matrix.
+against matrix.  ``bar_algebra_action`` goes the other way on the
+quotient: it joins elements under a new root composed through a label.
 
 Degrees are rigid: delta must lower degree by one, the induced
 differential squares to zero on every window (certified at construction
@@ -24,17 +25,18 @@ time), and the arity-one inclusion eta satisfies
 
 from __future__ import annotations
 
+from itertools import product as iproduct
 from typing import NamedTuple
 
 # the word calculus is read through its module at call time, as in
 # kzbar.bar, so that the benchmark trace can wrap and restore it
 from kzbar import KzbarError, signs
 from kzbar.algebras import Algebra, FreeAlgebra, monad_theta
-from kzbar.bar import BarComplex, _is_bare
+from kzbar.bar import BarComplex, BarError, _is_bare, _key_order
 from kzbar.complexes import ChainComplex, ChainMap, QuasiIsoVerdict
 from kzbar.linalg import Vec, vec_acc, vec_box, vec_iaxpy, vec_unbox
-from kzbar.operads import Operad
-from kzbar.trees import assemble, root_blocks, subtree_at
+from kzbar.operads import CapExceeded, Operad, OperadElement
+from kzbar.trees import assemble, root_blocks, subtree_at, successors
 
 DName = tuple  # (sort, carrier basis name)
 BigName = tuple  # ((input sorts, output sort), factor word, label name)
@@ -416,6 +418,68 @@ def join_word(B: BarComplex, factors: tuple, c_sig, c_name) -> dict:
     return B.normalize_term(t_new, acc, tuple(labels), B.field.one)
 
 
+def bar_algebra_action(B: BarComplex, vs: list, c: OperadElement,
+                       n_cap: int | None = None) -> dict:
+    """Join elements of B's quotient under a new root composed through c."""
+    if not isinstance(c, OperadElement):
+        raise BarError("the joining label must be an operad element")
+    out: dict = {}
+    factor_terms = [sorted(v.items(), key=lambda kv: _key_order(kv[0])) for v in vs]
+    for combo in iproduct(*factor_terms):
+        coeff = B.field.one
+        for _, cf in combo:
+            coeff = coeff * cf
+        for c_name, cc in sorted(c.vec.items(), key=lambda kv: str(kv[0])):
+            vec_iaxpy(out, coeff * cc, _action_basis(
+                B, [k for k, _ in combo], c.sig, c_name, n_cap))
+    return out
+
+
+def _action_basis(B: BarComplex, keys: list, c_sig, c_name,
+                  n_cap: int | None) -> dict:
+    """The join of the basis keys under a root labeled c_name, boxed."""
+    m = len(keys)
+    for key in keys:
+        if _is_bare(key):
+            raise BarError("action factors must lie in the quotient")
+    n_new = sum(t.n for t, _ in keys) - m + 1
+    if n_cap is not None and n_new > n_cap:
+        raise CapExceeded(f"joined tree has {n_new} vertices, cap {n_cap}")
+    root_sort = c_sig[1] if len(B.operad.sorts) > 1 else None
+    t_new = assemble([st for t, _ in keys for st in successors(t)], root_sort)
+    # assemble keeps each factor's non-root vertices in order and merges
+    # the roots into the new one
+    maps = []
+    offset = 0
+    for t, _ in keys:
+        mapping = {v: v + offset for v in range(1, t.n)}
+        mapping[t.n] = n_new
+        maps.append(mapping)
+        offset += t.n - 1
+
+    op = B.operad
+    _, merged = op._gamma_ids(op._label_id(c_sig, c_name), tuple(
+        op._label_id(B._component_sig(t, t.n), labels[t.n - 1])
+        for t, labels in keys))
+
+    c_odd = op.degree_of(c_sig, c_name) % 2 == 1
+    w_acc = signs.word((n_new,), (n_new,) if c_odd else ())
+    for (t, labels), mapping in zip(keys, maps):
+        wq = signs.partial_e(t.n, B.basis_word(t, labels))
+        wq = signs.relabel(wq, lambda k: mapping[k])
+        w_acc = signs.multiply(w_acc, wq)
+        if w_acc.sign == 0:
+            return {}
+
+    lab2 = [None] * n_new
+    for (t, labels), mapping in zip(keys, maps):
+        for v in range(1, t.n):
+            lab2[mapping[v] - 1] = labels[v - 1]
+    out: dict = {}
+    B._place(out, B._plan(t_new), w_acc, lab2, n_new - 1, B._named(merged))
+    return B._boxed(out)
+
+
 # ------------------------------------------------------------- morphisms
 
 
@@ -678,6 +742,7 @@ __all__ = [
     "MorphismReport",
     "RoundtripAlgebraReport",
     "RoundtripDStructureReport",
+    "bar_algebra_action",
     "bar_dstructure",
     "build_delta_differential",
     "compose_morphisms",

@@ -26,6 +26,11 @@ manifest is returned, and every diagnostic carries a line and column.
 ``serialize`` writes the canonical form, so ``parse(serialize(m)) == m``
 and serializing a reparse is a fixpoint.
 
+The cap and the window size are each at most ``kzbar.ENUMERATION_CAP``,
+the most vertices a window takes.  A vertex of arity k needs k + 1
+vertices, so no window reads a component of arity above that cap, and a
+larger cap would only build components nothing reads.
+
 Builds resolve ``use`` values through the stock catalog.  A section may
 repeat the ``cap`` for emphasis, but only with the manifest's value;
 anything else is rejected rather than silently reconciled.
@@ -33,7 +38,6 @@ anything else is rejected rather than silently reconciled.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections.abc import Iterator, Mapping
 from importlib import resources
@@ -50,6 +54,18 @@ from kzbar.catalog import (
 )
 from kzbar.fields import GF, QQ, FieldSpec
 from kzbar.operads import Operad
+
+# The interpreter's builtin sha256, the one hashlib itself falls back on
+# without OpenSSL: importing hashlib loads OpenSSL's libcrypto, which
+# every kz process would map for one digest of a manifest under a
+# kilobyte.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 if TYPE_CHECKING:
     from kzbar.dstructures import DStructure
@@ -256,6 +272,10 @@ def _parse_header(key: str, toks: list[tuple[str, int]], lineno: int):
         cap = _parse_int(vals[0][0], lineno, vals[0][1], "cap")
         if cap < 1:
             raise ManifestError(f"cap {cap} must be at least 1", lineno, vals[0][1])
+        if cap > ENUMERATION_CAP:
+            raise ManifestError(
+                f"cap {cap} exceeds the tree enumeration cap {ENUMERATION_CAP}",
+                lineno, vals[0][1])
         return cap
     # window N  or  window N : LO .. HI
     if len(vals) == 1:
@@ -362,7 +382,7 @@ def serialize(m: Manifest) -> str:
 
 
 def manifest_digest(m: Manifest) -> str:
-    return "sha256:" + hashlib.sha256(serialize(m).encode()).hexdigest()
+    return "sha256:" + sha256(serialize(m).encode()).hexdigest()
 
 
 class _LazyDStructures(Mapping):

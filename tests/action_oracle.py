@@ -1,6 +1,6 @@
 """Reference join of the bar algebra action, with a hand-built tree.
 
-This is ``BarComplex._action_basis`` as ``kzbar.bar`` first wrote it:
+This is ``kzbar.dstructures._action_basis`` as ``kzbar.bar`` first wrote it:
 the joined tree is built vertex by vertex from parent, leaf and sort
 arrays and checked by ``validate``, where the library assembles the
 factors' successor subtrees under a new root.  The tests compare the

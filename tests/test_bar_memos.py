@@ -66,6 +66,18 @@ def test_sibling_sorted_basis_matches_normalizing_every_combination(make, n_top)
             make(), n_max), n_max
 
 
+def test_the_basis_drops_labelings_a_torsion_symmetry_kills():
+    """Over Q, swapping two xi leaves under mu2 fixes the labeling with
+    sign -1, so it is zero: the basis leaves it out, as normalizing every
+    combination does."""
+    for n_max in range(1, 6):
+        keys = com_line_bar().enumerate_basis(n_max)
+        assert keys == basis_oracle.full_basis(com_line_bar(), n_max), n_max
+    bush = next(t for t in enumerate_trees(3) if t.L == {1, 2})
+    assert (bush, ("1", "xi", "mu2")) in keys
+    assert (bush, ("xi", "xi", "mu2")) not in keys
+
+
 def test_basis_plans_only_shapes_every_vertex_can_label():
     B = pair_bar()
     B.enumerate_basis(5)
@@ -114,6 +126,20 @@ def test_the_key_order_memo_keeps_every_sorted_order(name):
     for column in columns:
         assert sorted(column, key=bar._key_order) == sorted(column, key=fresh)
     assert all(bar._key_order(k) == fresh(k) for k in keys)
+
+
+@pytest.mark.parametrize("name", list(BARS))
+def test_the_basis_interns_only_its_own_keys(name):
+    """A tied labeling is tested for canonicity without normalizing it:
+    after the basis, only basis keys have an id, no normal form is
+    memoized, and the basis sort has filled no key order memo."""
+    B = BARS[name]()
+    before = bar._key_order.cache_info().currsize
+    for n_max in range(1, 6):
+        keys = B.enumerate_basis(n_max)
+    assert len(B._keys) == len(keys)
+    assert not B._normal_memo
+    assert bar._key_order.cache_info().currsize == before
 
 
 def _orbit_walk(B, sig, gens, start):

@@ -254,6 +254,16 @@ def test_window_beyond_the_enumeration_cap_exits_two(capsys, tmp_path):
     assert "line 5, col 8: window size 10 exceeds the tree enumeration cap 9" in err
 
 
+def test_cap_beyond_the_enumeration_cap_exits_two(capsys, tmp_path):
+    # refused at parse time: no component of arity above 9 is ever built
+    p = tmp_path / "wide.kz"
+    p.write_text(load_builtin("uass_dual_numbers").replace("cap 4", "cap 99"))
+    code = main(["bar", str(p)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 4, col 5: cap 99 exceeds the tree enumeration cap 9" in err
+
+
 def test_homology_builtin_tables(capsys):
     code, rep = _json_run(capsys, ["homology", "uass_dual_numbers"])
     assert code == 0

@@ -148,6 +148,8 @@ BAD = [
     ("field R\n", "unknown field 'R'", 1, 7),
     ("field F9\n", "not prime", 1, 7),
     ("field Q\ncap 0\nwindow 1\n", "cap 0 must be at least 1", 2, 5),
+    ("field Q\ncap 10\nwindow 1\n",
+     "cap 10 exceeds the tree enumeration cap 9", 2, 5),
     ("field Q\ncap x\nwindow 1\n", "not an integer", 2, 5),
     ("field Q\ncap 1\nwindow 1 : -1\n", "window takes", 3, 1),
     ("field Q\ncap 1\nwindow 1 : 2 .. 1\n", "is empty", 3, 8),
@@ -305,6 +307,20 @@ def test_digest_is_the_hash_of_the_canonical_form():
     assert manifest_digest(m) == "sha256:" + want
     other = parse_manifest("field Q\ncap 1\nwindow 1\n")
     assert manifest_digest(other) != manifest_digest(m)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("text", [
+    *(load_builtin(name) for name in builtin_manifests()),
+    *(p.read_text() for p in sorted(GOLDEN.glob("*.kz")))])
+def test_the_builtin_digest_matches_hashlib(text):
+    """manifest_digest uses the interpreter's builtin sha256, not
+    hashlib's OpenSSL one; both give the same digest."""
+    m = parse_manifest(text)
+    want = hashlib.sha256(serialize(m).encode()).hexdigest()
+    assert manifest_digest(m) == "sha256:" + want
 
 
 # -------------------------------------------------- random round trips

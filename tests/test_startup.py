@@ -1,10 +1,12 @@
-"""Start-up: a ``kz`` process imports only the layers its suite runs, and
-no module generates classes at import.  Every case runs in a fresh
-interpreter, because this test process has imported every layer."""
+"""Start-up: a ``kz`` process imports only the layers its suite runs, no
+module generates classes at import, no suite loads OpenSSL, and no module
+outgrows the parser's first token array.  Every import case runs in a
+fresh interpreter, because this test process has imported every layer."""
 
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -62,6 +64,29 @@ def test_bar_suites_load_no_dstructure_layer(suite, tmp_path):
     assert "kzbar.bar" in mods
     assert "kzbar.dstructures" not in mods
     assert "dataclasses" not in mods
+
+
+@pytest.mark.parametrize("suite,manifest", [("validate", "uass_dual_numbers"),
+                                            ("bar", BAR_W5),
+                                            ("dstruct", "uass_dual_numbers")])
+def test_no_suite_loads_openssl(suite, manifest, tmp_path):
+    """The manifest digest uses the interpreter's builtin sha256, so no
+    process maps OpenSSL's libcrypto through hashlib."""
+    mods = _suite_modules(suite, manifest, tmp_path)
+    assert not {"hashlib", "_hashlib"} & mods
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "kzbar").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_each_module_stays_under_the_parsers_token_doubling(path):
+    """Compiling a module holds its token array, which CPython's parser
+    doubles at 8,192 tokens; past that, compiling the module costs about
+    0.45 MiB more peak memory in every process that imports it without a
+    bytecode cache.  Comments and blank lines are not tokens there."""
+    with path.open("rb") as f:
+        count = sum(1 for tok in tokenize.tokenize(f.readline)
+                    if tok.type not in (tokenize.COMMENT, tokenize.NL))
+    assert count < 8192
 
 
 def test_a_build_loads_the_dstructure_layer_at_the_first_read():
