@@ -9,7 +9,10 @@ window 2, the one golden window whose induced differential closes, so
 that every free-algebra part of the window is walked to its end, and
 the bar, homology and roundtrip reports on the unit operad over Q at
 window 5, the one golden whose evaluation rows cover stable degrees, so
-that their source and target dimensions and induced ranks are locked.
+that their source and target dimensions and induced ranks are locked,
+and the dstruct report on the dual numbers at window 5, whose induced
+differential closes, so that every window column is built and read
+through the per-word splitting memo.
 Every file under ``golden/`` belongs to one entry of ``MANIFESTS``.
 
 A golden file that a benchmark workload pins must also hash to the
@@ -44,6 +47,7 @@ MANIFESTS = {
                   ("validate", "dstruct", "roundtrip")),
     "bar_w5": (str(GOLDEN / "bar_w5.kz"), "bar-w5", ("bar", "homology")),
     "bar_w6": (str(GOLDEN / "bar_w6.kz"), None, ("bar",)),
+    "dual_w5": (str(GOLDEN / "bar_w5.kz"), None, ("dstruct",)),
     "dual_w4": (str(GOLDEN / "dual_w4.kz"), None, ("dstruct", "roundtrip")),
     "pair_f3_w2": (str(GOLDEN / "pair_f3_w2.kz"), None, ("dstruct", "roundtrip")),
     "unit_w5": (str(GOLDEN / "unit_w5.kz"), None, ("bar", "homology", "roundtrip")),
