@@ -10,7 +10,10 @@ Free algebras quotient X^{(x)n} (x) C(n) by the diagonal symmetric group
 action.  ``FreeAlgebra`` owns the arithmetic of the words (sig,
 generator word, label) of that space and their Koszul signs: ``word_d``
 is the internal differential of one word and ``compose`` composes word
-vectors through a label.  An arity part is its classes and the
+vectors through a label by reading the operad's table on label ids.
+Word vectors hold raw values, residues mod p or Fractions, as the
+tables do; only the ``Algebra`` element API and the rule of
+``monad_theta`` hand out Scalars.  An arity part is its classes and the
 projection onto them; only a caller that reads the part's classes or
 differential builds them, and a caller that walks the classes builds
 them one at a time, already in str order, so it can stop at any class
@@ -36,9 +39,9 @@ from typing import TYPE_CHECKING
 from kzbar import KzbarError
 from kzbar.complexes import ChainComplex, ChainMap
 from kzbar.fields import Scalar
-from kzbar.linalg import Vec, echelon, raw_iaxpy, vec_acc, vec_axpy, vec_scale
+from kzbar.linalg import Vec, echelon_raw, raw_iaxpy, vec_axpy, vec_box, vec_scale
 from kzbar.operads import (CapExceeded, Operad, OperadElement, Sig, _arity_tuples,
-                            _past_parity, _raw_neg, _raw_tables, koszul_sign)
+                            _past_parity, _raw_neg, _raw_tables)
 
 if TYPE_CHECKING:
     from kzbar.bar import BarComplex
@@ -210,7 +213,7 @@ def verify_algebra(alg: Algebra) -> AlgebraReport:
     op = alg.operad
     p, one = alg.field.p, alg.field.one.val
     ids, labels = op._ids, op._labels
-    deg = [op.degree_of(*label) for label in labels]
+    deg = op._degs
     cdeg = {s: c.degrees for s, c in alg.carrier.items()}
     theta = alg._theta_ids
     swap, d_op = _raw_tables(op)
@@ -335,7 +338,7 @@ class FreePart:
         self.out_sort = out_sort
         route = (free._coinvariants_by_orbit if free.operad.certificate == "free-module"
                  else free._coinvariants_by_elimination)
-        # project: Vec over words -> Vec over representatives;
+        # project: raw vector over words -> raw vector over representatives;
         # classes: () -> iterator of (representative, degree) in str order
         self.project, self._classes = route(self)
 
@@ -365,7 +368,7 @@ class FreePart:
     @cached_property
     def complex(self) -> ChainComplex:
         d = {r: self.project(self.free.word_d(r)) for r in self.reps}
-        return ChainComplex(self.free.field, self.degrees, d)
+        return ChainComplex.from_raw(self.free.field, self.degrees, d)
 
 
 class FreeAlgebra:
@@ -433,17 +436,20 @@ class FreeAlgebra:
                 for c, dc in cs:
                     yield (sig, xw, c), dx + dc
 
-    def _diagonal_swap(self, name, k: int) -> Vec:
-        """Image of a big basis element under s_k, with Koszul sign."""
+    def _diagonal_swap(self, name, k: int) -> dict:
+        """Image of a big basis element under s_k, with Koszul sign, as
+        raw values."""
         sig, xw, c_name = name
         F = self.field
         da = self.generators[sig[0][k - 1]].degrees[xw[k - 1]]
         db = self.generators[sig[0][k]].degrees[xw[k]]
-        sgn = koszul_sign(F, da, db)
         xw2 = list(xw)
         xw2[k - 1], xw2[k] = xw2[k], xw2[k - 1]
         sig2, cvec = self.operad.apply_transposition(sig, k, {c_name: F.one})
-        return {(sig2, tuple(xw2), nm): sgn * cf for nm, cf in cvec.items()}
+        out = {}
+        raw_iaxpy(out, -1 if da % 2 and db % 2 else 1,
+                  {(sig2, tuple(xw2), nm): F.raw(cf) for nm, cf in cvec.items()}, F.p)
+        return out
 
     def part(self, n: int, out_sort: str = "*") -> FreePart:
         key = (n, out_sort)
@@ -452,65 +458,77 @@ class FreeAlgebra:
             hit = self._parts[key] = FreePart(self, n, out_sort)
         return hit
 
-    def word_d(self, big) -> Vec:
-        """Internal differential of one word: each generator's d under the
-        sign of the generators to its left, then the label's d under the
-        sign of the whole generator word."""
+    def word_d(self, big) -> dict:
+        """Internal differential of one word, on raw values: each
+        generator's d under the sign of the generators to its left, then
+        the label's d under the sign of the whole generator word."""
         sig, xw, c_name = big
-        F = self.field
-        P = F.p
+        P = self.field.p
         # d moves one letter to another degree, so every term is its own
         # word and nothing cancels
-        out: Vec = {}
+        out: dict = {}
         neg = False
         for i, (s, x) in enumerate(zip(sig[0], xw)):
             gen = self.generators[s]
             for nm, cf in gen.raw_d.get(x, {}).items():
-                out[(sig, xw[:i] + (nm,) + xw[i + 1:], c_name)] = Scalar(
-                    F, (-cf % P if P else -cf) if neg else cf)
+                out[(sig, xw[:i] + (nm,) + xw[i + 1:], c_name)] = \
+                    (-cf % P if P else -cf) if neg else cf
             if gen.degrees[x] % 2:
                 neg = not neg
         for nm, cf in self.operad.components[sig].raw_d.get(c_name, {}).items():
-            out[(sig, xw, nm)] = Scalar(F, (-cf % P if P else -cf) if neg else cf)
+            out[(sig, xw, nm)] = (-cf % P if P else -cf) if neg else cf
         return out
 
-    def compose(self, vecs: list[Vec], c_sig: Sig, c_name) -> Vec:
-        """Compose word vectors through the label c_name of c_sig: each
+    def compose(self, vecs: list[dict], c_sig: Sig, c_name) -> dict:
+        """Compose raw word vectors through the label c_name of c_sig: each
         choice of one word per vector concatenates the generator words
         and composes the labels into c_name by one read of the operad's
-        table; each label moves right past the later generator words at
-        the Koszul sign.  This is the one place that sign is paid.  The
-        result is an exact sum, so the order the inputs were built in
-        does not change it."""
-        F, op, gens = self.field, self.operad, self.generators
-        out: Vec = {}
+        table on label ids; each label moves right past the later
+        generator words at the Koszul sign.  This is the one place that
+        sign is paid.  The result is an exact sum, so the order the inputs
+        were built in does not change it."""
+        op, p, gens = self.operad, self.field.p, self.generators
+        ids, labels, degs, memo = op._ids, op._labels, op._degs, op._gamma_memo
+        y = op._label_id(c_sig, c_name)
+        out: dict = {}
         for combo in iproduct(*(v.items() for v in vecs)):
-            coeff = F.one
+            coeff = 1
             for _, cf in combo:
-                coeff = coeff * cf
+                if cf != 1:
+                    coeff = coeff * cf % p if p else coeff * cf
             words = [w for w, _ in combo]
-            if _past_parity([(op.degree_of(sig, nm),
-                              sum(gens[s].degrees[x] for s, x in zip(sig[0], xw)))
-                             for sig, xw, nm in words]):
-                coeff = -coeff
-            t_sig, comp = op.gamma_basis(c_sig, c_name,
-                                         tuple((sig, nm) for sig, _, nm in words))
+            key = (y, tuple(ids[(sig, nm)] for sig, _, nm in words))
+            if any(degs[x] % 2 for x in key[1]) and _past_parity(
+                    [(degs[x], sum(gens[s].degrees[a] for s, a in zip(sig[0], xw)))
+                     for x, (sig, xw, _) in zip(key[1], words)]):
+                coeff = -coeff % p if p else -coeff
+            t_sig, comp = memo.get(key) or op._gamma_ids(*key)
             xw_all = tuple(x for _, xw, _ in words for x in xw)
-            for nm, cf in comp.items():
-                vec_acc(out, (t_sig, xw_all, nm), coeff * cf)
+            for t, cf in comp.items():
+                k = (t_sig, xw_all, labels[t][1])
+                c = cf if coeff == 1 else cf * coeff
+                w = out.get(k)
+                if w is not None:
+                    c = c + w
+                if p:
+                    c %= p
+                if c:
+                    out[k] = c
+                else:
+                    out.pop(k, None)
         return out
 
     def _coinvariants_by_elimination(self, part: FreePart):
         relations = []
-        one = self.field.one
+        p = self.field.p
         big_degs = part.big_degrees
         for name in big_degs:
             for k in range(1, part.n):
-                img = self._diagonal_swap(name, k)
-                rel = vec_axpy({name: one}, -one, img)
+                rel = {name: self.field.one.val}
+                raw_iaxpy(rel, -1, self._diagonal_swap(name, k), p)
                 if rel:
                     relations.append(rel)
-        ech = echelon(relations, self.field)
+        ech = echelon_raw(relations, self.field)
         pivots = set(ech.pivots)
         reps = sorted((w for w in big_degs if w not in pivots), key=str)
         return ech.reduce, lambda: ((r, big_degs[r]) for r in reps)
@@ -537,11 +555,13 @@ class FreeAlgebra:
             table[label] = (root_sig, root_name, sign,
                             itemgetter(*sigma) if pairs else None, pairs)
 
-        def project(vec: Vec) -> Vec:
-            """[word] = sign [root word], where the sign is the label's
-            times the Koszul sign of the odd letters the permutation
-            crosses."""
-            out: Vec = {}
+        p = self.field.p
+
+        def project(vec: dict) -> dict:
+            """[word] = sign [root word] on raw values, where the sign is
+            the label's times the Koszul sign of the odd letters the
+            permutation crosses."""
+            out: dict = {}
             for (sig, xw, c_name), cf in vec.items():
                 hit = table.get((sig, c_name))
                 if hit is None:
@@ -553,7 +573,18 @@ class FreeAlgebra:
                         if gen_degs[ins[i]][xw[i]] % 2 and gen_degs[ins[j]][xw[j]] % 2:
                             sign = -sign
                     xw = permute(xw)
-                vec_acc(out, (root_sig, xw, root_name), cf if sign == 1 else -cf)
+                k = (root_sig, xw, root_name)
+                if sign != 1:
+                    cf = -cf % p if p else -cf
+                w = out.get(k)
+                if w is not None:
+                    cf = cf + w
+                    if p:
+                        cf %= p
+                    if not cf:
+                        del out[k]
+                        continue
+                out[k] = cf
             return out
 
         return project, lambda: self._iter_words(n, out_sort, walk.sizes)
@@ -573,38 +604,35 @@ def free_map(f: dict[str, ChainMap] | ChainMap, src: FreeAlgebra, dst: FreeAlgeb
         f = {"*": f}
     sp = src.part(n, out_sort)
     dp = dst.part(n, out_sort)
+    p = src.field.p
     entries = {}
     for r in sp.reps:
         sig, xw, c_name = r
         # expand f letter by letter; degree-0 maps cross without signs
-        acc: Vec = {(sig, (), c_name): src.field.one}
+        acc: dict = {(sig, (), c_name): src.field.one.val}
         for s, x in zip(sig[0], xw):
-            fx = f[s].entries.get(x, {})
-            nxt: Vec = {}
+            fx = f[s].raw_entries.get(x, {})
+            nxt: dict = {}
             for (sg, w, cn), cf in acc.items():
-                for ynm, yc in fx.items():
-                    vec_acc(nxt, (sg, w + (ynm,), cn), cf * yc)
+                raw_iaxpy(nxt, cf, {(sg, w + (ynm,), cn): yc for ynm, yc in fx.items()}, p)
             acc = nxt
-        col = dp.project(acc)
-        if col:
-            entries[r] = col
-    return ChainMap(sp.complex, dp.complex, entries)
+        entries[r] = dp.project(acc)
+    return ChainMap.from_raw(sp.complex, dp.complex, entries)
 
 
 def monad_theta(fa: FreeAlgebra, parts_cap: int):
     """Algebra structure on the arity parts of a free algebra, given by
     composing representatives through the label and projecting; raises
     CapExceeded past the window."""
-    one = fa.field.one
-
     def theta_rule(c_sig, c_name, xs):
-        # xs are (arity, rep) names in the summed carrier
+        # xs are (arity, rep) names in the summed carrier; a rule answers
+        # in Scalars
         total = sum(ar for ar, _ in xs)
         if total > min(fa.operad.cap, parts_cap):
             raise CapExceeded(f"free-algebra theta lands in arity {total}")
-        raw = fa.compose([{rep: one} for _, rep in xs], c_sig, c_name)
-        return {(total, r): c
-                for r, c in fa.part(total, c_sig[1]).project(raw).items()}
+        raw = fa.compose([{rep: fa.field.one.val} for _, rep in xs], c_sig, c_name)
+        return vec_box({(total, r): c for r, c in
+                        fa.part(total, c_sig[1]).project(raw).items()}, fa.field)
 
     return theta_rule
 

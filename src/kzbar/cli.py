@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from kzbar import KzbarError
 from kzbar.algebras import Algebra, verify_algebra
 from kzbar.complexes import ChainComplex, ComplexError
-from kzbar.linalg import vec_iaxpy
+from kzbar.linalg import raw_iaxpy
 from kzbar.manifest import (
     Build,
     Manifest,
@@ -313,16 +313,16 @@ def _bar_nilpotency(B: BarComplex, ds: DStructure) -> tuple[bool, str | None]:
     a zero fold certifies a zero square without touching coinvariants."""
     from kzbar.dstructures import join_word
 
-    op = ds.operad
+    p = ds.field.p
+    joins: dict = {}  # the squares of the generators share many words
     for srt in sorted(ds.carrier):
         for x in sorted(ds.carrier[srt].degrees, key=repr):
-            big0 = (((srt,), srt), (x,), op.unit_names[srt])
-            acc: dict = {}
-            for b, c in ds.delta_terms(big0).items():
-                vec_iaxpy(acc, c, ds.delta_terms(b))
             folded: dict = {}
-            for big, c in acc.items():
-                vec_iaxpy(folded, c, join_word(B, big[1], big[0], big[2]))
+            for big, c in ds.delta_vec(ds.delta_vec(ds.unit_word(srt, x))).items():
+                joined = joins.get(big)
+                if joined is None:
+                    joined = joins[big] = join_word(B, big[1], big[0], big[2])
+                raw_iaxpy(folded, c, joined, p)
             if folded:
                 return False, (f"Delta.Delta at {x!r} folds to "
                                f"{_vec_str(folded)}")

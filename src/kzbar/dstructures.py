@@ -34,13 +34,13 @@ from kzbar import KzbarError, signs
 from kzbar.algebras import Algebra, FreeAlgebra, monad_theta
 from kzbar.bar import BarComplex, BarError, _is_bare, _key_order
 from kzbar.complexes import ChainComplex, ChainMap, QuasiIsoVerdict
-from kzbar.linalg import Vec, vec_acc, vec_box, vec_iaxpy, vec_unbox
+from kzbar.linalg import Vec, raw_iaxpy, vec_box, vec_iaxpy
 from kzbar.operads import CapExceeded, Operad, OperadElement
 from kzbar.trees import assemble, root_blocks, subtree_at, successors
 
 DName = tuple  # (sort, carrier basis name)
 BigName = tuple  # ((input sorts, output sort), factor word, label name)
-BigVec = dict  # BigName -> Scalar
+BigVec = dict  # BigName -> raw value
 
 
 class DStructureError(KzbarError):
@@ -52,10 +52,16 @@ class DStructure:
 
     ``carrier`` maps each sort to its complex (a bare ChainComplex means
     the single sort "*").  ``delta`` maps a carrier basis element to a
-    finitely supported vector of words ``(sig, factors, label)``; missing
-    entries mean zero.  Every word must lower the total degree by one,
-    which is what makes the induced differential on the free algebra
-    square to zero together with the compatibility the examples verify.
+    finitely supported vector of words ``(sig, factors, label)`` with
+    Scalar coefficients; missing entries mean zero.  Every word must
+    lower the total degree by one, which is what makes the induced
+    differential on the free algebra square to zero together with the
+    compatibility the examples verify.
+
+    The splitting is kept on raw values, ``{(sort, x): {word: raw}}``,
+    and so is everything the methods take and return.  The induced
+    differential of a word is computed once and memoized per word, and
+    every reader of it goes through ``delta_terms``.
 
     ``stable`` optionally lists the degrees on which windowed homology
     readings are faithful; constructors that window an infinite carrier
@@ -78,6 +84,7 @@ class DStructure:
             if comp.field != self.field:
                 raise DStructureError(f"carrier of sort {srt!r} over the wrong field")
         self._delta: dict[DName, BigVec] = {}
+        raw = self.field.raw
         for key, terms in (delta or {}).items():
             if not (isinstance(key, tuple) and len(key) == 2 and key[0] in self.carrier):
                 key = ("*", key)
@@ -87,15 +94,18 @@ class DStructure:
                 raise DStructureError(f"delta given on unknown element {key!r}")
             clean: BigVec = {}
             for big, c in terms.items():
-                if not c.is_zero():
+                v = raw(c)
+                if v:
                     self._check_word(big)
                     if self._word_degree(big) != comp.degrees[x] - 1:
                         raise DStructureError(
                             f"delta term {big!r} of {key!r} must drop the degree by 1"
                         )
-                    vec_acc(clean, big, c)
+                    clean[big] = v
             if clean:
                 self._delta[(srt, x)] = clean
+        self._units = {srt: self.operad.unit_label(srt) for srt in self.carrier}
+        self._terms: dict[BigName, BigVec] = {}
         self.free = FreeAlgebra(self.carrier, operad)
 
     # ------------------------------------------------------------- words
@@ -127,8 +137,8 @@ class DStructure:
 
     def unit_word(self, srt: str, x) -> BigVec:
         """x in arity one: the word of x and the unit of its sort."""
-        usig, uname = self.operad.unit_label(srt)
-        return {(usig, (x,), uname): self.field.one}
+        usig, uname = self._units[srt]
+        return {(usig, (x,), uname): self.field.one.val}
 
     def support(self, srt: str, x) -> list[int]:
         """Arities of the words delta produces for one basis element."""
@@ -137,34 +147,45 @@ class DStructure:
     # ------------------------------------------------- induced differential
 
     def delta_terms(self, big: BigName) -> BigVec:
-        """The induced differential on one word: the free algebra's word
-        differential, plus, for each slot, the sign of the degrees to its
-        left times the composition of the unit words with the slot's
-        splitting in that slot.  ``FreeAlgebra.compose`` pays the sign of
-        the split label crossing the factors to its right.
-        """
+        """The induced differential on one word, computed on its first
+        read and memoized; the vector is shared and must only be read."""
+        hit = self._terms.get(big)
+        if hit is None:
+            hit = self._terms[big] = self._induced(big)
+        return hit
+
+    def _induced(self, big: BigName) -> BigVec:
+        """The free algebra's word differential, plus, for each slot, the
+        sign of the degrees to its left times the composition of the unit
+        words with the slot's splitting in that slot.
+        ``FreeAlgebra.compose`` pays the sign of the split label crossing
+        the factors to its right."""
         sig, xw, c_name = big
-        free = self.free
+        free, p = self.free, self.field.p
         units = [self.unit_word(s, x) for s, x in zip(sig[0], xw)]
         out = free.word_d(big)
-        sgn = self.field.one
+        sgn = 1
         for i, (srt, x) in enumerate(zip(sig[0], xw)):
-            split = self.delta_of(srt, x)
+            split = self._delta.get((srt, x))
             if split:
-                vec_iaxpy(out, sgn, free.compose(units[:i] + [split] + units[i + 1:],
-                                                 sig, c_name))
+                raw_iaxpy(out, sgn, free.compose(units[:i] + [split] + units[i + 1:],
+                                                 sig, c_name), p)
             if self.carrier[srt].degrees[x] % 2:
                 sgn = -sgn
         return out
 
     def delta_vec(self, raw: BigVec) -> BigVec:
+        """The induced differential of a raw word vector, an exact sum of
+        the memoized terms of its words."""
         out: BigVec = {}
-        for big, c in sorted(raw.items(), key=lambda kv: str(kv[0])):
-            vec_iaxpy(out, c, self.delta_terms(big))
+        p = self.field.p
+        for big, c in raw.items():
+            raw_iaxpy(out, c, self.delta_terms(big), p)
         return out
 
-    def project(self, raw: BigVec) -> dict[str, Vec]:
-        """Coinvariant coordinates of a raw word vector, sort by sort.
+    def project(self, raw: BigVec) -> dict[str, dict]:
+        """Coinvariant coordinates of a raw word vector, sort by sort, as
+        raw values.
 
         Keys on the inside are (arity, representative) pairs, matching
         the names the windowed complexes use.
@@ -173,12 +194,13 @@ class DStructure:
         for big, c in raw.items():
             sig = big[0]
             grouped.setdefault((sig[1], len(sig[0])), {})[big] = c
-        out: dict[str, Vec] = {}
-        for (srt, n), chunk in sorted(grouped.items(), key=lambda kv: str(kv[0])):
-            col = self.free.part(n, srt).project(chunk)
+        out: dict[str, dict] = {}
+        for (srt, n), chunk in grouped.items():
+            # a part's classes have its arity, so the parts' columns are
+            # disjoint and need no sum
             tgt = out.setdefault(srt, {})
-            for rep, c in col.items():
-                vec_acc(tgt, (n, rep), c)
+            for rep, c in self.free.part(n, srt).project(chunk).items():
+                tgt[(n, rep)] = c
         return {srt: v for srt, v in out.items() if v}
 
 
@@ -200,12 +222,37 @@ def build_delta_differential(ds: DStructure, n_max: int) -> DeltaWindow:
 
     An element whose image reaches beyond the window raises; truncating
     silently would manufacture a complex the structure does not have.
-    The parts are walked in arity order and each representative's column
-    is built as soon as the walk hands it out, so a window that does not
-    close stops at its first overflowing word, before the rest of its
-    part is enumerated; only a window that closes builds every part.
-    The returned complexes validate d.d = 0 on construction.
+    The words are walked sort by sort, in arity order and then in str
+    order, and the first word whose induced differential leaves the
+    window raises.  Before any column is built, a pre-scan finds that
+    word reading only the words that can overflow:
+
+    Let r be the largest arity of a word in any splitting delta(x).  The
+    induced differential of a word of arity n has the terms of its word
+    differential, of arity n, and one composite per split slot, which
+    puts a word of arity a <= r in place of one factor, of arity
+    n - 1 + a <= n - 1 + r.  So a word of arity n <= n_max - r + 1 keeps
+    every term inside the window, and only arities n >= n_max - r + 2
+    can overflow.  No skipped word could have raised first either: when
+    n_max <= cap each of its composites lands at arity <= n_max <= cap,
+    so the operad raises no CapExceeded, and ``compose`` keeps the output
+    sort of the word's label, so no column changes sort.  The pre-scan
+    therefore walks those arities alone, in the same order, and raises
+    the same error at the same word.  When n_max > cap the argument
+    fails, so there is no pre-scan and the columns are built in walk
+    order, each raising as it comes.
+
+    A window that closes builds every column, in walk order, from the
+    per-word memo.  The returned complexes validate d.d = 0 on
+    construction.
     """
+    if n_max <= ds.operad.cap:
+        reach = max((len(big[1]) for split in ds._delta.values() for big in split),
+                    default=0)
+        for srt in ds.operad.sorts:
+            for n in range(max(n_max - reach + 2, 0), n_max + 1):
+                for rep, _ in ds.free.part(n, srt).walk():
+                    _check_reach(ds, n_max, srt, (n, rep))
     carrier: dict[str, ChainComplex] = {}
     for srt in ds.operad.sorts:
         degs: dict = {}
@@ -220,25 +267,30 @@ def build_delta_differential(ds: DStructure, n_max: int) -> DeltaWindow:
     return DeltaWindow(ds, n_max, carrier, _stable_for(ds, n_max, carrier))
 
 
-def _window_column(ds: DStructure, n_max: int, srt: str, name) -> dict:
-    """The induced differential of the window word name = (arity, rep),
-    as raw values."""
-    raw = ds.delta_terms(name[1])
+def _check_reach(ds: DStructure, n_max: int, srt: str, name) -> None:
+    """Raise when the induced differential of the window word name =
+    (arity, rep) reaches past arity n_max."""
     # projection keeps the arity, so raw terms decide overflow and
     # the big out-of-window parts are never enumerated
-    over = sorted({len(b[1]) for b in raw if len(b[1]) > n_max})
+    over = sorted({len(b[1]) for b in ds.delta_terms(name[1]) if len(b[1]) > n_max})
     if over:
         raise DStructureError(
             f"window arity {n_max} too small: the differential "
             f"of {name!r} (sort {srt!r}) reaches arity {over[0]}"
         )
+
+
+def _window_column(ds: DStructure, n_max: int, srt: str, name) -> dict:
+    """The induced differential of the window word name = (arity, rep),
+    as raw values."""
+    _check_reach(ds, n_max, srt, name)
     col: dict = {}
-    for tgt_srt, vec in ds.project(raw).items():
+    for tgt_srt, vec in ds.project(ds.delta_terms(name[1])).items():
         if tgt_srt != srt:
             raise DStructureError(
                 f"differential of {name!r} changed sort to {tgt_srt!r}"
             )
-        col = vec_unbox(vec, ds.field)
+        col = vec
     return col
 
 
@@ -276,25 +328,30 @@ def eta(ds: DStructure) -> dict[DName, BigVec]:
             for srt, comp in sorted(ds.carrier.items()) for x in comp.basis()}
 
 
+def _boxed(ds: DStructure, coords: dict[str, dict]) -> dict[str, Vec]:
+    """Coinvariant coordinates from ``project`` as Scalars, for a report."""
+    return {srt: vec_box(v, ds.field) for srt, v in coords.items()}
+
+
 def split_identity_failures(ds: DStructure) -> list[tuple[DName, dict, dict]]:
     """Elementwise check of how far the inclusion is from a chain map.
 
     The induced differential of an included element must be the included
     internal differential plus the splitting itself, with no extra sign;
     divergences come back as (element, got, wanted) in coinvariant
-    coordinates, and an empty list is the pass verdict.
+    coordinates, boxed, and an empty list is the pass verdict.
     """
     inc = eta(ds)
+    p = ds.field.p
     bad = []
     for (srt, x), unit_word in sorted(inc.items(), key=lambda kv: str(kv[0])):
         lhs = ds.project(ds.delta_vec(unit_word))
-        rhs_raw: BigVec = {}
-        for nm, c in ds.carrier[srt].apply_d({x: ds.field.one}).items():
-            vec_iaxpy(rhs_raw, c, inc[(srt, nm)])
-        vec_iaxpy(rhs_raw, ds.field.one, ds.delta_of(srt, x))
+        rhs_raw = dict(ds.delta_of(srt, x))
+        for nm, c in ds.carrier[srt].raw_d.get(x, {}).items():
+            raw_iaxpy(rhs_raw, c, inc[(srt, nm)], p)
         rhs = ds.project(rhs_raw)
         if lhs != rhs:
-            bad.append(((srt, x), lhs, rhs))
+            bad.append(((srt, x), _boxed(ds, lhs), _boxed(ds, rhs)))
     return bad
 
 
@@ -309,12 +366,9 @@ def delta_prime(ds: DStructure, n_max: int) -> dict[str, ChainMap]:
     window = build_delta_differential(ds, n_max)
     out: dict[str, ChainMap] = {}
     for srt, comp in sorted(ds.carrier.items()):
-        entries: dict = {}
-        for x in comp.basis():
-            img = ds.project(ds.delta_of(srt, x)).get(srt, {})
-            if img:
-                entries[x] = img
-        out[srt] = ChainMap(comp, window.carrier[srt], entries, degree=-1)
+        entries = {x: ds.project(ds.delta_of(srt, x)).get(srt, {})
+                   for x in comp.basis()}
+        out[srt] = ChainMap.from_raw(comp, window.carrier[srt], entries, degree=-1)
     # the witness (Delta . eta - eta . d)(x) equals delta(x) exactly when
     # the inclusion passes the split identity at x
     bad = split_identity_failures(ds)
@@ -397,7 +451,7 @@ def join_word(B: BarComplex, factors: tuple, c_sig, c_name) -> dict:
     The factor trees keep all their vertices and become the root's
     successor subtrees; the word puts the new root's generators after
     the factor words, so the shuffle signs match _root_split term for
-    term.
+    term.  The joined key comes with a raw coefficient.
     """
     multi = len(B.operad.sorts) > 1
     trees = [k[0] for k in factors]
@@ -415,7 +469,7 @@ def join_word(B: BarComplex, factors: tuple, c_sig, c_name) -> dict:
         acc = signs.multiply(acc, w_q)
         off += t_q.n
     acc = signs.multiply(acc, signs.word((t_new.n,), (t_new.n,) if c_odd else ()))
-    return B.normalize_term(t_new, acc, tuple(labels), B.field.one)
+    return B.normalize_term(t_new, acc, tuple(labels), B.field.one.val)
 
 
 def bar_algebra_action(B: BarComplex, vs: list, c: OperadElement,
@@ -486,46 +540,68 @@ def _action_basis(B: BarComplex, keys: list, c_sig, c_name,
 class DMorphism:
     """A map of D-structures, recorded by where the carrier basis goes.
 
-    ``f0`` sends each (sort, name) of the source carrier to a raw word
-    vector over the target; the degree must be preserved.  The induced
-    map on free algebras multiplies the images out slot by slot and
-    composes the labels, and is a morphism exactly when it intertwines
-    the induced differentials, which verify_morphism checks.
+    ``f0`` sends each (sort, name) of the source carrier to a word
+    vector over the target with Scalar coefficients; the degree must be
+    preserved.  It is kept on raw values, as ``from_raw`` takes it.  The
+    induced map on free algebras multiplies the images out slot by slot
+    and composes the labels, once per word, and is a morphism exactly
+    when it intertwines the induced differentials, which verify_morphism
+    checks.
     """
 
-    __slots__ = ("source", "target", "f0", "name")
+    __slots__ = ("source", "target", "f0", "name", "_images")
 
     def __init__(self, source: DStructure, target: DStructure,
-                 f0: dict[DName, BigVec], name: str = "morphism") -> None:
+                 f0: dict[DName, Vec], name: str = "morphism") -> None:
+        raw = target.field.raw
+        self._setup(source, target, {k: {big: raw(c) for big, c in vec.items()}
+                                     for k, vec in f0.items()}, name)
+
+    @classmethod
+    def from_raw(cls, source: DStructure, target: DStructure,
+                 f0: dict[DName, BigVec], name: str = "morphism") -> "DMorphism":
+        m = cls.__new__(cls)
+        m._setup(source, target, f0, name)
+        return m
+
+    def _setup(self, source, target, f0: dict[DName, BigVec], name: str) -> None:
+        clean = {}
         for (srt, x), vec in f0.items():
             comp = source.carrier.get(srt)
             if comp is None or x not in comp.degrees:
                 raise DStructureError(f"f0 given on unknown element {(srt, x)!r}")
             for big, c in vec.items():
                 target._check_word(big)
-                if not c.is_zero() and \
-                        target._word_degree(big) != comp.degrees[x]:
+                if c and target._word_degree(big) != comp.degrees[x]:
                     raise DStructureError(f"f0 must preserve degree at {(srt, x)!r}")
+            clean[(srt, x)] = {big: c for big, c in vec.items() if c}
         self.source = source
         self.target = target
-        self.f0 = f0
+        self.f0 = clean
         self.name = name
+        self._images: dict[BigName, BigVec] = {}
 
     def image_of(self, srt: str, x) -> BigVec:
         return self.f0.get((srt, x), {})
 
 
 def extend_morphism(m: DMorphism, raw: BigVec) -> BigVec:
-    """The induced free-algebra map applied to a raw word vector."""
+    """The induced free-algebra map applied to a raw word vector, an
+    exact sum of the images of its words, each memoized on m."""
     out: BigVec = {}
-    for (sig, xw, c_name), c in sorted(raw.items(), key=lambda kv: str(kv[0])):
-        vecs = [m.image_of(srt, x) for srt, x in zip(sig[0], xw)]
-        vec_iaxpy(out, c, m.target.free.compose(vecs, sig, c_name))
+    images, f0, p = m._images, m.f0, m.target.field.p
+    for big, c in raw.items():
+        img = images.get(big)
+        if img is None:
+            sig, xw, c_name = big
+            img = images[big] = m.target.free.compose(
+                [f0.get(key, {}) for key in zip(sig[0], xw)], sig, c_name)
+        raw_iaxpy(out, c, img, p)
     return out
 
 
 def identity_morphism(ds: DStructure) -> DMorphism:
-    return DMorphism(ds, ds, eta(ds), name=f"id({ds.name})")
+    return DMorphism.from_raw(ds, ds, eta(ds), name=f"id({ds.name})")
 
 
 def compose_morphisms(g: DMorphism, f: DMorphism) -> DMorphism:
@@ -537,7 +613,7 @@ def compose_morphisms(g: DMorphism, f: DMorphism) -> DMorphism:
         img = extend_morphism(g, vec)
         if img:
             f0[key] = img
-    return DMorphism(f.source, g.target, f0, name=f"{g.name}.{f.name}")
+    return DMorphism.from_raw(f.source, g.target, f0, name=f"{g.name}.{f.name}")
 
 
 class MorphismReport(NamedTuple):
@@ -562,13 +638,14 @@ def verify_morphism(m: DMorphism, window: int = 2) -> MorphismReport:
     for srt in src.operad.sorts:
         for n in range(0, window + 1):
             for rep in src.free.part(n, srt).reps:
-                jobs.append((("word", srt, n, rep), {rep: src.field.one}))
+                jobs.append((("word", srt, n, rep), {rep: src.field.one.val}))
     for label, raw in jobs:
         lhs = tgt.project(extend_morphism(m, src.delta_vec(raw)))
         rhs = tgt.project(tgt.delta_vec(extend_morphism(m, raw)))
         checked += 1
         if lhs != rhs:
-            return MorphismReport(False, checked, (label, lhs, rhs))
+            return MorphismReport(False, checked,
+                                  (label, _boxed(tgt, lhs), _boxed(tgt, rhs)))
     return MorphismReport(True, checked)
 
 
@@ -590,12 +667,11 @@ def is_equivalence(m: DMorphism, n_max: int) -> EquivalenceReport:
     for srt in m.source.operad.sorts:
         entries: dict = {}
         for name in sw.carrier[srt].basis():
-            raw = extend_morphism(m, {name[1]: m.source.field.one})
+            raw = extend_morphism(m, {name[1]: m.source.field.one.val})
             col = m.target.project(raw).get(srt, {})
-            col = {nm: c for nm, c in col.items() if nm in tw.carrier[srt].degrees}
-            if col:
-                entries[name] = col
-        cm = ChainMap(sw.carrier[srt], tw.carrier[srt], entries)
+            entries[name] = {nm: c for nm, c in col.items()
+                             if nm in tw.carrier[srt].degrees}
+        cm = ChainMap.from_raw(sw.carrier[srt], tw.carrier[srt], entries)
         for deg, verdict in cm.is_quasi_iso(stable).items():
             verdicts[(srt, deg)] = verdict
             ok = ok and verdict.isomorphism
@@ -658,17 +734,19 @@ def roundtrip_algebra(algebra: Algebra, n_max: int) -> RoundtripAlgebraReport:
 
     matrices_equal = True
     first = None
+    p = B.field.p
     for key in quotient.basis():
         rep, sgn = matched[key]
-        raw = ds.delta_terms(rep)
-        pushed: Vec = {}
-        for (sig2, xw2, c2), c in raw.items():
-            vec_iaxpy(pushed, c, join_word(B, xw2, sig2, c2))
-        pushed = {k: sgn.inv() * c for k, c in pushed.items()}
+        pushed: dict = {}
+        for (sig2, xw2, c2), c in ds.delta_terms(rep).items():
+            raw_iaxpy(pushed, c, join_word(B, xw2, sig2, c2), p)
+        if sgn != 1:
+            inv = pow(sgn, -1, p) if p else 1 / sgn
+            pushed = {k: c * inv % p if p else c * inv for k, c in pushed.items()}
         want = quotient.raw_d.get(key, {})
-        if vec_unbox(pushed, B.field) != want and first is None:
+        if pushed != want and first is None:
             matrices_equal = False
-            first = (key, pushed, vec_box(want, B.field))
+            first = (key, vec_box(pushed, B.field), vec_box(want, B.field))
 
     stable = B.stable_degrees(n_max)
     verdicts = B.mu_chain_map(quotient).is_quasi_iso(stable)
@@ -714,8 +792,8 @@ def roundtrip_dstructure(ds: DStructure, n_max: int,
     for (srt, key) in sorted(eta(source), key=str):
         if _is_bare(key):
             _, rep = key[1][0]
-            f0[(srt, key)] = {rep: ds.field.one}
-    counit = DMorphism(source, ds, f0, name=f"counit({ds.name})")
+            f0[(srt, key)] = {rep: ds.field.one.val}
+    counit = DMorphism.from_raw(source, ds, f0, name=f"counit({ds.name})")
     counit_report = verify_morphism(counit, window=1)
 
     bound = ds.operad.arity_bound

@@ -4,9 +4,9 @@ Vectors are dicts mapping basis names (arbitrary hashable) to nonzero
 coefficients. Never store a zero coefficient.  At the public edge a
 coefficient is a ``Scalar``; inside, it is a raw value, a residue mod p
 or a Fraction, as the structure-constant tables, the bar memos, the
-chain-complex columns and the elimination hold it.  Sums accumulate in
-place through ``vec_iaxpy`` and ``vec_acc`` on Scalars and through
-``raw_iaxpy`` on raw values, always into a dict the accumulating
+free-algebra words, the chain-complex columns and the elimination hold
+it.  Sums accumulate in place through ``vec_iaxpy`` on Scalars and
+through ``raw_iaxpy`` on raw values, always into a dict the accumulating
 function created: memoized vectors are handed out uncopied and must only
 be read.
 
@@ -90,16 +90,6 @@ def vec_axpy(u: Vec, s: Scalar, v: Vec) -> Vec:
     return out
 
 
-def vec_acc(u: Vec, k, c: Scalar) -> None:
-    """u[k] += c in place, dropping the entry if it cancels."""
-    w = u.get(k)
-    c = c if w is None else w + c
-    if c.is_zero():
-        u.pop(k, None)
-    else:
-        u[k] = c
-
-
 class Echelon(NamedTuple):
     """Reduced row echelon form, held on raw values.
 
@@ -120,16 +110,16 @@ class Echelon(NamedTuple):
     def rows(self) -> list[Vec]:
         return [vec_box(row, self.field) for row in self.raw_rows]
 
-    def reduce(self, v: Vec) -> Vec:
-        """The remainder of v against the echelon: v minus a combination of
-        the rows, with no support on any pivot column.  It is zero exactly
-        when v lies in the row span."""
-        rem = vec_unbox(v, self.field)
+    def reduce(self, v: dict) -> dict:
+        """The remainder of the raw vector v against the echelon: v minus
+        a combination of the rows, with no support on any pivot column.
+        It is zero exactly when v lies in the row span."""
+        rem = dict(v)
         for col, row in zip(self.pivots, self.raw_rows):
             c = rem.get(col)
             if c is not None:
                 raw_iaxpy(rem, -c, row, self.field.p)
-        return vec_box(rem, self.field)
+        return rem
 
 
 def echelon(vectors: Iterable[Vec], field: FieldSpec) -> Echelon:

@@ -183,6 +183,8 @@ class Operad:
         self._labels: list[Label] = [(sig, name) for sig in self._signatures
                                      for name in self.components[sig].degrees]
         self._ids: dict[Label, int] = {lab: i for i, lab in enumerate(self._labels)}
+        self._degs: list[int] = [self.components[sig].degrees[name]
+                                 for sig, name in self._labels]
         self._gamma_memo: dict = {}
         self._perm_memo: dict = {}
         self._orbit_memo: dict[int, LabelOrbits] = {}
@@ -295,6 +297,21 @@ class Operad:
         in everything, read off the table; a fresh vector."""
         p = self.field.p
         memo = self._gamma_memo
+        if len(y_vec) == 1 and all(len(x) == 1 for x in xs):
+            # one term in every input, as on every associativity triple
+            # of uAss: one table read, scaled once
+            ((y, coeff),) = y_vec.items()
+            key = []
+            for ((x, cx),) in (x.items() for x in xs):
+                key.append(x)
+                if cx != 1:
+                    coeff = coeff * cx % p if p else coeff * cx
+            comp = (memo.get((y, tuple(key))) or self._gamma_ids(y, tuple(key)))[1]
+            if coeff == 1:
+                return dict(comp)
+            target = {}
+            raw_iaxpy(target, coeff, comp, p)
+            return target
         target: dict = {}
         for y, cy in y_vec.items():
             for combo in iproduct(*(x.items() for x in xs)):
@@ -529,7 +546,7 @@ def verify_operad(op: Operad) -> OperadReport:
     F = op.field
     p, one = F.p, F.one.val
     ids, labels, memo = op._ids, op._labels, op._gamma_memo
-    deg = [op.degree_of(*label) for label in labels]
+    deg = op._degs
     swap, d = _raw_tables(op)
 
     def act(vec: dict, ks) -> dict:

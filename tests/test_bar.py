@@ -24,7 +24,7 @@ from kzbar.catalog import (
 from kzbar.complexes import ChainComplex
 from kzbar.dstructures import _action_basis, bar_algebra_action
 from kzbar.fields import GF, QQ
-from kzbar.linalg import vec_acc, vec_iaxpy
+from kzbar.linalg import vec_iaxpy
 from kzbar.operads import CapExceeded, Operad, single_sig, verify_operad
 from kzbar.signs import relabel, word
 from kzbar.trees import Tree, enumerate_trees, is_intertwiner, validate
@@ -581,7 +581,7 @@ def test_differential_kills_random_combinations(data):
                                 max_size=len(picks)))
     v = {}
     for k, c in zip(picks, coeffs):
-        vec_acc(v, k, B.field.scalar(c))
+        vec_iaxpy(v, B.field.scalar(c), {k: B.field.one})
     assert B.differential(B.differential(v)) == {}
 
 

@@ -210,7 +210,9 @@ def test_benchmark_trace_installs_and_keeps_the_report(capsys, monkeypatch,
     # the D-structure layer reads the bar through its public methods
     assert stats["bar.BarComplex.differential_key"]["calls"] > 0
     assert stats["bar.BarComplex.normalize_term"]["calls"] > 0
-    assert stats["operads.Operad.gamma_basis"]["calls"] > 0
+    # the free algebra composes labels by id: the boxed table reader is
+    # still wrapped, and no suite calls it
+    assert stats["operads.Operad.gamma_basis"]["calls"] == 0
     part = stats["algebras.FreeAlgebra.part"]
     assert part["calls"] > 0
     assert part["big_words"] >= part["reps"] > 0

@@ -12,12 +12,16 @@ Koszul convention (label last, factors left to right):
   word, with the internal and the splitting terms interleaved slot by
   slot.
 
-They share no code with ``FreeAlgebra``; the tests compare the two.
+They share no code with ``FreeAlgebra`` and run on Scalars; the
+D-structure's raw splitting is boxed on entry, and the tests box the raw
+results to compare the two.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
+
+from kzbar.linalg import vec_box
 
 
 def _acc(out: dict, key, c) -> None:
@@ -83,7 +87,7 @@ def delta_terms(ds, big) -> dict:
     for i, (srt, x) in enumerate(zip(ins, xw)):
         for nm, cf in ds.carrier[srt].d.get(x, {}).items():
             _acc(out, (sig, xw[:i] + (nm,) + xw[i + 1:], c_name), sgn * cf)
-        for (msig, yw, b_name), cf in ds.delta_of(srt, x).items():
+        for (msig, yw, b_name), cf in vec_box(ds.delta_of(srt, x), F).items():
             tail = sum(degs[i + 1:])
             ssgn = sgn * cf
             if op.degree_of(msig, b_name) % 2 and tail % 2:
