@@ -21,6 +21,16 @@ Degrees are rigid: delta must lower degree by one, the induced
 differential squares to zero on every window (certified at construction
 time), and the arity-one inclusion eta satisfies
 ``Delta . eta = eta . d + delta`` on the nose.
+
+Word vectors hold raw field values, residues mod p or Fractions, as the
+operad's tables do.  A D-structure keeps its splitting that way and
+computes the induced differential of a word once, on its first read
+through ``delta_terms``; the window columns, the split identity, the
+morphism checks and both roundtrips read that memo, and a morphism keeps
+the image of each word it extends.  Scalars are taken in by the
+constructors and handed out only in witnesses and by the bar action.
+A window that cannot close is found by a pre-scan of the arities that
+can overflow, before any column is built (``build_delta_differential``).
 """
 
 from __future__ import annotations
@@ -104,7 +114,6 @@ class DStructure:
                     clean[big] = v
             if clean:
                 self._delta[(srt, x)] = clean
-        self._units = {srt: self.operad.unit_label(srt) for srt in self.carrier}
         self._terms: dict[BigName, BigVec] = {}
         self.free = FreeAlgebra(self.carrier, operad)
 
@@ -137,7 +146,7 @@ class DStructure:
 
     def unit_word(self, srt: str, x) -> BigVec:
         """x in arity one: the word of x and the unit of its sort."""
-        usig, uname = self._units[srt]
+        usig, uname = self.operad.unit_label(srt)
         return {(usig, (x,), uname): self.field.one.val}
 
     def support(self, srt: str, x) -> list[int]:
@@ -580,9 +589,6 @@ class DMorphism:
         self.f0 = clean
         self.name = name
         self._images: dict[BigName, BigVec] = {}
-
-    def image_of(self, srt: str, x) -> BigVec:
-        return self.f0.get((srt, x), {})
 
 
 def extend_morphism(m: DMorphism, raw: BigVec) -> BigVec:

@@ -78,12 +78,13 @@ def test_the_single_term_read_equals_the_generic_product(name):
             k = y + len(xs)
             c = coeffs[k % len(coeffs)]
             x_vecs = [{x: coeffs[(k + j) % len(coeffs)]} for j, x in enumerate(xs)]
+            want = _generic(op, {y: c}, x_vecs)
             got = op._gamma_raw({y: c}, x_vecs)
-            assert got == _generic(op, {y: c}, x_vecs), (y, xs)
+            assert got == want, (y, xs)
             single += 1
-            zeros += not got
+            zeros += not want
             got.clear()  # a fresh vector: the table keeps its entry
-            assert op._gamma_raw({y: c}, x_vecs) == _generic(op, {y: c}, x_vecs)
+            assert op._gamma_raw({y: c}, x_vecs) == want
             # a second term in y and in every slot whose component has one
             y_vec = {y: c}
             for other in by_sig[y_sig]:
