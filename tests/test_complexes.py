@@ -177,6 +177,18 @@ def test_chain_map_violation_rejected():
     assert all(v.isomorphism for v in z.is_quasi_iso([0, 1]).values())
 
 
+@pytest.mark.parametrize("F, minus_one", [(QQ, "-1:Q"), (GF(3), "2:F3")])
+def test_odd_chain_map_violation_message(F, minus_one):
+    """A degree-1 map with d f = f d breaks d f = -f d; the message shows
+    f d with the sign (-1)^r already applied."""
+    C = interval(F)
+    T = ChainComplex(F, {"a": 2, "b": 1}, {"a": {"b": F.one}})
+    with pytest.raises(ComplexError) as err:
+        ChainMap(C, T, {"e": {"a": F.one}, "v": {"b": F.one}}, degree=1)
+    assert str(err.value) == (f"not a chain map at 'e': d f = {{'b': 1:{F}}}, "
+                              f"f d = {{'b': {minus_one}}}")
+
+
 def test_quasi_iso_detects_failure():
     F = QQ
     # circle-like: one class in degree 0; zero map to a point complex misses it
