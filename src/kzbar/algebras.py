@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 from kzbar import KzbarError
 from kzbar.complexes import ChainComplex, ChainMap
 from kzbar.fields import Scalar
-from kzbar.linalg import Vec, echelon_raw, raw_iaxpy, vec_axpy, vec_box, vec_scale
+from kzbar.linalg import Vec, echelon_raw, raw_iaxpy, vec_box
 from kzbar.operads import (CapExceeded, Operad, OperadElement, Sig, _arity_tuples,
                             _past_parity, _raw_neg, _raw_tables)
 
@@ -59,17 +59,6 @@ class AlgebraElement:
         self.sort = sort
         self.vec = vec
 
-    def is_zero(self) -> bool:
-        return not self.vec
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.sort != other.sort:
-            raise AlgebraError("cannot add elements of different sorts")
-        return AlgebraElement(self.algebra, self.sort,
-                              vec_axpy(self.vec, self.algebra.field.one, other.vec))
-
-    def scale(self, s: Scalar) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, self.sort, vec_scale(self.vec, s))
 
 
 class Algebra:

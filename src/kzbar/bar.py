@@ -11,8 +11,9 @@ reordering costs never need separate bookkeeping.
 The differential has three summand families: contract an inner edge and
 compose the two operad labels, contract a fully-leafed vertex into a new
 leaf through the algebra action, or apply the internal differential at
-one vertex.  The homotopy grafts a unit-labeled root on top.  Both are
-certified by d.d = 0 and dh + hd = Id elementwise in the tests.
+one vertex.  The homotopy grafts a unit-labeled root on top.
+``certificate_faults`` checks d.d = 0 and dh + hd = Id on every key it
+is given, and ``kz bar`` runs it on the whole window.
 
 Every raw term is brought to its canonical labeled representative
 through a plan built once per tree: the tree's sorts, signatures and
@@ -37,12 +38,11 @@ siblings are nondecreasing, and one with equal labeled siblings is kept
 when each such vertex's label is the least of its orbit, so the key
 table holds the basis and what d, h and the normal form reach: a
 rejected labeling gets no id and no normal form.
-The public methods take and return (tree, labels) keys; the quotient and
-the evaluation map hand their columns raw to ``ChainComplex.from_raw``
-and ``ChainMap.from_raw``.  Scalars are built only at the public edge:
-``differential``, ``homotopy``, ``normalize_term`` on a Scalar
-coefficient, ``basis_vector``, ``mu`` and the witnesses of
-``certificate_faults``.
+The public methods take (tree, labels) keys and return raw values over
+them: ``differential_key``, ``homotopy_key``, ``normalize_term`` and
+``mu_key``.  The quotient and the evaluation map hand their columns raw
+to ``ChainComplex.from_raw`` and ``ChainMap.from_raw``.  Scalars are
+built only for the witnesses of ``certificate_faults``.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from functools import cache
 from itertools import combinations_with_replacement, groupby
 from itertools import product as iproduct
 from operator import itemgetter
-from typing import NamedTuple
 
 # The word calculus and canonical_form are read through their modules
 # at call time: the benchmark trace (perfbench/kztrace.py) replaces them
@@ -61,7 +60,7 @@ from kzbar import KzbarError, signs, trees
 from kzbar.algebras import Algebra
 from kzbar.complexes import ChainComplex, ChainMap, direct_sum
 from kzbar.fields import Scalar
-from kzbar.linalg import Vec, raw_iaxpy, vec_iaxpy
+from kzbar.linalg import raw_iaxpy
 from kzbar.signs import SignWord, block_swap_sign, inversion_parity
 from kzbar.trees import (
     Tree,
@@ -79,7 +78,7 @@ class BarError(KzbarError):
 
 
 BarKey = tuple  # (Tree, labels tuple indexed by vertex)
-BarVec = dict  # BarKey -> Scalar at the edge, key id -> raw value inside
+BarVec = dict  # BarKey -> raw value at the edge, key id -> raw value inside
 
 
 def _is_bare(key: BarKey) -> bool:
@@ -98,18 +97,10 @@ def _key_sort(key: BarKey):
     return _tree_order(t) + (str(labels),)
 
 
-# memoized per key value like ``encode``, for the public sums; the basis
-# sort reads each key's order once, so it calls _key_sort
+# memoized per key value like ``encode``, for the sums of the quotient's
+# algebra action; the basis sort reads each key's order once, so it calls
+# _key_sort
 _key_order = cache(_key_sort)
-
-
-class BarTerm(NamedTuple):
-    """One basis element with its derived word, for display and checks."""
-
-    tree: Tree
-    labels: tuple
-    word: SignWord
-    degree: int
 
 
 def _child_perm(order) -> tuple:
@@ -321,26 +312,6 @@ class BarComplex:
             hit = self._plus_words[(es, fs)] = SignWord(1, es, fs)
         return hit
 
-    def term(self, t: Tree, labels: tuple) -> BarTerm:
-        return BarTerm(t, labels, self.basis_word(t, labels),
-                       self.degree_of(t, labels))
-
-    def check_key(self, key: BarKey) -> None:
-        """Validate the redundantly stored invariants on a basis key."""
-        t, labels = key
-        if len(labels) != t.n:
-            raise BarError(f"label count {len(labels)} for a {t.n}-vertex tree")
-        p = self._plan(t)
-        # a missing component or carrier sort has the empty degree table
-        for v, table, lab in zip(range(1, t.n + 1), p.degrees, labels):
-            if lab not in table:
-                raise BarError(f"leaf {v} label {lab!r} unknown" if v in t.L else
-                               f"vertex {v} label {lab!r} not in component "
-                               f"{p.sigs[v - 1]}")
-        w = self.basis_word(t, labels)
-        if set(w.es) != set(t.non_leaves()):
-            raise BarError("e-support must cover exactly the non-leaf vertices")
-
     # ------------------------------------------------------------ normal form
 
     def _monomial_perm(self, sig, pi: tuple, name):
@@ -364,21 +335,18 @@ class BarComplex:
         is linear in coeff and in the sign of w, so the normal form of the
         sign +1 term is memoized per (t, labels, es, fs).  Every call gets
         a fresh vector, and a failed parity check is never memoized, so it
-        raises on every call.  A Scalar coeff gives Scalar coefficients;
-        a raw coeff, as the homotopy passes, gives raw ones.
+        raises on every call.  coeff and the result are raw values.
         """
-        boxed = isinstance(coeff, Scalar)
-        c = self.field.raw(coeff) if boxed else coeff
-        if w.sign == 0 or not c:
+        if w.sign == 0 or not coeff:
             return {}
         hit = self._normal_hit(self._plan(t), labels, w.es, w.fs)
         if not hit:
             return {}
         kid, c0 = hit
-        c = c * c0 if w.sign == 1 else -(c * c0)
+        c = coeff * c0 if w.sign == 1 else -(coeff * c0)
         if self.field.p:
             c %= self.field.p
-        return {self._keys[kid]: Scalar(self.field, c) if boxed else c}
+        return {self._keys[kid]: c}
 
     def _normal_hit(self, p: _Plan, labels: tuple, es: tuple, fs: tuple):
         """The memoized normal form of the sign +1 term (es, fs, labels) on
@@ -517,10 +485,6 @@ class BarComplex:
             c = best_sign * pow(s_u, -1, P) % P if P else best_sign / s_u
             self._orbit_memo[(sig, gens, u)] = (best_name, c)
         return self._orbit_memo[(sig, gens, start)]
-
-    def basis_vector(self, t: Tree, labels: tuple) -> BarVec:
-        return self.normalize_term(t, self.basis_word(t, labels), labels,
-                                   self.field.one)
 
     # ------------------------------------------------------------ operations
 
@@ -678,26 +642,11 @@ class BarComplex:
         self._d_memo[kid] = out
         return out
 
-    def _boxed_sum(self, vec: BarVec, per_id) -> BarVec:
-        """sum of c * per_id(key id) over the terms of vec, in key order:
-        unboxed once, summed raw and boxed once."""
-        F, out = self.field, {}
-        for key, c in sorted(vec.items(), key=lambda kv: _key_order(kv[0])):
-            raw_iaxpy(out, F.raw(c), per_id(self._key_id(key)), F.p)
-        return self._boxed(out)
-
     def _boxed(self, raw: dict) -> BarVec:
-        """A vector over key ids as Scalars over keys, for the public edge."""
+        """A vector over key ids as Scalars over keys, for the witnesses of
+        ``certificate_faults``."""
         F, keys = self.field, self._keys
         return {keys[i]: Scalar(F, c) for i, c in raw.items()}
-
-    def differential(self, vec: BarVec) -> BarVec:
-        return self._boxed_sum(vec, self._d)
-
-    def differential_quotient(self, vec: BarVec) -> BarVec:
-        """The differential with bare-carrier terms killed."""
-        return {k: c for k, c in self.differential(vec).items()
-                if not _is_bare(k)}
 
     def homotopy_key(self, key: BarKey) -> dict:
         """h of one basis key as {key: raw}, memoized per key; callers
@@ -722,9 +671,6 @@ class BarComplex:
                 P = self.field.p
                 hit[kid2] = (-c % P if P else -c) if len(w.es) % 2 else c
         return hit
-
-    def homotopy(self, vec: BarVec) -> BarVec:
-        return self._boxed_sum(vec, self._h)
 
     def certificate_faults(self, keys) -> tuple:
         """d.d and dh + hd - 1 on every key, summed on raw values over key
@@ -896,25 +842,6 @@ class BarComplex:
 
     # ------------------------------------------------------------- mu
 
-    def mu_key(self, key: BarKey) -> Vec:
-        """Evaluate one quotient basis term through the algebra action.
-
-        Only trees with a single labeled vertex survive.  The degree sign
-        makes the evaluation a chain map against the prefix f-convention
-        of the internal differential.
-        """
-        F = self.field
-        return {nm: Scalar(F, c) for (_, nm), c in self._mu_raw(key).items()}
-
-    def mu(self, vec: BarVec) -> dict[str, Vec]:
-        """Evaluate a quotient element; one component per carrier sort."""
-        out: dict[str, Vec] = {}
-        for key, c in sorted(vec.items(), key=lambda kv: _key_order(kv[0])):
-            t, _ = key
-            vec_iaxpy(out.setdefault(self._sort_of(t, t.n), {}), c,
-                      self.mu_key(key))
-        return {srt: v for srt, v in out.items() if v}
-
     def mu_chain_map(self, quotient: ChainComplex) -> "ChainMap":
         """Evaluation bundled as a verified chain map on a quotient window.
 
@@ -923,10 +850,16 @@ class BarComplex:
         chain-map law column by column.
         """
         return ChainMap.from_raw(quotient, direct_sum(dict(self.algebra.carrier)),
-                                 {key: self._mu_raw(key) for key in quotient.degrees})
+                                 {key: self.mu_key(key) for key in quotient.degrees})
 
-    def _mu_raw(self, key: BarKey) -> dict:
-        """``mu_key`` on raw values, over (root sort, carrier name)."""
+    def mu_key(self, key: BarKey) -> dict:
+        """Evaluate one quotient basis term through the algebra action, as
+        {(root sort, carrier name): raw}.
+
+        Only trees with a single labeled vertex survive.  The degree sign
+        makes the evaluation a chain map against the prefix f-convention
+        of the internal differential.
+        """
         t, labels = key
         if _is_bare(key):
             raise BarError("mu lives on the quotient; bare term given")

@@ -12,7 +12,9 @@ Ranks are eliminated forward from a per-degree index of the basis, in
 construction order: a rank depends on no order, so no basis is sorted
 for it.  ``basis`` sorts by str for the callers that read an order.
 ``ChainMap`` holds raw entries the same way and certifies the chain-map
-law on raw values.
+law on raw values.  Scalars appear only at the public edge: the
+constructors' Scalar input, the boxed views ``d`` and ``entries``,
+``apply_d``, ``apply`` and the witnesses in a failure message.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from kzbar.linalg import (
     raw_iaxpy,
     vec_box,
     vec_iaxpy,
-    vec_scale,
 )
 
 Name = Hashable
@@ -189,35 +190,6 @@ class ChainComplex:
         return HomologySummary(degree=k, dim=self.dim(k) - self.d_rank(k) - b_rank,
                                boundary_rank=b_rank)
 
-    def shift(self, n: int) -> "ChainComplex":
-        """Suspension by n: degrees go up by n, d is scaled by (-1)^n."""
-        p = self.field.p
-        raw_d = self.raw_d if n % 2 == 0 else {
-            c: {k: -x % p if p else -x for k, x in v.items()}
-            for c, v in self.raw_d.items()}
-        return ChainComplex.from_raw(
-            self.field, {m: k + n for m, k in self.degrees.items()}, raw_d)
-
-    def tensor(self, other: "ChainComplex") -> "ChainComplex":
-        """Tensor product with the Koszul sign on the second factor."""
-        if self.field != other.field:
-            raise ComplexError("tensor factors must share a field")
-        p = self.field.p
-        degrees: dict[Name, int] = {}
-        d: dict[Name, dict] = {}
-        for a, ka in self.degrees.items():
-            odd = ka % 2
-            for b, kb in other.degrees.items():
-                degrees[(a, b)] = ka + kb
-                col: dict = {}
-                for r, s in self.raw_d.get(a, {}).items():
-                    col[(r, b)] = s
-                for r, s in other.raw_d.get(b, {}).items():
-                    col[(a, r)] = (-s % p if p else -s) if odd else s
-                if col:
-                    d[(a, b)] = col
-        return ChainComplex.from_raw(self.field, degrees, d)
-
 
 def direct_sum(parts: dict[Name, "ChainComplex"]) -> "ChainComplex":
     """One complex from several, names prefixed by the part key."""
@@ -315,7 +287,7 @@ class ChainMap:
             lhs = tgt.apply_d(self.apply({c: one}))
             rhs = self.apply(src.d.get(c, {}))
             if odd:
-                rhs = vec_scale(rhs, -one)
+                rhs = {k: -c for k, c in rhs.items()}
             raise ComplexError(f"not a chain map at {c!r}: d f = {lhs}, f d = {rhs}")
 
     def apply(self, v: Vec) -> Vec:

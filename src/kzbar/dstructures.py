@@ -138,9 +138,6 @@ class DStructure:
             total += self.carrier[srt].degrees[x]
         return total
 
-    def degree(self, srt: str, x) -> int:
-        return self.carrier[srt].degrees[x]
-
     def delta_of(self, srt: str, x) -> BigVec:
         return self._delta.get((srt, x), {})
 
@@ -148,10 +145,6 @@ class DStructure:
         """x in arity one: the word of x and the unit of its sort."""
         usig, uname = self.operad.unit_label(srt)
         return {(usig, (x,), uname): self.field.one.val}
-
-    def support(self, srt: str, x) -> list[int]:
-        """Arities of the words delta produces for one basis element."""
-        return sorted({len(big[1]) for big in self.delta_of(srt, x)})
 
     # ------------------------------------------------- induced differential
 
@@ -433,13 +426,13 @@ def _root_split(B: BarComplex, key) -> BigVec:
     c_odd = B.label_degree(t, t.n, c_name) % 2 == 1
     acc = signs.word((), ())
     factors = []
-    coeff = F.one
+    coeff = F.one.val
     for off, size in root_blocks(t):
         st = subtree_at(t, off, size)
         st_labels = tuple(labels[off + j] for j in range(size))
         w_local = B.basis_word(st, st_labels)
         acc = signs.multiply(acc, signs.relabel(w_local, lambda k: k + off))
-        sub = B.normalize_term(st, w_local, st_labels, F.one)
+        sub = B.normalize_term(st, w_local, st_labels, F.one.val)
         if not sub:
             return {}
         ((k_q, c_q),) = sub.items()
@@ -451,7 +444,7 @@ def _root_split(B: BarComplex, key) -> BigVec:
         raise DStructureError(f"root split lost generators on {key!r}")
     if (acc.sign == -1) != (B.degree_of(t, labels) % 2 == 1):
         coeff = -coeff
-    return {(sig, tuple(factors), c_name): coeff}
+    return {(sig, tuple(factors), c_name): F.scalar(coeff)}
 
 
 def join_word(B: BarComplex, factors: tuple, c_sig, c_name) -> dict:

@@ -14,7 +14,7 @@ A rank is a forward elimination (``rank_raw``) that reads rows and
 columns in any order and keeps no reduced form: over F2 a row is an int
 bitset, over F_p a dict of residues, over Q a fraction-free dict of
 integers.  Only where pivots are read, in the representatives of a
-quotient and the cycles of ``kernel_of_map``, does ``echelon`` run
+quotient and the cycles of ``kernel_raw``, does ``echelon_raw`` run
 Gauss-Jordan with its columns in str order.
 """
 
@@ -94,8 +94,7 @@ class Echelon(NamedTuple):
     """Reduced row echelon form, held on raw values.
 
     raw_rows[i] has pivot column pivots[i] with coefficient one, and that
-    column is eliminated from every other row.  ``rows`` boxes them when
-    read.
+    column is eliminated from every other row.
     """
 
     field: FieldSpec
@@ -105,10 +104,6 @@ class Echelon(NamedTuple):
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    @property
-    def rows(self) -> list[Vec]:
-        return [vec_box(row, self.field) for row in self.raw_rows]
 
     def reduce(self, v: dict) -> dict:
         """The remainder of the raw vector v against the echelon: v minus
@@ -168,10 +163,6 @@ def echelon_raw(rows: list[dict], field: FieldSpec) -> Echelon:
         done_rows.append(pv)
         pivots.append(col)
     return Echelon(field, done_rows, pivots)
-
-
-def rank(vectors: Iterable[Vec], field: FieldSpec) -> int:
-    return rank_raw((vec_unbox(v, field) for v in vectors), field)
 
 
 def rank_raw(rows: Iterable[dict], field: FieldSpec) -> int:
@@ -253,18 +244,13 @@ def rank_raw(rows: Iterable[dict], field: FieldSpec) -> int:
     return len(kept)
 
 
-def kernel_of_map(columns: dict[Hashable, Vec], field: FieldSpec) -> list[Vec]:
-    """Kernel basis of the linear map sending name c to the vector columns[c].
+def kernel_raw(columns: dict[Hashable, dict], field: FieldSpec) -> list[dict]:
+    """Kernel basis of the linear map sending name c to the raw vector
+    columns[c].
 
-    Returned vectors are supported on the column names; one per free
+    Returned raw vectors are supported on the column names; one per free
     variable, in str order.
     """
-    return [vec_box(z, field) for z in kernel_raw(
-        {c: vec_unbox(v, field) for c, v in columns.items()}, field)]
-
-
-def kernel_raw(columns: dict[Hashable, dict], field: FieldSpec) -> list[dict]:
-    """``kernel_of_map`` on raw columns, returning raw vectors."""
     rows_by_target: dict[Hashable, dict] = {}
     for cname, v in columns.items():
         for r, s in v.items():

@@ -112,13 +112,6 @@ class OperadElement:
     def is_zero(self) -> bool:
         return not self.vec
 
-    def homogeneous_parts(self) -> dict[int, "OperadElement"]:
-        comp = self.operad.components[self.sig]
-        parts: dict[int, Vec] = {}
-        for name, c in self.vec.items():
-            parts.setdefault(comp.degrees[name], {})[name] = c
-        return {k: OperadElement(self.operad, self.sig, v) for k, v in parts.items()}
-
     def __add__(self, other: "OperadElement") -> "OperadElement":
         if self.sig != other.sig:
             raise OperadError("cannot add elements of different signatures")
@@ -142,9 +135,10 @@ class Operad:
     (y id, x ids) to (target sig, {target id: raw value}), a raw value
     being a residue mod p or a Fraction.  The field of each coefficient
     gamma_rule returns is checked once, when its entry is filled.  Inner
-    layers compose basis labels through ``gamma_basis``; the element API
-    (``basis_element``, ``gamma``, ``gamma_j``) unboxes and boxes at the
-    public edge only.
+    layers compose label ids through ``_gamma_ids`` and raw vectors
+    through ``_gamma_raw``; ``gamma_basis`` is the boxed reader of the
+    table for callers outside, and the element API (``basis_element``,
+    ``gamma``, ``gamma_j``) unboxes and boxes at the public edge only.
     """
 
     def __init__(
@@ -206,10 +200,6 @@ class Operad:
 
     def component(self, sig: Sig) -> ChainComplex | None:
         return self.components.get(sig)
-
-    def dim(self, sig: Sig) -> int:
-        c = self.components.get(sig)
-        return len(c.degrees) if c else 0
 
     def degree_of(self, sig: Sig, name) -> int:
         return self.components[sig].degrees[name]

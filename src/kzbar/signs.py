@@ -178,23 +178,3 @@ def relabel(
             raise ValueError(f"relabeled word {out} does not fit {target}")
     return out
 
-
-def det_generator(t: Tree) -> SignWord:
-    """Ascending product of e_v over every labeled (non-leaf) vertex of t.
-
-    The root contributes its generator too; the word length equals the
-    structural degree of the tree.
-    """
-    return SignWord(1, tuple(t.non_leaves()), ())
-
-
-def check_word(t: Tree, w: SignWord) -> None:
-    """Assert w fits the tree: e's on non-leaves, f's on any vertex."""
-    if w.sign == 0:
-        return
-    bad_e = set(w.es) - set(t.non_leaves())
-    if bad_e:
-        raise ValueError(f"e-indices {sorted(bad_e)} are not labeled vertices of {t}")
-    bad_f = {i for i in w.fs if not 1 <= i <= t.n}
-    if bad_f:
-        raise ValueError(f"f-indices {sorted(bad_f)} outside 1..{t.n}")

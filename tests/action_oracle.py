@@ -9,7 +9,7 @@ two on single-sorted and two-sorted factors.
 
 from __future__ import annotations
 
-from kzbar.linalg import vec_iaxpy
+from kzbar.linalg import vec_box, vec_iaxpy
 from kzbar.signs import multiply, partial_e, relabel, word
 from kzbar.trees import validate
 
@@ -61,5 +61,6 @@ def action_basis(B, keys: list, c_sig, c_name) -> dict:
     out: dict = {}
     for nm, cf in sorted(merged.vec.items(), key=lambda kv: str(kv[0])):
         lab2[n_new - 1] = nm
-        vec_iaxpy(out, cf, B.normalize_term(t_new, w_acc, tuple(lab2), B.field.one))
+        vec_iaxpy(out, cf, vec_box(B.normalize_term(t_new, w_acc, tuple(lab2),
+                                                    B.field.one.val), B.field))
     return out

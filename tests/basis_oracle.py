@@ -64,7 +64,7 @@ def enumerate_basis(B, n_max: int, deg_lo: int | None = None,
                         continue
                     if deg_hi is not None and deg > deg_hi:
                         continue
-                    for key in B.basis_vector(t, combo):
+                    for key in B.normalize_term(t, B.basis_word(t, combo), combo, 1):
                         seen.add(key)
     return sorted(seen, key=_key_order)
 
@@ -81,7 +81,7 @@ def full_basis(B, n_max: int) -> list:
             if pools is None:
                 continue
             for combo in iproduct(*pools):
-                for key in B.basis_vector(t, combo):
+                for key in B.normalize_term(t, B.basis_word(t, combo), combo, 1):
                     seen.add(key)
     return sorted(seen, key=_key_order)
 

@@ -82,13 +82,13 @@ def _one_pass(alg, ds, B, n_max: int) -> list[bool]:
     """The checks of one pass and their verdicts; the chain-complex and
     chain-map certificates raise instead.  B is the same bar complex in
     every pass, so the second bar_quotient reads the first one's
-    differential memo, and the differential of the sum of all quotient
-    keys is accumulated onto the memoized vector of its first key."""
+    differential memo, and the certificate sums d.d and dh + hd of every
+    quotient key from the memoized vectors of d and h."""
     verdicts = [verify_operad(alg.operad).ok, verify_algebra(alg).ok]
     _sums(alg)
     quotient = B.bar_quotient(n_max)
     B.mu_chain_map(quotient)
-    B.differential(dict.fromkeys(quotient.degrees, alg.field.one))
+    verdicts.append(B.certificate_faults(quotient.degrees) == (None, None))
     verdicts.append(roundtrip_algebra(alg, n_max).matrices_equal)
     verdicts.append(not split_identity_failures(ds))
     return verdicts

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from kzbar.complexes import ChainComplex, ChainMap, ComplexError, QuasiIsoVerdict
 from kzbar.fields import GF, QQ
-from kzbar.linalg import echelon, kernel_of_map, rank, vec_axpy, vec_box, vec_iaxpy, vec_unbox
+from kzbar.linalg import echelon, kernel_raw, rank_raw, vec_axpy, vec_box, vec_iaxpy, vec_unbox
 
 from homology_oracle import rank as oracle_rank
 
@@ -15,9 +15,8 @@ def interval(F):
 
 
 def test_rank_over_f2():
-    F = GF(2)
-    rows = [{"a": F.one, "b": F.one}, {"a": F.one, "b": F.one}]
-    assert rank(rows, F) == 1
+    rows = [{"a": 1, "b": 1}, {"a": 1, "b": 1}]
+    assert rank_raw(rows, GF(2)) == 1
 
 
 _SUPPORT = st.dictionaries(st.sampled_from("abcde"), st.integers(-3, 3), max_size=5)
@@ -42,16 +41,15 @@ def test_echelon_reduce_leaves_the_remainder_off_the_span(F, raw_rows, raw_v):
 
 
 def test_kernel_of_map():
-    F = GF(2)
-    cols = {"a": {"t": F.one}, "b": {"t": F.one}, "c": {}}
-    ker = kernel_of_map(cols, F)
+    cols = {"a": {"t": 1}, "b": {"t": 1}, "c": {}}
+    ker = kernel_raw(cols, GF(2))
     assert len(ker) == 2
     for v in ker:
         img = {}
         for n, s in v.items():
             for t, c in cols[n].items():
-                img[t] = img.get(t, F.zero) + c * s
-        assert all(x.is_zero() for x in img.values())
+                img[t] = (img.get(t, 0) + c * s) % 2
+        assert not any(img.values())
 
 
 def test_iaxpy_drops_a_cancelled_entry():
@@ -133,32 +131,6 @@ def test_d_squared_rejected():
         )
 
 
-def test_shift_sign():
-    C = interval(QQ).shift(1)
-    assert C.degrees == {"e": 2, "v": 1}
-    assert C.d["e"]["v"] == -QQ.one
-    # double shift brings the sign back
-    C2 = interval(QQ).shift(2)
-    assert C2.d["e"]["v"] == QQ.one
-
-
-def test_tensor_square_of_interval():
-    F = QQ
-    T = interval(F).tensor(interval(F))
-    # square: acyclic, and d*d = 0 was checked on construction via validate
-    T._validate()
-    H = T.homology()
-    assert all(h.dim == 0 for h in H.values())
-
-
-def test_tensor_koszul_sign():
-    F = QQ
-    T = interval(F).tensor(interval(F))
-    col = T.d[("e", "e")]
-    assert col[("v", "e")] == F.one
-    assert col[("e", "v")] == -F.one
-
-
 def test_chain_map_identity_quasi_iso():
     C = interval(QQ)
     f = ChainMap(C, C, {n: {n: QQ.one} for n in C.basis()})
@@ -204,26 +176,3 @@ def test_quasi_iso_detects_failure():
                                 induced_rank=0, isomorphism=False)
     with pytest.raises(AttributeError):
         v.isomorphism = True
-
-
-@given(st.sampled_from([QQ, GF(2), GF(3)]), st.integers(1, 3))
-def test_iterated_tensor_is_complex(F, k):
-    C = interval(F)
-    T = C
-    for _ in range(k):
-        T = T.tensor(C)
-    T._validate()
-    # tensor of acyclic complexes stays acyclic
-    assert all(h.dim == 0 for h in T.homology().values())
-
-
-@given(st.sampled_from([QQ, GF(3)]), st.integers(-2, 2))
-def test_shift_preserves_homology_dims(F, n):
-    C = ChainComplex(
-        F,
-        {"x1": 1, "x2": 1, "y1": 0, "y2": 0},
-        {"x1": {"y1": F.one, "y2": F.one}, "x2": {"y1": F.one, "y2": F.one}},
-    )
-    H0 = C.homology()
-    H1 = C.shift(n).homology()
-    assert {k + n: h.dim for k, h in H0.items()} == {k: h.dim for k, h in H1.items()}

@@ -347,8 +347,8 @@ def test_com_requires_char0():
 
 
 def test_builtin_dispatch_and_unknown():
-    assert builtin("uAss", QQ, 2).dim(single_sig(0)) == 1
-    assert builtin("unit-operad", QQ, 1).dim(single_sig(1)) == 1
+    assert builtin("uAss", QQ, 2).component(single_sig(0)).dim() == 1
+    assert builtin("unit-operad", QQ, 1).component(single_sig(1)).dim() == 1
     with pytest.raises(OperadError, match="unknown builtin"):
         builtin("Lie", QQ, 3)
 
@@ -358,32 +358,32 @@ def test_builtin_dispatch_and_unknown():
 
 def test_ass_dimensions_over_f2():
     op = ass_operad(F2, 4)
-    dims = {n: op.dim(single_sig(n)) for n in range(0, 5)}
-    assert dims == {0: 0, 1: 1, 2: 2, 3: 6, 4: 24}
+    assert op.component(single_sig(0)) is None
+    dims = {n: op.component(single_sig(n)).dim() for n in range(1, 5)}
+    assert dims == {1: 1, 2: 2, 3: 6, 4: 24}
 
 
 def test_uass_adds_nullary():
     op = uass_operad(F2, 4)
-    assert op.dim(single_sig(0)) == 1
-    assert op.dim(single_sig(4)) == 24
+    assert op.component(single_sig(0)).dim() == 1
+    assert op.component(single_sig(4)).dim() == 24
 
 
 def test_unit_operad_components():
     op = unit_operad(QQ)
-    assert op.dim(single_sig(1)) == 1
-    assert op.dim(single_sig(0)) == 0
+    assert op.component(single_sig(0)) is None
     assert op.component(single_sig(1)).degrees == {"1": 0}
 
 
 def test_module_operad_dimensions():
     op = module_operad(QQ, 3)
-    assert op.dim((("a", "a"), "a")) == 2
-    assert op.dim((("a", "m"), "m")) == 1
-    assert op.dim((("m", "a"), "m")) == 1
-    assert op.dim((("a", "m", "a"), "m")) == 2
-    assert op.dim((("m",), "m")) == 1
-    assert op.dim(((), "a")) == 1
-    assert op.dim(((), "m")) == 0
+    assert op.component((("a", "a"), "a")).dim() == 2
+    assert op.component((("a", "m"), "m")).dim() == 1
+    assert op.component((("m", "a"), "m")).dim() == 1
+    assert op.component((("a", "m", "a"), "m")).dim() == 2
+    assert op.component((("m",), "m")).dim() == 1
+    assert op.component(((), "a")).dim() == 1
+    assert op.component(((), "m")) is None
 
 
 def test_module_unit_acts_as_identity():
@@ -407,9 +407,7 @@ def test_element_arithmetic_and_parts():
     )
     sig = single_sig(1)
     v = op.basis_element(sig, "1") + op.basis_element(sig, "e").scale(QQ.scalar(2))
-    parts = v.homogeneous_parts()
-    assert sorted(parts) == [0, 1]
-    assert parts[0].vec == {"1": QQ.one}
+    assert v.vec == {"1": QQ.one, "e": QQ.scalar(2)}
     dv = op.d_element(v)
     assert dv.vec == {"1": QQ.scalar(2)}
 

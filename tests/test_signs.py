@@ -9,15 +9,13 @@ from kzbar.signs import (
     ZERO,
     SignWord,
     block_swap_sign,
-    check_word,
-    det_generator,
     left_mul_f,
     multiply,
     partial_e,
     relabel,
     word,
 )
-from kzbar.trees import Tree, enumerate_trees
+from kzbar.trees import enumerate_trees
 from sign_oracle import as_gens, naive_normalize
 
 
@@ -44,15 +42,6 @@ def test_relabel_examples():
     assert relabel(word(es=[2]), {2: 1}) == word(es=[1])
     assert relabel(word(fs=[1, 2]), {1: 1, 2: 1}) == ONE
     assert relabel(word(es=[1, 2]), {1: 1, 2: 1}) == ZERO
-
-
-def test_det_generator_values():
-    # every labeled vertex contributes, the root included
-    assert det_generator(Tree(3, (3, 3), frozenset({1, 2}))) == word(es=[3])
-    assert det_generator(Tree(3, (2, 3), frozenset({1}))) == word(es=[2, 3])
-    assert det_generator(Tree(1, (), frozenset({1}))) == ONE
-    assert det_generator(Tree(1, (), frozenset())) == word(es=[1])
-    assert det_generator(Tree(4, (3, 3, 4), frozenset({1, 2}))) == word(es=[3, 4])
 
 
 def test_zero_is_distinguished():
@@ -92,15 +81,6 @@ def test_words_are_immutable_values():
     for field in ("sign", "es", "fs"):
         with pytest.raises(AttributeError):
             setattr(w, field, getattr(w, field))
-
-
-def test_check_word_against_tree():
-    t = Tree(3, (2, 3), frozenset({1}))
-    check_word(t, word(es=[2, 3], fs=[1, 3]))
-    with pytest.raises(ValueError):
-        check_word(t, word(es=[1]))  # vertex 1 is a leaf
-    with pytest.raises(ValueError):
-        check_word(t, word(fs=[4]))
 
 
 # ---------------------------------------------------------------- oracle
