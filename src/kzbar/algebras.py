@@ -60,7 +60,6 @@ class AlgebraElement:
         self.vec = vec
 
 
-
 class Algebra:
     """Operad algebra with basis-level structure constants.
 
@@ -72,8 +71,9 @@ class Algebra:
     carrier-name tuple) to {carrier name: raw value}, a raw value being a
     residue mod p or a Fraction.  A miss checks the argument names and
     the field of every coefficient theta_rule returns.  Inner layers read
-    it through ``theta_basis``; ``theta_eval`` unboxes and boxes at the
-    public edge only.
+    it by label id through ``_theta_ids``; ``theta_basis`` is the boxed
+    reader for callers outside, and ``theta_eval`` unboxes and boxes at
+    the public edge only.
     """
 
     def __init__(self, operad: Operad, carrier: dict[str, ChainComplex],

@@ -287,7 +287,7 @@ class ChainMap:
             lhs = tgt.apply_d(self.apply({c: one}))
             rhs = self.apply(src.d.get(c, {}))
             if odd:
-                rhs = {k: -c for k, c in rhs.items()}
+                rhs = {k: -x for k, x in rhs.items()}
             raise ComplexError(f"not a chain map at {c!r}: d f = {lhs}, f d = {rhs}")
 
     def apply(self, v: Vec) -> Vec:

@@ -177,4 +177,3 @@ def relabel(
         if not set(out.es) <= ok_e or not all(1 <= i <= target.n for i in out.fs):
             raise ValueError(f"relabeled word {out} does not fit {target}")
     return out
-
